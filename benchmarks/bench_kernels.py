@@ -1,18 +1,18 @@
-"""Compare the numba and pure-numpy kernel backends.
+"""Time the network kernels.
 
-Runs the batch forward pass and the residual/Jacobian evaluation on a
-grid of problem sizes and reports per-call wall time for each backend.
+For each problem size, reports the per-call wall time of the batch forward
+pass, of the residual/Jacobian evaluation that allocates its Jacobian, and
+of the same evaluation writing into a reused buffer (as a training fit does).
 
-Usage: python3 benchmarks/bench_kernels.py [--repeats 50]
+Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 50]
 """
 
 import argparse
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
+
+from vrpcast import init, kernels
 
 SIZES = [
     # (n_patterns, lag, hidden)
@@ -23,52 +23,36 @@ SIZES = [
 ]
 
 
-def bench_one(repeats):
-    """Time the active backend; meant to run in a fresh interpreter so the
-    VRPCAST_BACKEND environment flag takes effect."""
-    from vrpcast import init, kernels
+def per_call(fn, repeats):
+    fn()  # warm-up
+    t0 = time.perf_counter()
+    for _ in range(repeats):
+        fn()
+    return (time.perf_counter() - t0) / repeats
 
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=50)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
     rng = np.random.default_rng(0)
-    rows = []
     for n, p, h in SIZES:
         model = init(p, h, 1)
         inputs = rng.uniform(-1, 1, (n, p))
         targets = rng.normal(size=n)
-        args = (model.w1, model.b1, model.w2, model.b2)
-        kernels.forward_batch(inputs, *args)  # warm-up / JIT compile
-        kernels.residuals_and_jacobian(inputs, targets, *args)
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            kernels.forward_batch(inputs, *args)
-        t_fwd = (time.perf_counter() - t0) / repeats
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            kernels.residuals_and_jacobian(inputs, targets, *args)
-        t_jac = (time.perf_counter() - t0) / repeats
-        rows.append((n, p, h, t_fwd, t_jac))
-    print(f"backend={kernels.BACKEND}")
-    for n, p, h, t_fwd, t_jac in rows:
-        print(f"  n={n:6d} p={p:2d} h={h:2d}  "
-              f"forward {t_fwd * 1e3:8.3f} ms  jacobian {t_jac * 1e3:8.3f} ms")
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=50)
-    parser.add_argument("--backend", choices=("numba", "numpy"),
-                        help=argparse.SUPPRESS)  # internal: single-backend run
-    args = parser.parse_args()
-    if args.backend:
-        bench_one(args.repeats)
-        return
-    for backend in ("numpy", "numba"):
-        env = dict(os.environ, VRPCAST_BACKEND=backend)
-        subprocess.run(
-            [sys.executable, __file__, "--repeats", str(args.repeats),
-             "--backend", backend],
-            env=env, check=True,
-        )
+        params = (model.w1, model.b1, model.w2, model.b2)
+        buffer = np.empty((n, model.n_params))
+        t_fwd = per_call(lambda: kernels.forward_batch(inputs, *params), args.repeats)
+        t_jac = per_call(lambda: kernels.residuals_and_jacobian(inputs, targets, *params),
+                         args.repeats)
+        t_buf = per_call(lambda: kernels.residuals_and_jacobian(inputs, targets, *params,
+                                                                out=buffer), args.repeats)
+        print(f"n={n:6d} p={p:2d} h={h:2d}  forward {t_fwd * 1e3:8.3f} ms  "
+              f"jacobian {t_jac * 1e3:8.3f} ms  jacobian(out=) {t_buf * 1e3:8.3f} ms")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

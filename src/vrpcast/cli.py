@@ -213,7 +213,8 @@ def _cmd_evaluate(args):
     series = load_csv(cfg.input_path, cfg.mode)
     diff = series_ops.difference(series)
     patterns = series_ops.extract_patterns(
-        diff.residuals, provenance["lag"], provenance.get("train_fraction", 0.8)
+        diff.residuals, provenance["lag"], provenance.get("train_fraction", 0.8),
+        series_ops.NormParams(**provenance["norm"]),
     )
     report = pipeline.evaluate(model, patterns, series.values, provenance)
     stats = report.test_stats

@@ -1,115 +1,42 @@
-"""Hot numeric kernels for the feedforward network.
-
-Two interchangeable backends are provided: plain vectorized numpy and
-numba-jitted loops. The backend is picked once at import time from the
-VRPCAST_BACKEND environment variable:
-
-    VRPCAST_BACKEND=numpy   force the pure-numpy path
-    VRPCAST_BACKEND=numba   require numba (ImportError if missing)
-    unset / auto            use numba when importable, else numpy
-
-Both backends compute identical quantities; `benchmarks/bench_kernels.py`
-compares their throughput. Everything else in the package calls the
-module-level `forward_batch` / `residuals_and_jacobian` names.
+"""Hot numeric kernels for the feedforward network, in vectorized numpy.
 
 Parameter layout for the p -> h -> 1 network (tanh hidden, linear output):
 w1 (h, p), b1 (h,), w2 (h,), b2 scalar. The flat ordering used by the
 optimizers is w1 row-major, then b1, then w2, then b2.
 """
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "BACKEND",
-    "forward_batch",
-    "residuals_and_jacobian",
-    "forward_batch_numpy",
-    "residuals_and_jacobian_numpy",
-]
+__all__ = ["forward_batch", "residuals_and_jacobian"]
 
 
-def forward_batch_numpy(inputs, w1, b1, w2, b2):
+def forward_batch(inputs, w1, b1, w2, b2):
     """Network output for each row of `inputs` (n, p) -> (n,)."""
     a = np.tanh(inputs @ w1.T + b1)
     return a @ w2 + b2
 
 
-def residuals_and_jacobian_numpy(inputs, targets, w1, b1, w2, b2):
+def residuals_and_jacobian(inputs, targets, w1, b1, w2, b2, out=None):
     """Residuals r_i = target_i - output_i and the analytic Jacobian
-    dr_i/dtheta_j of shape (n, h*p + 2h + 1)."""
+    dr_i/dtheta_j of shape (n, h*p + 2h + 1).
+
+    The Jacobian is written into `out` when given (C-contiguous, that
+    shape) and returned; otherwise a new array is allocated."""
     n, p = inputs.shape
     h = w1.shape[0]
     a = np.tanh(inputs @ w1.T + b1)            # (n, h)
     res = targets - (a @ w2 + b2)
-    s = (1.0 - a * a) * w2                     # (n, h), d(out)/d(z_j)
-    jac = np.empty((n, h * p + 2 * h + 1))
-    jac[:, : h * p] = -(s[:, :, None] * inputs[:, None, :]).reshape(n, h * p)
-    jac[:, h * p : h * p + h] = -s
-    jac[:, h * p + h : h * p + 2 * h] = -a
+    neg_s = (a * a - 1.0) * w2                 # (n, h), -d(out)/d(z_j)
+    shape = (n, h * p + 2 * h + 1)
+    if out is None:
+        jac = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {shape} array")
+    else:
+        jac = out
+    np.multiply(neg_s[:, :, None], inputs[:, None, :],
+                out=jac[:, : h * p].reshape(n, h, p))
+    jac[:, h * p : h * p + h] = neg_s
+    np.negative(a, out=jac[:, h * p + h : h * p + 2 * h])
     jac[:, -1] = -1.0
     return res, jac
-
-
-def _forward_batch_loops(inputs, w1, b1, w2, b2):
-    n, p = inputs.shape
-    h = w1.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        acc = b2
-        for j in range(h):
-            z = b1[j]
-            for k in range(p):
-                z += w1[j, k] * inputs[i, k]
-            acc += w2[j] * np.tanh(z)
-        out[i] = acc
-    return out
-
-
-def _residuals_and_jacobian_loops(inputs, targets, w1, b1, w2, b2):
-    n, p = inputs.shape
-    h = w1.shape[0]
-    n_w = h * p + 2 * h + 1
-    res = np.empty(n)
-    jac = np.empty((n, n_w))
-    for i in range(n):
-        out = b2
-        for j in range(h):
-            z = b1[j]
-            for k in range(p):
-                z += w1[j, k] * inputs[i, k]
-            a = np.tanh(z)
-            s = (1.0 - a * a) * w2[j]
-            for k in range(p):
-                jac[i, j * p + k] = -s * inputs[i, k]
-            jac[i, h * p + j] = -s
-            jac[i, h * p + h + j] = -a
-            out += w2[j] * a
-        jac[i, n_w - 1] = -1.0
-        res[i] = targets[i] - out
-    return res, jac
-
-
-_choice = os.environ.get("VRPCAST_BACKEND", "auto").lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise ValueError(f"VRPCAST_BACKEND must be auto, numba or numpy, got {_choice!r}")
-
-if _choice == "numpy":
-    BACKEND = "numpy"
-else:
-    try:
-        from numba import njit
-
-        BACKEND = "numba"
-    except ImportError:
-        if _choice == "numba":
-            raise
-        BACKEND = "numpy"
-
-if BACKEND == "numba":
-    forward_batch = njit(cache=True)(_forward_batch_loops)
-    residuals_and_jacobian = njit(cache=True)(_residuals_and_jacobian_loops)
-else:
-    forward_batch = forward_batch_numpy
-    residuals_and_jacobian = residuals_and_jacobian_numpy

@@ -99,8 +99,9 @@ def forward_batch(model: MlpModel, inputs) -> np.ndarray:
     return kernels.forward_batch(inputs, model.w1, model.b1, model.w2, model.b2)
 
 
-def batch_residuals_and_jacobian(model: MlpModel, inputs, targets):
-    """residuals[i] = targets[i] - forward(inputs[i]) and d(residual)/d(theta)."""
+def batch_residuals_and_jacobian(model: MlpModel, inputs, targets, out=None):
+    """residuals[i] = targets[i] - forward(inputs[i]) and d(residual)/d(theta),
+    the latter written into `out` when given (see kernels)."""
     inputs = np.ascontiguousarray(inputs, dtype=float)
     targets = np.ascontiguousarray(targets, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
@@ -108,7 +109,7 @@ def batch_residuals_and_jacobian(model: MlpModel, inputs, targets):
     if targets.shape != (inputs.shape[0],):
         raise ValueError("targets length must match the number of input rows")
     return kernels.residuals_and_jacobian(
-        inputs, targets, model.w1, model.b1, model.w2, model.b2
+        inputs, targets, model.w1, model.b1, model.w2, model.b2, out=out
     )
 
 

@@ -189,17 +189,19 @@ def _prepare(series: TimeSeries, config: PipelineConfig):
 
 
 def _choose_hidden(patterns, config: PipelineConfig):
+    """(hidden, grid table, (model, report) of the grid winner); the last
+    two are None for a fixed hidden size."""
     if config.hidden is not None:
-        return config.hidden, None
+        return config.hidden, None, None
     lo, hi = config.h_range
-    best_h, table = _stage(
+    best_h, table, model, report = _stage(
         "grid-search",
-        trainers.grid_search_hidden,
+        trainers.grid_search_fit,
         patterns,
         range(lo, hi + 1),
         config.train_config(),
     )
-    return best_h, table
+    return best_h, table, (model, report)
 
 
 def _model_provenance(config, algorithm, lag, hidden, report, patterns, diff, values):
@@ -233,11 +235,11 @@ def run_pipeline(config: PipelineConfig, series: Optional[TimeSeries] = None):
     values, diff, kpss_raw, kpss_resid, profile, patterns = _prepare(series, config)
     if not kpss_raw.reject_at_5pct:
         log.info("raw series already level-stationary by KPSS; differencing anyway")
-    hidden, grid_table = _choose_hidden(patterns, config)
-    model0 = mlp.init(patterns.lag, hidden, config.seed)
-    model, report = _stage(
-        "train", trainers.train, model0, patterns, config.train_config()
-    )
+    hidden, grid_table, fit = _choose_hidden(patterns, config)
+    if fit is None:
+        model0 = mlp.init(patterns.lag, hidden, config.seed)
+        fit = _stage("train", trainers.train, model0, patterns, config.train_config())
+    model, report = fit
     provenance = _model_provenance(
         config, config.algorithm, patterns.lag, hidden, report, patterns, diff, values
     )
@@ -284,7 +286,7 @@ def compare_algorithms(config: PipelineConfig, series: Optional[TimeSeries] = No
             raise ValueError("config.input_path or an in-memory series is required")
         series = _stage("load", load_csv, config.input_path, config.mode)
     values, diff, _, _, profile, patterns = _prepare(series, config)
-    hidden, _ = _choose_hidden(patterns, config)
+    hidden, _, _ = _choose_hidden(patterns, config)
     table = {}
     for algorithm in trainers.ALGORITHMS:
         model0 = mlp.init(patterns.lag, hidden, config.seed)

@@ -118,12 +118,14 @@ def fit_normalizer(values) -> NormParams:
     return NormParams(lo, hi)
 
 
-def extract_patterns(residuals, p: int, train_fraction: float) -> PatternSet:
+def extract_patterns(residuals, p: int, train_fraction: float,
+                     norm: NormParams | None = None) -> PatternSet:
     """Sliding-window patterns with a chronological train/test split.
 
-    The normalizer is fitted on the values appearing in training rows only
-    (inputs and targets of rows [0, split_index)); test-side inputs outside
-    the fitted range are kept unclamped and counted in the log.
+    The normalizer is `norm` when given (a saved model's), otherwise fitted
+    on the values appearing in training rows only (inputs and targets of
+    rows [0, split_index)); test-side inputs outside its range are kept
+    unclamped and counted in the log.
     """
     residuals = np.asarray(residuals, dtype=float)
     n = residuals.size
@@ -137,7 +139,8 @@ def extract_patterns(residuals, p: int, train_fraction: float) -> PatternSet:
     split_index = int(np.floor(train_fraction * n_patterns + 0.5))
     split_index = min(max(split_index, 1), n_patterns - 1)
     # training rows [0, split_index) touch residuals[0 : split_index + p]
-    norm = fit_normalizer(residuals[: split_index + p])
+    if norm is None:
+        norm = fit_normalizer(residuals[: split_index + p])
     idx = np.arange(p)[None, :] + np.arange(n_patterns)[:, None]
     inputs = norm.apply(residuals[idx])
     targets = norm.apply(residuals[p:])

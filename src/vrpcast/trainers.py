@@ -48,6 +48,8 @@ class TrainConfig:
             raise ValueError("tolerances must be positive")
         if self.mu_factor <= 1.0:
             raise ValueError("mu_factor must exceed 1")
+        if self.mu_init <= 0.0:
+            raise ValueError("mu_init must be positive")
 
 
 @dataclass(frozen=True)
@@ -88,13 +90,26 @@ def lm_least_squares(
     theta0: np.ndarray,
     config: TrainConfig,
     bayes: bool = False,
+    resid: Optional[Callable] = None,
 ):
     """Damped Gauss-Newton engine shared by train_lm and train_brnn.
 
-    resid_jac(theta) -> (residuals, jacobian) with jacobian = d(res)/d(theta).
+    resid_jac(theta) -> (residuals, jacobian) with jacobian = d(res)/d(theta)
+    is called at theta0 and after each accepted step only, so it may return
+    the same Jacobian buffer every time. Trial steps evaluate
+    resid(theta) -> residuals (default: the residuals of resid_jac).
+
+    One eigendecomposition J'J = V diag(lam) V' per Jacobian serves every
+    damping retry, as the diagonal solve
+    step = -V (V'g) / (beta*(lam + mu) + alpha) with g = beta*J'r + alpha*theta,
+    and BRNN's tr(H^-1). A trial step that is not finite is rejected.
     With bayes=True alpha/beta are reestimated from the Gauss-Newton Hessian
     after each accepted step (unless config.fixed_alpha pins alpha).
     """
+    if resid is None:
+        def resid(theta):
+            return resid_jac(theta)[0]
+
     theta = np.asarray(theta0, dtype=float).copy()
     n_w = theta.size
     r, jac = resid_jac(theta)
@@ -114,49 +129,46 @@ def lm_least_squares(
     trace = [objective]
     converged = False
     epochs = 0
-    eye = np.eye(n_w)
+    eig = None  # (lam, V) of the current J'J
     for _ in range(config.max_epochs):
-        grad = 2.0 * (beta * (jac.T @ r) + alpha * theta)
-        if np.max(np.abs(grad)) < config.gradient_tolerance:
+        g = beta * (jac.T @ r) + alpha * theta
+        if np.max(np.abs(2.0 * g)) < config.gradient_tolerance:
             converged = True
             break
         epochs += 1
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
+        if eig is None:
+            eig = np.linalg.eigh(jac.T @ jac)
+        lam, vecs = eig
+        g_eig = vecs.T @ g
         accepted = False
         while mu <= MU_MAX:
-            lhs = beta * jtj + (beta * mu + alpha) * eye
-            try:
-                step = np.linalg.solve(lhs, -(beta * jtr + alpha * theta))
-            except np.linalg.LinAlgError:
-                mu *= config.mu_factor
-                continue
-            theta_new = theta + step
-            r_new, jac_new = resid_jac(theta_new)
-            e_d_new = float(r_new @ r_new)
-            e_w_new = float(theta_new @ theta_new)
-            obj_new = beta * e_d_new + alpha * e_w_new
-            if not np.isfinite(obj_new):
-                mu *= config.mu_factor
-                continue
-            if obj_new <= objective:
-                accepted = True
-                break
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                theta_new = theta - vecs @ (g_eig / (beta * (lam + mu) + alpha))
+            if np.all(np.isfinite(theta_new)):
+                r_new = resid(theta_new)
+                e_d_new = float(r_new @ r_new)
+                e_w_new = float(theta_new @ theta_new)
+                obj_new = beta * e_d_new + alpha * e_w_new
+                if np.isfinite(obj_new) and obj_new <= objective:
+                    accepted = True
+                    break
             mu *= config.mu_factor
         if not accepted:
             break  # damping overflow: no further descent possible
         mu_used = mu
         mu = max(mu / config.mu_factor, MU_FLOOR)
         rel_change = abs(objective - obj_new) / max(abs(objective), 1e-300)
-        theta, r, jac = theta_new, r_new, jac_new
-        e_d, e_w = e_d_new, e_w_new
+        theta, e_d, e_w = theta_new, e_d_new, e_w_new
+        r, jac = resid_jac(theta)
+        eig = None
         params_stable = True
         if reestimate:
             old_alpha, old_beta = alpha, beta
-            # same damped factorization as the accepted step keeps H
-            # positive definite even when J'J is rank deficient
-            eig = np.clip(np.linalg.eigvalsh(jac.T @ jac), 0.0, None)
-            tr_h_inv = float(np.sum(1.0 / (2.0 * (beta * (eig + mu_used) + alpha))))
+            eig = np.linalg.eigh(jac.T @ jac)
+            # the accepted step's damping keeps H positive definite even
+            # when J'J is rank deficient
+            lam = np.clip(eig[0], 0.0, None)
+            tr_h_inv = float(np.sum(1.0 / (2.0 * (beta * (lam + mu_used) + alpha))))
             gamma = n_w - 2.0 * alpha * tr_h_inv
             if e_w > 0.0:
                 alpha = gamma / (2.0 * e_w)
@@ -266,26 +278,29 @@ def scg_minimize(
     return x, trace, converged, iters
 
 
-def _network_resid_jac(model_template, inputs, targets):
+def _network_fns(model_template, inputs, targets):
+    """resid(theta) and resid_jac(theta) of the network on one training set.
+    resid_jac writes every Jacobian into one buffer owned by the fit."""
     p = model_template.input_dim
     h = model_template.hidden_dim
+    jac = np.empty((np.size(targets), model_template.n_params))
+
+    def resid(theta):
+        return targets - mlp.forward_batch(mlp.unflatten(theta, p, h), inputs)
 
     def resid_jac(theta):
         return mlp.batch_residuals_and_jacobian(
-            mlp.unflatten(theta, p, h), inputs, targets
+            mlp.unflatten(theta, p, h), inputs, targets, out=jac
         )
 
-    return resid_jac
+    return resid, resid_jac
 
 
 def train_lm(model, patterns, config: TrainConfig):
     """Levenberg-Marquardt minimization of the sum of squared residuals."""
-    inputs, targets = _as_xy(patterns)
+    resid, resid_jac = _network_fns(model, *_as_xy(patterns))
     theta, report = lm_least_squares(
-        _network_resid_jac(model, inputs, targets),
-        mlp.flatten(model),
-        config,
-        bayes=False,
+        resid_jac, mlp.flatten(model), config, bayes=False, resid=resid
     )
     return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
 
@@ -297,24 +312,20 @@ def train_brnn(model, patterns, config: TrainConfig):
     gamma = N_w - 2*alpha*tr(H^-1), alpha = gamma/(2*E_w),
     beta = (N_D - gamma)/(2*E_D). alpha starts at 0, beta at 1, with the
     first reestimation after the first accepted step."""
-    inputs, targets = _as_xy(patterns)
+    resid, resid_jac = _network_fns(model, *_as_xy(patterns))
     theta, report = lm_least_squares(
-        _network_resid_jac(model, inputs, targets),
-        mlp.flatten(model),
-        config,
-        bayes=True,
+        resid_jac, mlp.flatten(model), config, bayes=True, resid=resid
     )
     return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
 
 
 def train_scg(model, patterns, config: TrainConfig):
     """Moller's scaled conjugate gradient on the sum of squared residuals."""
-    inputs, targets = _as_xy(patterns)
     p, h = model.input_dim, model.hidden_dim
-    resid_jac = _network_resid_jac(model, inputs, targets)
+    resid, resid_jac = _network_fns(model, *_as_xy(patterns))
 
     def objective(theta):
-        r, _ = resid_jac(theta)
+        r = resid(theta)
         return float(r @ r)
 
     def gradient(theta):
@@ -349,16 +360,19 @@ def train(model, patterns, config: TrainConfig):
     return _TRAINERS[config.algorithm](model, patterns, config)
 
 
-def grid_search_hidden(patterns, h_range, config: TrainConfig):
+def grid_search_fit(patterns, h_range, config: TrainConfig):
     """Train one model per hidden size (seed derived as config.seed + h) and
     pick the size with the lowest final training MSE; ties go to the
-    smaller h. Sizes whose training aborts are excluded."""
+    smaller h. Sizes whose training aborts are excluded.
+
+    Returns (best_h, table, model, report), the last two from best_h's fit."""
     h_values = list(h_range)
     if not h_values:
         raise ValueError("h_range must be non-empty")
     inputs, targets = _as_xy(patterns)
     n_train = targets.size
     results = []
+    fits = {}
     for h in h_values:
         model0 = mlp.init(inputs.shape[1], h, config.seed + h)
         try:
@@ -369,6 +383,7 @@ def grid_search_hidden(patterns, h_range, config: TrainConfig):
             log.warning("hidden size %d aborted: %s", h, exc)
             results.append({"hidden": h, "objective": None, "error": str(exc)})
             continue
+        fits[h] = trained, report
         results.append({
             "hidden": h,
             "objective": report.e_d / n_train,
@@ -378,5 +393,11 @@ def grid_search_hidden(patterns, h_range, config: TrainConfig):
     usable = [r for r in results if r["objective"] is not None]
     if not usable:
         raise TrainingError("every hidden size aborted during grid search")
-    best = min(usable, key=lambda r: (r["objective"], r["hidden"]))
-    return best["hidden"], results
+    best = min(usable, key=lambda r: (r["objective"], r["hidden"]))["hidden"]
+    return best, results, *fits[best]
+
+
+def grid_search_hidden(patterns, h_range, config: TrainConfig):
+    """grid_search_fit's (best_h, table), without the winning fit."""
+    best, results, _, _ = grid_search_fit(patterns, h_range, config)
+    return best, results

@@ -5,7 +5,7 @@ import pytest
 
 from vrpcast import cli, forecast_multi_step, generate_synthetic, mlp
 from vrpcast.data_ingest import save_csv
-from vrpcast.series_ops import NormParams
+from vrpcast.series_ops import NormParams, fit_normalizer
 
 
 @pytest.fixture()
@@ -111,6 +111,33 @@ class TestTrainForecastEvaluate:
                        "--input", series_csv, "--out", tmp_path / "ev") == 0
         payload = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
         assert "test_stats" in payload
+
+    def test_evaluate_uses_saved_normalizer(self, series_csv, tmp_path):
+        out = tmp_path / "run"
+        assert self.train(series_csv, out) == 0
+        other = generate_synthetic({"kind": "persistence_bursts", "n": 700}, 29)
+        other_csv = tmp_path / "other.csv"
+        save_csv(other, str(other_csv))
+        assert run_cli("evaluate", "--model", out / "model.json",
+                       "--input", other_csv, "--out", tmp_path / "ev") == 0
+        reported = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
+        model, provenance = mlp.load(out / "model.json")
+        p = model.input_dim
+        values = other.values
+        resid = np.diff(values)
+        n_patterns = resid.size - p
+        split = int(np.floor(provenance["train_fraction"] * n_patterns + 0.5))
+        windows = np.stack([resid[k : k + n_patterns] for k in range(p)], axis=1)
+
+        def test_mse(norm):
+            pred = norm.invert(mlp.forward_batch(model, norm.apply(windows)))
+            err = (resid[p:] - pred)[split:]
+            return float(err @ err) / err.size
+
+        saved = test_mse(NormParams(**provenance["norm"]))
+        refit = test_mse(fit_normalizer(resid[: split + p]))
+        assert saved != pytest.approx(refit, rel=1e-6)
+        assert reported["test_stats"]["mean_squared_error"] == pytest.approx(saved, rel=1e-10)
 
 
 class TestCompare:

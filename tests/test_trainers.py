@@ -9,7 +9,7 @@ from vrpcast import (
     train_lm,
     train_scg,
 )
-from vrpcast import mlp
+from vrpcast import kernels, mlp, trainers
 from vrpcast.trainers import lm_least_squares, scg_minimize
 
 
@@ -57,6 +57,78 @@ class TestLm:
         m2, r2 = train_lm(init(2, 3, 5), (x, y), cfg)
         np.testing.assert_array_equal(mlp.flatten(m1), mlp.flatten(m2))
         assert r1.epoch_trace == r2.epoch_trace
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestEngine:
+    @pytest.mark.parametrize("train_fn, algorithm", [(train_lm, "lm"), (train_brnn, "brnn")])
+    def test_one_jacobian_per_accepted_step(self, monkeypatch, train_fn, algorithm):
+        x, y = sin_task(100)
+        jacobians = count_calls(monkeypatch, kernels, "residuals_and_jacobian")
+        _, report = train_fn(init(1, 6, 4), (x, y),
+                             TrainConfig(algorithm=algorithm, max_epochs=40))
+        accepted = len(report.epoch_trace) - 1
+        assert accepted > 5
+        assert len(jacobians) == accepted + 1
+
+    def test_scg_calls_jacobian_only_for_gradients(self, monkeypatch):
+        x, y = sin_task(100)
+        jacobians = count_calls(monkeypatch, kernels, "residuals_and_jacobian")
+        gradients = []
+        scg = trainers.scg_minimize
+
+        def counting_scg(f, grad, x0, **kwargs):
+            def counted_grad(theta):
+                gradients.append(1)
+                return grad(theta)
+            return scg(f, counted_grad, x0, **kwargs)
+
+        monkeypatch.setattr(trainers, "scg_minimize", counting_scg)
+        _, report = train_scg(init(1, 6, 4), (x, y),
+                              TrainConfig(algorithm="scg", max_epochs=40))
+        assert report.epochs_used > 5
+        assert len(jacobians) == len(gradients)
+
+    def test_eigenbasis_step_matches_damped_solve(self, rng):
+        n, k = 40, 6
+        design = rng.normal(size=(n, k))
+        targets = rng.normal(size=n)
+
+        def resid_jac(theta):
+            return targets - design @ theta, -design
+
+        theta0 = rng.normal(size=k)
+        alpha, mu = 0.3, 0.05
+        cfg = TrainConfig(algorithm="brnn", max_epochs=1, mu_init=mu, fixed_alpha=alpha)
+        theta, report = lm_least_squares(resid_jac, theta0, cfg, bayes=True)
+        assert len(report.epoch_trace) == 2  # the step was accepted
+        r, jac = resid_jac(theta0)
+        lhs = jac.T @ jac + (mu + alpha) * np.eye(k)       # beta = 1
+        step = np.linalg.solve(lhs, -(jac.T @ r + alpha * theta0))
+        np.testing.assert_allclose(theta, theta0 + step, rtol=0, atol=1e-10)
+
+    def test_non_finite_trial_is_rejected(self):
+        # J'J = 0 and alpha = -mu_init: the first trial divides by zero and
+        # must count as a rejected step; the retry at mu = 10 is accepted
+        def resid_jac(theta):
+            return np.ones(1), np.zeros((1, 1))
+
+        cfg = TrainConfig(algorithm="brnn", max_epochs=1, mu_init=1.0, fixed_alpha=-1.0)
+        theta, report = lm_least_squares(resid_jac, np.ones(1), cfg, bayes=True)
+        assert len(report.epoch_trace) == 2
+        np.testing.assert_allclose(theta, [1.0 + 1.0 / 9.0], rtol=1e-15)
 
 
 class TestScg:
