@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .errors import DataFormatError
 
 
 @dataclass(frozen=True)
@@ -17,14 +18,10 @@ class MlpModel:
     b1: np.ndarray = field(repr=False)   # (h,)
     w2: np.ndarray = field(repr=False)   # (h,)
     b2: float
-    hidden_activation: str = "tanh"
-    output_activation: str = "linear"
 
     def __post_init__(self):
         for name in ("w1", "b1", "w2"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-        if self.hidden_activation != "tanh" or self.output_activation != "linear":
-            raise ValueError("only tanh hidden / linear output is supported")
         h, p = self.w1.shape
         if self.b1.shape != (h,) or self.w2.shape != (h,):
             raise ValueError("inconsistent layer shapes")
@@ -68,17 +65,19 @@ def flatten(model: MlpModel) -> np.ndarray:
     )
 
 
+def _layers(theta, p: int, h: int):
+    """(w1, b1, w2, b2) as views of the flat vector theta (b2 a scalar)."""
+    return (theta[: h * p].reshape(h, p), theta[h * p : h * p + h],
+            theta[h * p + h : h * p + 2 * h], theta[-1])
+
+
 def unflatten(theta, p: int, h: int) -> MlpModel:
     theta = np.asarray(theta, dtype=float)
     expected = h * p + 2 * h + 1
     if theta.shape != (expected,):
         raise ValueError(f"expected {expected} parameters, got {theta.shape}")
-    return MlpModel(
-        w1=theta[: h * p].reshape(h, p).copy(),
-        b1=theta[h * p : h * p + h].copy(),
-        w2=theta[h * p + h : h * p + 2 * h].copy(),
-        b2=float(theta[-1]),
-    )
+    w1, b1, w2, b2 = _layers(theta, p, h)
+    return MlpModel(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=float(b2))
 
 
 def forward(model: MlpModel, x) -> float:
@@ -99,26 +98,49 @@ def forward_batch(model: MlpModel, inputs) -> np.ndarray:
     return kernels.forward_batch(inputs, model.w1, model.b1, model.w2, model.b2)
 
 
-def batch_residuals_and_jacobian(model: MlpModel, inputs, targets, out=None):
-    """residuals[i] = targets[i] - forward(inputs[i]) and d(residual)/d(theta),
-    the latter written into `out` when given (see kernels)."""
+def _check_xy(model: MlpModel, inputs, targets):
     inputs = np.ascontiguousarray(inputs, dtype=float)
     targets = np.ascontiguousarray(targets, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
         raise ValueError("inputs must be (n, p)")
     if targets.shape != (inputs.shape[0],):
         raise ValueError("targets length must match the number of input rows")
+    return inputs, targets
+
+
+def batch_residuals_and_jacobian(model: MlpModel, inputs, targets):
+    """residuals[i] = targets[i] - forward(inputs[i]) and d(residual)/d(theta)."""
+    inputs, targets = _check_xy(model, inputs, targets)
     return kernels.residuals_and_jacobian(
-        inputs, targets, model.w1, model.b1, model.w2, model.b2, out=out
+        inputs, targets, model.w1, model.b1, model.w2, model.b2
     )
+
+
+def residual_fns(model: MlpModel, inputs, targets):
+    """resid(theta) and resid_jac(theta) on one training set for flat
+    vectors theta of `model`'s shape. The data are checked once and theta is
+    read through views; every Jacobian is written into one buffer."""
+    inputs, targets = _check_xy(model, inputs, targets)
+    p, h = model.input_dim, model.hidden_dim
+    jac = np.empty((targets.size, model.n_params))
+
+    def resid(theta):
+        return targets - kernels.forward_batch(inputs, *_layers(theta, p, h))
+
+    def resid_jac(theta):
+        return kernels.residuals_and_jacobian(
+            inputs, targets, *_layers(theta, p, h), out=jac
+        )
+
+    return resid, resid_jac
 
 
 def to_dict(model: MlpModel, provenance: dict | None = None) -> dict:
     return {
         "input_dim": model.input_dim,
         "hidden_dim": model.hidden_dim,
-        "hidden_activation": model.hidden_activation,
-        "output_activation": model.output_activation,
+        "hidden_activation": "tanh",
+        "output_activation": "linear",
         "params": [float(v) for v in flatten(model)],
         "provenance": provenance or {},
     }
@@ -139,6 +161,15 @@ def save(model: MlpModel, path, provenance: dict | None = None) -> None:
 
 
 def load(path) -> tuple[MlpModel, dict]:
+    """Model and provenance of a saved model. DataFormatError when the
+    provenance lag or forecast window does not match the input size."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    return from_dict(payload), payload.get("provenance", {})
+    model, provenance = from_dict(payload), payload.get("provenance", {})
+    p = model.input_dim
+    lag = provenance.get("lag", p)
+    n_window = len(provenance.get("last_window_residuals", range(p)))
+    if (lag, n_window) != (p, p):
+        raise DataFormatError(f"{path}: input_dim is {p}, but the provenance lag is "
+                              f"{lag} and last_window_residuals has {n_window} values")
+    return model, provenance

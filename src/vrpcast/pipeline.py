@@ -31,7 +31,6 @@ class PipelineConfig:
     h_range: tuple = (2, 25)             # inclusive bounds
     algorithm: str = "brnn"
     max_epochs: int = 1000
-    forecast_horizon: int = 1
     out_dir: Optional[str] = None
     seed: int = 0
 
@@ -152,8 +151,13 @@ def evaluate(model, patterns, values, provenance=None) -> EvalReport:
     )
 
 
-def _prepare(series: TimeSeries, config: PipelineConfig):
-    """Shared front half of the pipeline: stationarity, lag, patterns."""
+def _prepare(series: Optional[TimeSeries], config: PipelineConfig):
+    """Shared front half of the pipeline: load (unless a series is given),
+    stationarity, lag, patterns."""
+    if series is None:
+        if config.input_path is None:
+            raise ValueError("config.input_path or an in-memory series is required")
+        series = _stage("load", load_csv, config.input_path, config.mode)
     values = series.values
     kpss_raw = _stage("kpss-raw", stat_tests.kpss_level, values)
     diff = _stage("difference", series_ops.difference, series)
@@ -185,7 +189,7 @@ def _prepare(series: TimeSeries, config: PipelineConfig):
         lag,
         config.train_fraction,
     )
-    return values, diff, kpss_raw, kpss_resid, profile, patterns
+    return series, values, diff, kpss_raw, kpss_resid, profile, patterns
 
 
 def _choose_hidden(patterns, config: PipelineConfig):
@@ -228,11 +232,7 @@ def run_pipeline(config: PipelineConfig, series: Optional[TimeSeries] = None):
 
     Returns (model, EvalReport, provenance dict). Artifacts are written to
     config.out_dir when set."""
-    if series is None:
-        if config.input_path is None:
-            raise ValueError("config.input_path or an in-memory series is required")
-        series = _stage("load", load_csv, config.input_path, config.mode)
-    values, diff, kpss_raw, kpss_resid, profile, patterns = _prepare(series, config)
+    series, values, diff, kpss_raw, kpss_resid, profile, patterns = _prepare(series, config)
     if not kpss_raw.reject_at_5pct:
         log.info("raw series already level-stationary by KPSS; differencing anyway")
     hidden, grid_table, fit = _choose_hidden(patterns, config)
@@ -281,11 +281,7 @@ def _write_artifacts(out_dir, series, diff, kpss_raw, kpss_resid, profile,
 def compare_algorithms(config: PipelineConfig, series: Optional[TimeSeries] = None):
     """Run the identical pipeline once per training algorithm (same seed,
     hidden size and patterns) and emit a per-algorithm error table."""
-    if series is None:
-        if config.input_path is None:
-            raise ValueError("config.input_path or an in-memory series is required")
-        series = _stage("load", load_csv, config.input_path, config.mode)
-    values, diff, _, _, profile, patterns = _prepare(series, config)
+    _, values, diff, _, _, profile, patterns = _prepare(series, config)
     hidden, _, _ = _choose_hidden(patterns, config)
     table = {}
     for algorithm in trainers.ALGORITHMS:

@@ -6,10 +6,15 @@ The LM family minimizes F = beta*E_D + alpha*E_w where E_D is the sum of
 squared residuals and E_w the sum of squared parameters. Plain LM is the
 alpha = 0, beta = 1 case of the same engine, so pinning alpha to 0 in the
 Bayesian variant reproduces LM's iterates exactly.
+
+Fits run on the flat parameter vector (mlp.residual_fns) and build one model,
+from the result. Fixed constants: MU_FACTOR, MU_FLOOR, MU_MAX (damping,
+Marquardt 1963), OBJECTIVE_TOLERANCE, GRADIENT_TOLERANCE (stopping, Foresee &
+Hagan 1997), SCG_SIGMA and SCG_LAMBDA_INIT (sigma and lambda_1, Moller 1993).
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,6 +27,11 @@ log = logging.getLogger(__name__)
 
 MU_MAX = 1e12
 MU_FLOOR = 1e-20
+MU_FACTOR = 10.0
+OBJECTIVE_TOLERANCE = 1e-7      # relative
+GRADIENT_TOLERANCE = 1e-6       # infinity norm
+SCG_SIGMA = 1e-4
+SCG_LAMBDA_INIT = 1e-6
 
 ALGORITHMS = ("lm", "scg", "brnn")
 
@@ -30,24 +40,14 @@ ALGORITHMS = ("lm", "scg", "brnn")
 class TrainConfig:
     algorithm: str = "brnn"
     max_epochs: int = 1000
-    objective_tolerance: float = 1e-7     # relative
-    gradient_tolerance: float = 1e-6      # infinity norm
     mu_init: float = 1e-3
-    mu_factor: float = 10.0
     seed: int = 0
     # brnn only: pin alpha (disables alpha/beta reestimation); None = adapt
     fixed_alpha: Optional[float] = None
-    # scg only
-    scg_sigma: float = 1e-4
-    scg_lambda_init: float = 1e-6
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.objective_tolerance <= 0 or self.gradient_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.mu_factor <= 1.0:
-            raise ValueError("mu_factor must exceed 1")
         if self.mu_init <= 0.0:
             raise ValueError("mu_init must be positive")
 
@@ -132,7 +132,7 @@ def lm_least_squares(
     eig = None  # (lam, V) of the current J'J
     for _ in range(config.max_epochs):
         g = beta * (jac.T @ r) + alpha * theta
-        if np.max(np.abs(2.0 * g)) < config.gradient_tolerance:
+        if np.max(np.abs(2.0 * g)) < GRADIENT_TOLERANCE:
             converged = True
             break
         epochs += 1
@@ -152,11 +152,11 @@ def lm_least_squares(
                 if np.isfinite(obj_new) and obj_new <= objective:
                     accepted = True
                     break
-            mu *= config.mu_factor
+            mu *= MU_FACTOR
         if not accepted:
             break  # damping overflow: no further descent possible
         mu_used = mu
-        mu = max(mu / config.mu_factor, MU_FLOOR)
+        mu = max(mu / MU_FACTOR, MU_FLOOR)
         rel_change = abs(objective - obj_new) / max(abs(objective), 1e-300)
         theta, e_d, e_w = theta_new, e_d_new, e_w_new
         r, jac = resid_jac(theta)
@@ -177,12 +177,12 @@ def lm_least_squares(
             if not (np.isfinite(alpha) and np.isfinite(beta)):
                 raise TrainingError("non-finite alpha/beta reestimate")
             params_stable = (
-                abs(alpha - old_alpha) <= config.objective_tolerance * max(abs(old_alpha), 1e-300)
-                and abs(beta - old_beta) <= config.objective_tolerance * max(abs(old_beta), 1e-300)
+                abs(alpha - old_alpha) <= OBJECTIVE_TOLERANCE * max(abs(old_alpha), 1e-300)
+                and abs(beta - old_beta) <= OBJECTIVE_TOLERANCE * max(abs(old_beta), 1e-300)
             )
         objective = beta * e_d + alpha * e_w
         trace.append(objective)
-        if rel_change < config.objective_tolerance and params_stable:
+        if rel_change < OBJECTIVE_TOLERANCE and params_stable:
             converged = True
             break
     report = TrainReport(
@@ -204,10 +204,7 @@ def scg_minimize(
     grad: Callable,
     x0: np.ndarray,
     max_iter: int = 1000,
-    grad_tol: float = 1e-6,
-    obj_tol: float = 1e-7,
-    sigma0: float = 1e-4,
-    lambda_init: float = 1e-6,
+    grad_tol: float = GRADIENT_TOLERANCE,
 ):
     """Moller's scaled conjugate gradient with finite-difference
     Hessian-vector products. Returns (x, trace, converged, iters);
@@ -218,7 +215,7 @@ def scg_minimize(
     g = grad(x)
     r = -g
     p = r.copy()
-    lam = lambda_init
+    lam = SCG_LAMBDA_INIT
     lam_bar = 0.0
     success = True
     trace = [fx]
@@ -235,7 +232,7 @@ def scg_minimize(
             if pnorm2 == 0.0:
                 converged = np.max(np.abs(g)) < grad_tol
                 break
-            sigma = sigma0 / np.sqrt(pnorm2)
+            sigma = SCG_SIGMA / np.sqrt(pnorm2)
             s = (grad(x + sigma * p) - g) / sigma
             delta = float(p @ s)
         delta_k = delta + (lam - lam_bar) * pnorm2
@@ -266,7 +263,7 @@ def scg_minimize(
             if np.max(np.abs(g)) < grad_tol:
                 converged = True
                 break
-            if abs(fx_old - fx) < obj_tol * max(abs(fx_old), 1e-300):
+            if abs(fx_old - fx) < OBJECTIVE_TOLERANCE * max(abs(fx_old), 1e-300):
                 break  # objective stalled; gradient criterion not met
         else:
             lam_bar = lam
@@ -278,31 +275,17 @@ def scg_minimize(
     return x, trace, converged, iters
 
 
-def _network_fns(model_template, inputs, targets):
-    """resid(theta) and resid_jac(theta) of the network on one training set.
-    resid_jac writes every Jacobian into one buffer owned by the fit."""
-    p = model_template.input_dim
-    h = model_template.hidden_dim
-    jac = np.empty((np.size(targets), model_template.n_params))
-
-    def resid(theta):
-        return targets - mlp.forward_batch(mlp.unflatten(theta, p, h), inputs)
-
-    def resid_jac(theta):
-        return mlp.batch_residuals_and_jacobian(
-            mlp.unflatten(theta, p, h), inputs, targets, out=jac
-        )
-
-    return resid, resid_jac
+def _train_lm_family(model, patterns, config, bayes):
+    resid, resid_jac = mlp.residual_fns(model, *_as_xy(patterns))
+    theta, report = lm_least_squares(
+        resid_jac, mlp.flatten(model), config, bayes=bayes, resid=resid
+    )
+    return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
 
 
 def train_lm(model, patterns, config: TrainConfig):
     """Levenberg-Marquardt minimization of the sum of squared residuals."""
-    resid, resid_jac = _network_fns(model, *_as_xy(patterns))
-    theta, report = lm_least_squares(
-        resid_jac, mlp.flatten(model), config, bayes=False, resid=resid
-    )
-    return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
+    return _train_lm_family(model, patterns, config, bayes=False)
 
 
 def train_brnn(model, patterns, config: TrainConfig):
@@ -312,17 +295,12 @@ def train_brnn(model, patterns, config: TrainConfig):
     gamma = N_w - 2*alpha*tr(H^-1), alpha = gamma/(2*E_w),
     beta = (N_D - gamma)/(2*E_D). alpha starts at 0, beta at 1, with the
     first reestimation after the first accepted step."""
-    resid, resid_jac = _network_fns(model, *_as_xy(patterns))
-    theta, report = lm_least_squares(
-        resid_jac, mlp.flatten(model), config, bayes=True, resid=resid
-    )
-    return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
+    return _train_lm_family(model, patterns, config, bayes=True)
 
 
 def train_scg(model, patterns, config: TrainConfig):
     """Moller's scaled conjugate gradient on the sum of squared residuals."""
-    p, h = model.input_dim, model.hidden_dim
-    resid, resid_jac = _network_fns(model, *_as_xy(patterns))
+    resid, resid_jac = mlp.residual_fns(model, *_as_xy(patterns))
 
     def objective(theta):
         r = resid(theta)
@@ -337,10 +315,6 @@ def train_scg(model, patterns, config: TrainConfig):
         gradient,
         mlp.flatten(model),
         max_iter=config.max_epochs,
-        grad_tol=config.gradient_tolerance,
-        obj_tol=config.objective_tolerance,
-        sigma0=config.scg_sigma,
-        lambda_init=config.scg_lambda_init,
     )
     report = TrainReport(
         final_objective=trace[-1],
@@ -350,7 +324,7 @@ def train_scg(model, patterns, config: TrainConfig):
         e_d=trace[-1],
         e_w=float(theta @ theta),
     )
-    return mlp.unflatten(theta, p, h), report
+    return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
 
 
 _TRAINERS = {"lm": train_lm, "scg": train_scg, "brnn": train_brnn}
@@ -376,9 +350,7 @@ def grid_search_fit(patterns, h_range, config: TrainConfig):
     for h in h_values:
         model0 = mlp.init(inputs.shape[1], h, config.seed + h)
         try:
-            trained, report = train(
-                model0, (inputs, targets), replace(config, seed=config.seed + h)
-            )
+            trained, report = train(model0, (inputs, targets), config)
         except TrainingError as exc:
             log.warning("hidden size %d aborted: %s", h, exc)
             results.append({"hidden": h, "objective": None, "error": str(exc)})

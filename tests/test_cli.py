@@ -139,6 +139,17 @@ class TestTrainForecastEvaluate:
         assert saved != pytest.approx(refit, rel=1e-6)
         assert reported["test_stats"]["mean_squared_error"] == pytest.approx(saved, rel=1e-10)
 
+    def test_evaluate_rejects_model_with_edited_lag(self, series_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert self.train(series_csv, out) == 0
+        path = out / "model.json"
+        payload = json.loads(path.read_text())
+        payload["provenance"]["lag"] = 5
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--model", path, "--input", series_csv) == 2
+        assert "lag is 5" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_compare_byte_identical_reruns(self, series_csv, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from vrpcast import init
 from vrpcast import mlp
+from vrpcast.errors import DataFormatError
 
 
 def finite_difference_jacobian(model, inputs, targets, step=1e-6):
@@ -135,3 +136,9 @@ class TestSerialization:
         assert provenance["algorithm"] == "brnn"
         payload = json.loads(path.read_text())
         assert payload["hidden_activation"] == "tanh"
+
+    def test_load_rejects_short_forecast_window(self, tmp_path):
+        path = tmp_path / "model.json"
+        mlp.save(init(3, 2, 0), path, {"lag": 3, "last_window_residuals": [1.0, 2.0]})
+        with pytest.raises(DataFormatError, match="2 values"):
+            mlp.load(path)

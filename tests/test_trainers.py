@@ -130,6 +130,28 @@ class TestEngine:
         assert len(report.epoch_trace) == 2
         np.testing.assert_allclose(theta, [1.0 + 1.0 / 9.0], rtol=1e-15)
 
+    @pytest.mark.parametrize("algorithm", ["lm", "brnn", "scg"])
+    def test_one_model_built_per_fit(self, monkeypatch, algorithm):
+        x, y = sin_task(100)
+        built = count_calls(monkeypatch, mlp, "unflatten")
+        _, report = trainers.train(init(1, 6, 4), (x, y),
+                                   TrainConfig(algorithm=algorithm, max_epochs=40))
+        assert report.epochs_used > 5
+        assert len(built) == 1
+
+    def test_residual_fns_match_model_path(self, rng):
+        p, h, n = 4, 7, 300
+        theta = rng.normal(size=h * p + 2 * h + 1)
+        model = mlp.unflatten(theta, p, h)
+        inputs = rng.uniform(0, 1, (n, p))
+        targets = rng.normal(size=n)
+        resid, resid_jac = mlp.residual_fns(model, inputs, targets)
+        expected_r, expected_jac = mlp.batch_residuals_and_jacobian(model, inputs, targets)
+        r, jac = resid_jac(theta)
+        np.testing.assert_array_equal(r, expected_r)
+        np.testing.assert_array_equal(jac, expected_jac)
+        np.testing.assert_array_equal(resid(theta), targets - mlp.forward_batch(model, inputs))
+
 
 class TestScg:
     def test_convex_quadratic(self, rng):
