@@ -1,8 +1,10 @@
 """Time the network kernels.
 
 For each problem size, reports the per-call wall time of the batch forward
-pass, of the residual/Jacobian evaluation that allocates its Jacobian, and
-of the same evaluation writing into a reused buffer (as a training fit does).
+pass, of the residual/Jacobian evaluation that allocates its Jacobian, of
+the same evaluation writing into a reused F-ordered buffer (as an LM or BRNN
+fit does), and of the residual/gradient evaluation by back-propagation (as
+an SCG fit does).
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 50]
 """
@@ -43,14 +45,17 @@ def main(argv=None):
         inputs = rng.uniform(-1, 1, (n, p))
         targets = rng.normal(size=n)
         params = (model.w1, model.b1, model.w2, model.b2)
-        buffer = np.empty((n, model.n_params))
+        buffer = np.empty((n, model.n_params), order="F")
         t_fwd = per_call(lambda: kernels.forward_batch(inputs, *params), args.repeats)
         t_jac = per_call(lambda: kernels.residuals_and_jacobian(inputs, targets, *params),
                          args.repeats)
         t_buf = per_call(lambda: kernels.residuals_and_jacobian(inputs, targets, *params,
                                                                 out=buffer), args.repeats)
+        t_grad = per_call(lambda: kernels.residuals_and_gradient(inputs, targets, *params),
+                          args.repeats)
         print(f"n={n:6d} p={p:2d} h={h:2d}  forward {t_fwd * 1e3:8.3f} ms  "
-              f"jacobian {t_jac * 1e3:8.3f} ms  jacobian(out=) {t_buf * 1e3:8.3f} ms")
+              f"jacobian {t_jac * 1e3:8.3f} ms  jacobian(out=) {t_buf * 1e3:8.3f} ms  "
+              f"gradient {t_grad * 1e3:8.3f} ms")
     return 0
 
 

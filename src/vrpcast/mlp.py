@@ -117,12 +117,13 @@ def batch_residuals_and_jacobian(model: MlpModel, inputs, targets):
 
 
 def residual_fns(model: MlpModel, inputs, targets):
-    """resid(theta) and resid_jac(theta) on one training set for flat
-    vectors theta of `model`'s shape. The data are checked once and theta is
-    read through views; every Jacobian is written into one buffer."""
+    """resid(theta), resid_jac(theta) and resid_grad(theta) -> (res, J'r) on
+    one training set for flat vectors theta of `model`'s shape. The data are
+    checked once and theta is read through views; every Jacobian is written
+    into one buffer."""
     inputs, targets = _check_xy(model, inputs, targets)
     p, h = model.input_dim, model.hidden_dim
-    jac = np.empty((targets.size, model.n_params))
+    jac = np.empty((targets.size, model.n_params), order="F")
 
     def resid(theta):
         return targets - kernels.forward_batch(inputs, *_layers(theta, p, h))
@@ -132,15 +133,22 @@ def residual_fns(model: MlpModel, inputs, targets):
             inputs, targets, *_layers(theta, p, h), out=jac
         )
 
-    return resid, resid_jac
+    def resid_grad(theta):
+        return kernels.residuals_and_gradient(inputs, targets, *_layers(theta, p, h))
+
+    return resid, resid_jac, resid_grad
+
+
+SCHEMA_VERSION = 1
+ACTIVATIONS = {"hidden_activation": "tanh", "output_activation": "linear"}
 
 
 def to_dict(model: MlpModel, provenance: dict | None = None) -> dict:
     return {
+        "schema_version": SCHEMA_VERSION,
         "input_dim": model.input_dim,
         "hidden_dim": model.hidden_dim,
-        "hidden_activation": "tanh",
-        "output_activation": "linear",
+        **ACTIVATIONS,
         "params": [float(v) for v in flatten(model)],
         "provenance": provenance or {},
     }
@@ -161,10 +169,20 @@ def save(model: MlpModel, path, provenance: dict | None = None) -> None:
 
 
 def load(path) -> tuple[MlpModel, dict]:
-    """Model and provenance of a saved model. DataFormatError when the
-    provenance lag or forecast window does not match the input size."""
+    """Model and provenance of a saved model. DataFormatError when the schema
+    version is not SCHEMA_VERSION (a file without one is version 1), an
+    activation is not the network's, or the provenance lag or forecast window
+    does not match the input size."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    version = payload.get("schema_version", 1)
+    if version != SCHEMA_VERSION:
+        raise DataFormatError(f"{path}: unsupported schema_version {version!r}, "
+                              f"expected {SCHEMA_VERSION}")
+    for key, expected in ACTIVATIONS.items():
+        if payload.get(key, expected) != expected:
+            raise DataFormatError(f"{path}: {key} is {payload[key]!r}, "
+                                  f"only {expected!r} is supported")
     model, provenance = from_dict(payload), payload.get("provenance", {})
     p = model.input_dim
     lag = provenance.get("lag", p)

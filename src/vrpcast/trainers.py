@@ -96,7 +96,8 @@ def lm_least_squares(
 
     resid_jac(theta) -> (residuals, jacobian) with jacobian = d(res)/d(theta)
     is called at theta0 and after each accepted step only, so it may return
-    the same Jacobian buffer every time. Trial steps evaluate
+    the same Jacobian buffer every time. J is read only through J'J and J'r,
+    so its memory order does not matter. Trial steps evaluate
     resid(theta) -> residuals (default: the residuals of resid_jac).
 
     One eigendecomposition J'J = V diag(lam) V' per Jacobian serves every
@@ -276,7 +277,7 @@ def scg_minimize(
 
 
 def _train_lm_family(model, patterns, config, bayes):
-    resid, resid_jac = mlp.residual_fns(model, *_as_xy(patterns))
+    resid, resid_jac, _ = mlp.residual_fns(model, *_as_xy(patterns))
     theta, report = lm_least_squares(
         resid_jac, mlp.flatten(model), config, bayes=bayes, resid=resid
     )
@@ -300,15 +301,14 @@ def train_brnn(model, patterns, config: TrainConfig):
 
 def train_scg(model, patterns, config: TrainConfig):
     """Moller's scaled conjugate gradient on the sum of squared residuals."""
-    resid, resid_jac = mlp.residual_fns(model, *_as_xy(patterns))
+    resid, _, resid_grad = mlp.residual_fns(model, *_as_xy(patterns))
 
     def objective(theta):
         r = resid(theta)
         return float(r @ r)
 
     def gradient(theta):
-        r, jac = resid_jac(theta)
-        return 2.0 * (jac.T @ r)
+        return 2.0 * resid_grad(theta)[1]
 
     theta, trace, converged, iters = scg_minimize(
         objective,

@@ -150,6 +150,23 @@ class TestTrainForecastEvaluate:
         assert run_cli("evaluate", "--model", path, "--input", series_csv) == 2
         assert "lag is 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("hidden_activation", "relu"),
+                                            ("output_activation", "sigmoid")])
+    def test_evaluate_and_forecast_reject_other_activation(self, series_csv, tmp_path,
+                                                           capsys, key, value):
+        out = tmp_path / "run"
+        assert self.train(series_csv, out) == 0
+        path = out / "model.json"
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--model", path, "--input", series_csv) == 2
+        assert f"{key} is '{value}'" in capsys.readouterr().err
+        assert run_cli("forecast", "--model", path, "--steps", 2,
+                       "--out", tmp_path / "fc") == 2
+        assert f"{key} is '{value}'" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_compare_byte_identical_reruns(self, series_csv, tmp_path):

@@ -22,7 +22,8 @@ def test_out_buffer_matches_allocating_kernel(rng):
         model, inputs, targets = random_case(rng)
         args = (model.w1, model.b1, model.w2, model.b2)
         res, jac = kernels.residuals_and_jacobian(inputs, targets, *args)
-        buffer = np.full(jac.shape, np.nan)
+        assert jac.flags.f_contiguous
+        buffer = np.full(jac.shape, np.nan, order="F")
         res_out, jac_out = kernels.residuals_and_jacobian(inputs, targets, *args, out=buffer)
         assert jac_out is buffer
         np.testing.assert_array_equal(res_out, res)
@@ -31,7 +32,20 @@ def test_out_buffer_matches_allocating_kernel(rng):
             res, targets - kernels.forward_batch(inputs, *args)
         )
     with pytest.raises(ValueError):
-        kernels.residuals_and_jacobian(inputs, targets, *args, out=np.empty(jac.shape, order="F"))
+        kernels.residuals_and_jacobian(inputs, targets, *args, out=np.empty(jac.shape))
+
+
+@pytest.mark.parametrize("p, h", [(1, 1), (1, 6), (1, 13), (4, 2), (6, 9), (12, 25)])
+def test_gradient_matches_jacobian_transpose_residuals(rng, p, h):
+    model, inputs, targets = random_case(rng, n=300, p=p, h=h)
+    args = (model.w1, model.b1, model.w2, model.b2)
+    res_jac, jac = kernels.residuals_and_jacobian(inputs, targets, *args)
+    res, grad = kernels.residuals_and_gradient(inputs, targets, *args)
+    np.testing.assert_array_equal(res, targets - kernels.forward_batch(inputs, *args))
+    np.testing.assert_array_equal(res, res_jac)
+    expected = jac.T @ res
+    assert grad.shape == (model.n_params,)
+    assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_bench_kernels_runs():

@@ -137,6 +137,27 @@ class TestSerialization:
         payload = json.loads(path.read_text())
         assert payload["hidden_activation"] == "tanh"
 
+    def test_schema_version_written_and_unversioned_file_loads(self, tmp_path):
+        model = init(2, 3, 1)
+        path = tmp_path / "model.json"
+        mlp.save(model, path)
+        payload = json.loads(path.read_text())
+        assert payload["schema_version"] == 1
+        del payload["schema_version"]
+        path.write_text(json.dumps(payload))
+        again, _ = mlp.load(path)
+        np.testing.assert_array_equal(mlp.flatten(model), mlp.flatten(again))
+
+    @pytest.mark.parametrize("version", [0, 2, "1", None])
+    def test_load_rejects_other_schema_version(self, tmp_path, version):
+        path = tmp_path / "model.json"
+        mlp.save(init(2, 3, 1), path)
+        payload = json.loads(path.read_text())
+        payload["schema_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="schema_version"):
+            mlp.load(path)
+
     def test_load_rejects_short_forecast_window(self, tmp_path):
         path = tmp_path / "model.json"
         mlp.save(init(3, 2, 0), path, {"lag": 3, "last_window_residuals": [1.0, 2.0]})

@@ -83,9 +83,10 @@ class TestEngine:
         assert accepted > 5
         assert len(jacobians) == accepted + 1
 
-    def test_scg_calls_jacobian_only_for_gradients(self, monkeypatch):
+    def test_scg_gradients_skip_the_jacobian(self, monkeypatch):
         x, y = sin_task(100)
         jacobians = count_calls(monkeypatch, kernels, "residuals_and_jacobian")
+        backprops = count_calls(monkeypatch, kernels, "residuals_and_gradient")
         gradients = []
         scg = trainers.scg_minimize
 
@@ -99,7 +100,8 @@ class TestEngine:
         _, report = train_scg(init(1, 6, 4), (x, y),
                               TrainConfig(algorithm="scg", max_epochs=40))
         assert report.epochs_used > 5
-        assert len(jacobians) == len(gradients)
+        assert len(jacobians) == 0
+        assert len(backprops) == len(gradients)
 
     def test_eigenbasis_step_matches_damped_solve(self, rng):
         n, k = 40, 6
@@ -145,7 +147,7 @@ class TestEngine:
         model = mlp.unflatten(theta, p, h)
         inputs = rng.uniform(0, 1, (n, p))
         targets = rng.normal(size=n)
-        resid, resid_jac = mlp.residual_fns(model, inputs, targets)
+        resid, resid_jac, _ = mlp.residual_fns(model, inputs, targets)
         expected_r, expected_jac = mlp.batch_residuals_and_jacobian(model, inputs, targets)
         r, jac = resid_jac(theta)
         np.testing.assert_array_equal(r, expected_r)
