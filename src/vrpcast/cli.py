@@ -10,8 +10,8 @@ import logging
 import os
 import sys
 
-from . import lag_select, mlp, pipeline, series_ops, stat_tests, trainers
-from .data_ingest import SYNTHETIC_KINDS, generate_synthetic, load_csv, save_csv
+from . import mlp, pipeline, series_ops, trainers
+from .data_ingest import SYNTHETIC_KINDS, generate_synthetic, load_csv, save_csv, write_csv
 from .errors import VrpcastError
 
 DEFAULT_SEED = 0
@@ -36,18 +36,17 @@ def _build_parser():
     parser = _Parser(prog="vrpcast", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    def add_common(p, *, data=True, training=False):
-        if data:
-            p.add_argument("--input", help="input CSV path")
-            p.add_argument("--mode", choices=("power", "radiance"), default="power")
-        p.add_argument("--out", help="output directory or file")
+    def add_common(p, *, training=False):
+        p.add_argument("--input", dest="input_path", help="input CSV path")
+        p.add_argument("--mode", choices=("power", "radiance"))
+        p.add_argument("--out", dest="out_dir", help="output directory or file")
         p.add_argument("--config", help="JSON config file (flags take precedence)")
         if training:
             p.add_argument("--lag", type=int, help="lag window p (default: entropy-selected)")
-            p.add_argument("--bins", type=int, default=lag_select.DEFAULT_BINS)
+            p.add_argument("--bins", type=int)
             p.add_argument("--hidden", type=_parse_hidden,
                            help="hidden size, or a:b range for grid search")
-            p.add_argument("--algo", choices=trainers.ALGORITHMS, default=None)
+            p.add_argument("--algo", dest="algorithm", choices=trainers.ALGORITHMS)
             p.add_argument("--train-fraction", type=float, default=None)
             p.add_argument("--seed", type=int, default=None)
 
@@ -59,8 +58,8 @@ def _build_parser():
 
     p = sub.add_parser("lags", help="entropy profile and selected lag")
     add_common(p)
-    p.add_argument("--bins", type=int, default=lag_select.DEFAULT_BINS)
-    p.add_argument("--max-lag", type=int, default=12)
+    p.add_argument("--bins", type=int)
+    p.add_argument("--max-lag", type=int)
 
     p = sub.add_parser("train", help="run the pipeline with one algorithm")
     add_common(p, training=True)
@@ -93,94 +92,64 @@ def _build_parser():
 
 def _pipeline_config(args):
     payload = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             payload = json.load(fh)
-    flag_map = {
-        "input": "input_path",
-        "mode": "mode",
-        "lag": "lag",
-        "bins": "bins",
-        "algo": "algorithm",
-        "train_fraction": "train_fraction",
-        "seed": "seed",
-        "out": "out_dir",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
+    for key in pipeline.PipelineConfig.__dataclass_fields__:
+        value = getattr(args, key, None)
         if value is not None:
             payload[key] = value
-    hidden = getattr(args, "hidden", None)
-    if hidden is not None:
-        if isinstance(hidden, tuple):
-            payload["h_range"] = hidden
-            payload.pop("hidden", None)
-        else:
-            payload["hidden"] = hidden
-    payload.setdefault("seed", DEFAULT_SEED)
-    payload.setdefault("mode", "power")
-    return pipeline.PipelineConfig.from_dict(payload)
-
-
-def _require_input(args):
-    if not getattr(args, "input", None) and not getattr(args, "config", None):
+    if isinstance(payload.get("hidden"), tuple):  # --hidden a:b
+        payload["h_range"] = payload.pop("hidden")
+    cfg = pipeline.PipelineConfig.from_dict(payload)
+    if cfg.input_path is None:
         print("error: --input (or --config with input_path) is required", file=sys.stderr)
         raise SystemExit(1)
+    return cfg
+
+
+def _print_test_stats(stats):
+    print(f"test ME {stats.mean_error:.6g} W, MSE {stats.mean_squared_error:.6g} W^2, "
+          f"R^2 {stats.r_squared if stats.r_squared is not None else 'undefined'}")
 
 
 def _cmd_ingest(args):
     cfg = _pipeline_config(args)
-    series = load_csv(cfg.input_path, cfg.mode)
+    series = pipeline.load_series(cfg)
     print(f"loaded {len(series)} usable observations "
           f"({series.timestamps[0].isoformat()} .. {series.timestamps[-1].isoformat()})")
     if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        out = os.path.join(cfg.out_dir, "series.csv")
-        save_csv(series, out)
-        print(f"wrote {out}")
+        print(f"wrote {pipeline.write_series(cfg.out_dir, series)}")
 
 
 def _cmd_stationarity(args):
     cfg = _pipeline_config(args)
-    series = load_csv(cfg.input_path, cfg.mode)
-    raw = stat_tests.kpss_level(series.values)
-    diff = series_ops.difference(series)
-    resid = stat_tests.kpss_level(diff.residuals)
+    _, raw, resid = pipeline.stationarity(pipeline.load_series(cfg))
     for name, result in (("raw", raw), ("differenced", resid)):
         verdict = "reject stationarity" if result.reject_at_5pct else "stationary (fail to reject)"
         print(f"{name}: KPSS statistic {result.statistic:.4f} "
               f"(truncation lag {result.truncation_lag}) -> {verdict} at 5%")
     if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        out = os.path.join(cfg.out_dir, "kpss.json")
-        pipeline._write_json(out, {"raw": raw.to_dict(), "residuals": resid.to_dict()})
-        print(f"wrote {out}")
+        print(f"wrote {pipeline.write_kpss(cfg.out_dir, raw, resid)}")
 
 
 def _cmd_lags(args):
     cfg = _pipeline_config(args)
-    series = load_csv(cfg.input_path, cfg.mode)
-    diff = series_ops.difference(series)
-    profile = lag_select.entropy_profile(diff.residuals, args.max_lag, cfg.bins)
+    diff, _, _ = pipeline.stationarity(pipeline.load_series(cfg))
+    profile = pipeline.select_lag(diff, cfg)
     for lag, delta in zip(profile.lags, profile.delta):
         print(f"lag {lag:3d}  delta {delta:.6f}")
     print(f"selected lag: {profile.selected_lag}")
     if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        out = os.path.join(cfg.out_dir, "entropy_profile.csv")
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(profile.to_csv())
-        print(f"wrote {out}")
+        print(f"wrote {pipeline.write_entropy_profile(cfg.out_dir, profile)}")
 
 
 def _cmd_train(args):
     cfg = _pipeline_config(args)
     model, report, provenance = pipeline.run_pipeline(cfg)
-    stats = report.test_stats
     print(f"algorithm {provenance['algorithm']}, lag {provenance['lag']}, "
           f"hidden {provenance['hidden']}, epochs {provenance['epochs_used']}")
-    print(f"test ME {stats.mean_error:.6g} W, MSE {stats.mean_squared_error:.6g} W^2, "
-          f"R^2 {stats.r_squared if stats.r_squared is not None else 'undefined'}")
+    _print_test_stats(report.test_stats)
     if cfg.out_dir:
         print(f"artifacts in {cfg.out_dir}")
 
@@ -202,30 +171,19 @@ def _cmd_forecast(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         out = os.path.join(args.out, "forecast.csv")
-        pipeline._write_csv(out, ["step", "forecast_watts"],
-                            [(i + 1, float(v)) for i, v in enumerate(forecast)])
+        write_csv(out, ["step", "forecast_watts"],
+                  [(i + 1, float(v)) for i, v in enumerate(forecast)])
         print(f"wrote {out}")
 
 
 def _cmd_evaluate(args):
     cfg = _pipeline_config(args)
     model, provenance = mlp.load(args.model)
-    series = load_csv(cfg.input_path, cfg.mode)
-    diff = series_ops.difference(series)
-    patterns = series_ops.extract_patterns(
-        diff.residuals, provenance["lag"], provenance.get("train_fraction", 0.8),
-        series_ops.NormParams(**provenance["norm"]),
-    )
-    report = pipeline.evaluate(model, patterns, series.values, provenance)
-    stats = report.test_stats
-    print(f"test ME {stats.mean_error:.6g} W, MSE {stats.mean_squared_error:.6g} W^2, "
-          f"R^2 {stats.r_squared if stats.r_squared is not None else 'undefined'}")
+    report = pipeline.evaluate_saved(model, provenance, pipeline.load_series(cfg))
+    _print_test_stats(report.test_stats)
     print(f"ACF fidelity (mean abs diff, lags 1-20): {report.acf_fidelity:.4f}")
     if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        out = os.path.join(cfg.out_dir, "eval_report.json")
-        pipeline._write_json(out, report.to_dict())
-        print(f"wrote {out}")
+        print(f"wrote {pipeline.write_eval_report(cfg.out_dir, report)}")
 
 
 def _cmd_compare(args):
@@ -268,23 +226,14 @@ _COMMANDS = {
     "synth": _cmd_synth,
 }
 
-_NEEDS_INPUT = {"ingest", "stationarity", "lags", "train", "evaluate", "compare"}
-
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.subcommand in _NEEDS_INPUT:
-        try:
-            _require_input(args)
-        except SystemExit as exc:
-            return int(exc.code)
-    try:
+        args = _build_parser().parse_args(argv)
         _COMMANDS[args.subcommand](args)
+    except SystemExit as exc:  # usage errors, from the parser or _pipeline_config
+        return int(exc.code or 0)
     except (VrpcastError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

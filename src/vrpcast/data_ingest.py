@@ -1,4 +1,5 @@
-"""Loading VRP observations from CSV and generating synthetic test series.
+"""Loading VRP observations from CSV, generating synthetic test series, and
+the CSV and JSON writers every artifact goes through.
 
 CSV layouts (header row required, UTF-8, comma-delimited):
 
@@ -10,6 +11,7 @@ rows that do not parse at all raise DataFormatError with the row number.
 """
 
 import csv
+import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -135,13 +137,27 @@ def load_csv(path, mode: str = "power") -> TimeSeries:
     return TimeSeries(timestamps, values)
 
 
+def write_csv(path, header, rows) -> None:
+    """The package's CSV writer: a header row, then one line per row, with
+    floats as repr (exact round trip) and LF line endings."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
+              for row in rows]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """The package's JSON writer: sorted keys, two-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_csv(series: TimeSeries, path) -> None:
     """Write a series in the power-mode CSV layout."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "vrp_watts"])
-        for ts, v in zip(series.timestamps, series.values):
-            writer.writerow([ts.isoformat(), repr(float(v))])
+    write_csv(path, ["timestamp", "vrp_watts"],
+              ((ts.isoformat(), float(v)) for ts, v in zip(series.timestamps, series.values)))
 
 
 def _ar_spectral_radius(phi) -> float:

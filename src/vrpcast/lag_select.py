@@ -31,11 +31,6 @@ class EntropyProfile:
     delta: tuple
     selected_lag: int
 
-    def to_csv(self) -> str:
-        lines = ["lag,delta"]
-        lines += [f"{lag},{repr(d)}" for lag, d in zip(self.lags, self.delta)]
-        return "\n".join(lines) + "\n"
-
 
 def _hist_entropy(probabilities) -> float:
     p = probabilities[probabilities > 0.0]

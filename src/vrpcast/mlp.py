@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .data_ingest import write_json
 from .errors import DataFormatError
 
 
@@ -163,9 +164,7 @@ def from_dict(payload: dict) -> MlpModel:
 
 
 def save(model: MlpModel, path, provenance: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(model, provenance), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, to_dict(model, provenance))
 
 
 def load(path) -> tuple[MlpModel, dict]:

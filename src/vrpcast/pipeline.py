@@ -1,8 +1,8 @@
 """End-to-end orchestration: ingest -> stationarity -> lag selection ->
 patterns -> training -> forecasting -> evaluation, with all artifacts
-written as CSV/JSON."""
+written as CSV/JSON. The CLI's inspection subcommands call the same stage
+functions and artifact writers as training."""
 
-import json
 import logging
 import os
 from dataclasses import dataclass, field
@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import lag_select, mlp, series_ops, stat_tests, trainers
-from .data_ingest import TimeSeries, load_csv
+from .data_ingest import TimeSeries, load_csv, save_csv, write_csv, write_json
 from .errors import PipelineStageError, TrainingError, VrpcastError
 
 log = logging.getLogger(__name__)
@@ -76,19 +76,6 @@ class EvalReport:
         }
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(c) if isinstance(c, float) else str(c) for c in row) + "\n")
-
-
 def _stage(stage, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -151,45 +138,74 @@ def evaluate(model, patterns, values, provenance=None) -> EvalReport:
     )
 
 
-def _prepare(series: Optional[TimeSeries], config: PipelineConfig):
-    """Shared front half of the pipeline: load (unless a series is given),
-    stationarity, lag, patterns."""
-    if series is None:
-        if config.input_path is None:
-            raise ValueError("config.input_path or an in-memory series is required")
-        series = _stage("load", load_csv, config.input_path, config.mode)
-    values = series.values
-    kpss_raw = _stage("kpss-raw", stat_tests.kpss_level, values)
+@dataclass(frozen=True)
+class Prepared:
+    """The front half of the pipeline on one series."""
+
+    series: TimeSeries
+    diff: series_ops.DifferencedSeries
+    kpss_raw: stat_tests.KpssResult
+    kpss_resid: stat_tests.KpssResult
+    profile: Optional[lag_select.EntropyProfile]    # None when config.lag is set
+    patterns: series_ops.PatternSet
+
+
+def load_series(config: PipelineConfig) -> TimeSeries:
+    """Stage `load`: the series at config.input_path, read in config.mode."""
+    if config.input_path is None:
+        raise ValueError("config.input_path or an in-memory series is required")
+    return _stage("load", load_csv, config.input_path, config.mode)
+
+
+def stationarity(series: TimeSeries):
+    """Stages `kpss-raw`, `difference` and `kpss-residuals`:
+    (differenced series, KPSS of the raw values, KPSS of the residuals).
+    A rejection is reported, not raised."""
+    kpss_raw = _stage("kpss-raw", stat_tests.kpss_level, series.values)
     diff = _stage("difference", series_ops.difference, series)
     kpss_resid = _stage("kpss-residuals", stat_tests.kpss_level, diff.residuals)
+    return diff, kpss_raw, kpss_resid
+
+
+def select_lag(diff: series_ops.DifferencedSeries,
+               config: PipelineConfig) -> lag_select.EntropyProfile:
+    """Stage `lag-selection`: the entropy profile of the training prefix of
+    the residuals only (no test leakage), up to config.max_lag."""
+    n_train_resid = int(np.floor(config.train_fraction * diff.residuals.size))
+    return _stage("lag-selection", lag_select.entropy_profile,
+                  diff.residuals[:n_train_resid], config.max_lag, config.bins)
+
+
+def _prepare(series: Optional[TimeSeries], config: PipelineConfig) -> Prepared:
+    """Front half of the training paths: load (unless a series is given),
+    difference + KPSS, lag, patterns. Aborts when the first differences are
+    still non-stationary."""
+    if series is None:
+        series = load_series(config)
+    diff, kpss_raw, kpss_resid = stationarity(series)
     if kpss_resid.reject_at_5pct:
         raise PipelineStageError(
             "kpss-residuals",
             "first differences are still non-stationary at 5%; "
             "second differencing is not supported",
         )
-    profile = None
-    if config.lag is not None:
-        lag = config.lag
-    else:
-        # lag selection sees the training prefix only (no test leakage)
-        n_train_resid = int(np.floor(config.train_fraction * diff.residuals.size))
-        profile = _stage(
-            "lag-selection",
-            lag_select.entropy_profile,
-            diff.residuals[:n_train_resid],
-            config.max_lag,
-            config.bins,
-        )
-        lag = profile.selected_lag
+    profile = None if config.lag is not None else select_lag(diff, config)
+    lag = config.lag if profile is None else profile.selected_lag
+    patterns = _stage("extract-patterns", series_ops.extract_patterns,
+                      diff.residuals, lag, config.train_fraction)
+    return Prepared(series, diff, kpss_raw, kpss_resid, profile, patterns)
+
+
+def evaluate_saved(model, provenance, series: TimeSeries) -> EvalReport:
+    """evaluate() of a saved model on `series`, whose patterns use the lag,
+    train fraction and normaliser recorded in the model's provenance."""
+    diff = _stage("difference", series_ops.difference, series)
     patterns = _stage(
-        "extract-patterns",
-        series_ops.extract_patterns,
-        diff.residuals,
-        lag,
-        config.train_fraction,
+        "extract-patterns", series_ops.extract_patterns, diff.residuals,
+        provenance["lag"], provenance.get("train_fraction", PipelineConfig.train_fraction),
+        series_ops.NormParams(**provenance["norm"]),
     )
-    return series, values, diff, kpss_raw, kpss_resid, profile, patterns
+    return evaluate(model, patterns, series.values, provenance)
 
 
 def _choose_hidden(patterns, config: PipelineConfig):
@@ -208,11 +224,11 @@ def _choose_hidden(patterns, config: PipelineConfig):
     return best_h, table, (model, report)
 
 
-def _model_provenance(config, algorithm, lag, hidden, report, patterns, diff, values):
+def _model_provenance(config, hidden, report, prep: Prepared):
     return {
-        "algorithm": algorithm,
+        "algorithm": config.algorithm,
         "seed": config.seed,
-        "lag": lag,
+        "lag": prep.patterns.lag,
         "hidden": hidden,
         "train_fraction": config.train_fraction,
         "epochs_used": report.epochs_used,
@@ -221,9 +237,9 @@ def _model_provenance(config, algorithm, lag, hidden, report, patterns, diff, va
         "alpha": report.alpha,
         "beta": report.beta,
         "gamma_effective": report.gamma_effective,
-        "norm": {"min": patterns.norm.min, "max": patterns.norm.max},
-        "last_window_residuals": [float(v) for v in diff.residuals[-lag:]],
-        "last_observed_value": float(values[-1]),
+        "norm": {"min": prep.patterns.norm.min, "max": prep.patterns.norm.max},
+        "last_window_residuals": [float(v) for v in prep.diff.residuals[-prep.patterns.lag:]],
+        "last_observed_value": float(prep.series.values[-1]),
     }
 
 
@@ -232,71 +248,82 @@ def run_pipeline(config: PipelineConfig, series: Optional[TimeSeries] = None):
 
     Returns (model, EvalReport, provenance dict). Artifacts are written to
     config.out_dir when set."""
-    series, values, diff, kpss_raw, kpss_resid, profile, patterns = _prepare(series, config)
-    if not kpss_raw.reject_at_5pct:
+    prep = _prepare(series, config)
+    if not prep.kpss_raw.reject_at_5pct:
         log.info("raw series already level-stationary by KPSS; differencing anyway")
-    hidden, grid_table, fit = _choose_hidden(patterns, config)
+    hidden, grid_table, fit = _choose_hidden(prep.patterns, config)
     if fit is None:
-        model0 = mlp.init(patterns.lag, hidden, config.seed)
-        fit = _stage("train", trainers.train, model0, patterns, config.train_config())
+        model0 = mlp.init(prep.patterns.lag, hidden, config.seed)
+        fit = _stage("train", trainers.train, model0, prep.patterns, config.train_config())
     model, report = fit
-    provenance = _model_provenance(
-        config, config.algorithm, patterns.lag, hidden, report, patterns, diff, values
-    )
-    eval_report = evaluate(model, patterns, values, provenance)
+    provenance = _model_provenance(config, hidden, report, prep)
+    eval_report = evaluate(model, prep.patterns, prep.series.values, provenance)
     if config.out_dir:
-        _write_artifacts(
-            config.out_dir, series, diff, kpss_raw, kpss_resid, profile,
-            patterns, grid_table, model, report, eval_report, provenance,
-        )
+        _write_artifacts(config.out_dir, prep, grid_table, model, report, eval_report)
     return model, eval_report, provenance
 
 
-def _write_artifacts(out_dir, series, diff, kpss_raw, kpss_resid, profile,
-                     patterns, grid_table, model, report, eval_report, provenance):
+def _artifact_path(out_dir, name):
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "series.csv"),
-        ["timestamp", "vrp_watts"],
-        [(ts.isoformat(), float(v)) for ts, v in zip(series.timestamps, series.values)],
-    )
-    _write_csv(
-        os.path.join(out_dir, "residuals.csv"),
-        ["index", "residual_watts"],
-        [(i, float(v)) for i, v in enumerate(diff.residuals)],
-    )
-    _write_json(os.path.join(out_dir, "kpss.json"), {
-        "raw": kpss_raw.to_dict(), "residuals": kpss_resid.to_dict(),
-    })
-    if profile is not None:
-        with open(os.path.join(out_dir, "entropy_profile.csv"), "w", encoding="utf-8") as fh:
-            fh.write(profile.to_csv())
+    return os.path.join(out_dir, name)
+
+
+def write_series(out_dir, series: TimeSeries) -> str:
+    """Write out_dir/series.csv, creating out_dir, and return its path; the
+    other write_* functions do the same for their artifact."""
+    path = _artifact_path(out_dir, "series.csv")
+    save_csv(series, path)
+    return path
+
+
+def write_kpss(out_dir, kpss_raw, kpss_resid) -> str:
+    path = _artifact_path(out_dir, "kpss.json")
+    write_json(path, {"raw": kpss_raw.to_dict(), "residuals": kpss_resid.to_dict()})
+    return path
+
+
+def write_entropy_profile(out_dir, profile: lag_select.EntropyProfile) -> str:
+    path = _artifact_path(out_dir, "entropy_profile.csv")
+    write_csv(path, ["lag", "delta"], zip(profile.lags, profile.delta))
+    return path
+
+
+def write_eval_report(out_dir, report: EvalReport) -> str:
+    path = _artifact_path(out_dir, "eval_report.json")
+    write_json(path, report.to_dict())
+    return path
+
+
+def _write_artifacts(out_dir, prep: Prepared, grid_table, model, report, eval_report):
+    write_series(out_dir, prep.series)
+    write_csv(_artifact_path(out_dir, "residuals.csv"), ["index", "residual_watts"],
+              [(i, float(v)) for i, v in enumerate(prep.diff.residuals)])
+    write_kpss(out_dir, prep.kpss_raw, prep.kpss_resid)
+    if prep.profile is not None:
+        write_entropy_profile(out_dir, prep.profile)
     if grid_table is not None:
-        _write_json(os.path.join(out_dir, "grid_search.json"), grid_table)
-    mlp.save(model, os.path.join(out_dir, "model.json"), provenance)
-    _write_json(os.path.join(out_dir, "train_report.json"), report.to_dict())
-    _write_json(os.path.join(out_dir, "eval_report.json"), eval_report.to_dict())
+        write_json(_artifact_path(out_dir, "grid_search.json"), grid_table)
+    mlp.save(model, _artifact_path(out_dir, "model.json"), eval_report.provenance)
+    write_json(_artifact_path(out_dir, "train_report.json"), report.to_dict())
+    write_eval_report(out_dir, eval_report)
 
 
 def compare_algorithms(config: PipelineConfig, series: Optional[TimeSeries] = None):
     """Run the identical pipeline once per training algorithm (same seed,
     hidden size and patterns) and emit a per-algorithm error table."""
-    _, values, diff, _, _, profile, patterns = _prepare(series, config)
-    hidden, _, _ = _choose_hidden(patterns, config)
+    prep = _prepare(series, config)
+    hidden, _, _ = _choose_hidden(prep.patterns, config)
     table = {}
     for algorithm in trainers.ALGORITHMS:
-        model0 = mlp.init(patterns.lag, hidden, config.seed)
+        model0 = mlp.init(prep.patterns.lag, hidden, config.seed)
         try:
             model, report = trainers.train(
-                model0, patterns, config.train_config(algorithm)
+                model0, prep.patterns, config.train_config(algorithm)
             )
         except VrpcastError as exc:
             table[algorithm] = {"error": str(exc)}
             continue
-        provenance = _model_provenance(
-            config, algorithm, patterns.lag, hidden, report, patterns, diff, values
-        )
-        eval_report = evaluate(model, patterns, values, provenance)
+        eval_report = evaluate(model, prep.patterns, prep.series.values)
         table[algorithm] = {
             "train_stats": eval_report.train_stats.to_dict(),
             "test_stats": eval_report.test_stats.to_dict(),
@@ -304,12 +331,11 @@ def compare_algorithms(config: PipelineConfig, series: Optional[TimeSeries] = No
             "epochs_used": report.epochs_used,
         }
     result = {
-        "lag": patterns.lag,
+        "lag": prep.patterns.lag,
         "hidden": hidden,
         "seed": config.seed,
         "algorithms": table,
     }
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
-        _write_json(os.path.join(config.out_dir, "comparison.json"), result)
+        write_json(_artifact_path(config.out_dir, "comparison.json"), result)
     return result

@@ -86,12 +86,6 @@ class TestEntropyProfile:
         assert profile.selected_lag in profile.lags
         assert all(np.isfinite(profile.delta))
 
-    def test_csv_output(self, rng):
-        profile = entropy_profile(rng.normal(size=1000), 4)
-        lines = profile.to_csv().strip().splitlines()
-        assert lines[0] == "lag,delta"
-        assert len(lines) == 5
-
     def test_too_short(self, rng):
         with pytest.raises(ValueError):
             entropy_profile(rng.normal(size=50), 12)
