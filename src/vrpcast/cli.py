@@ -10,8 +10,8 @@ import logging
 import os
 import sys
 
-from . import mlp, pipeline, series_ops, trainers
-from .data_ingest import SYNTHETIC_KINDS, generate_synthetic, load_csv, save_csv, write_csv
+from . import mlp, pipeline, trainers
+from .data_ingest import SYNTHETIC_KINDS, generate_synthetic, save_csv
 from .errors import VrpcastError
 
 DEFAULT_SEED = 0
@@ -70,7 +70,6 @@ def _build_parser():
     p.add_argument("--input", help="optional CSV to refresh the forecast window")
     p.add_argument("--mode", choices=("power", "radiance"), default="power")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--config", help=argparse.SUPPRESS)
 
     p = sub.add_parser("evaluate", help="evaluate a saved model on a series")
     p.add_argument("--model", required=True)
@@ -85,7 +84,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--spec", help="JSON file with the full generator spec")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--config", help=argparse.SUPPRESS)
 
     return parser
 
@@ -156,24 +154,15 @@ def _cmd_train(args):
 
 def _cmd_forecast(args):
     model, provenance = mlp.load(args.model)
-    norm = series_ops.NormParams(**provenance["norm"])
+    series = None
     if args.input:
-        series = load_csv(args.input, args.mode)
-        diff = series_ops.difference(series)
-        window = diff.residuals[-model.input_dim:]
-        last_value = float(series.values[-1])
-    else:
-        window = provenance["last_window_residuals"]
-        last_value = provenance["last_observed_value"]
-    forecast = pipeline.forecast_multi_step(model, window, args.steps, norm, last_value)
+        series = pipeline.load_series(
+            pipeline.PipelineConfig(input_path=args.input, mode=args.mode))
+    forecast = pipeline.forecast_saved(model, provenance, args.steps, series)
     for step, value in enumerate(forecast, start=1):
         print(f"step {step}: {value:.6g} W")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        out = os.path.join(args.out, "forecast.csv")
-        write_csv(out, ["step", "forecast_watts"],
-                  [(i + 1, float(v)) for i, v in enumerate(forecast)])
-        print(f"wrote {out}")
+        print(f"wrote {pipeline.write_forecast(args.out, forecast)}")
 
 
 def _cmd_evaluate(args):

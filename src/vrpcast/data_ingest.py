@@ -16,6 +16,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain, compress, islice
+from operator import attrgetter, itemgetter, lt
 
 import numpy as np
 
@@ -25,6 +27,12 @@ log = logging.getLogger(__name__)
 
 # Regression coefficient (m^2 sr um) mapping excess MIR radiance to watts.
 MIR_TO_WATTS = 1.89e7
+
+# Rows load_csv reads and parses at a time. The text and columns of a whole
+# 50 000-row file held at once peak at 16 MiB of Python objects (tracemalloc)
+# and leave the heap fragmented, so peak RSS grew over repeated loads in one
+# process; 1024-row chunks peak under 4 MiB, and larger ones are no faster.
+_CHUNK_ROWS = 1024
 
 SYNTHETIC_KINDS = ("white_noise", "random_walk", "ar", "persistence_bursts")
 
@@ -79,18 +87,104 @@ def _parse_value(text: str, row_no: int):
         raise DataFormatError(f"row {row_no}: bad value {text!r}") from exc
 
 
-def load_csv(path, mode: str = "power") -> TimeSeries:
-    """Load a VRP series, dropping missing/non-finite rows.
+def _is_blank(fields) -> bool:
+    return all(not c.strip() for c in fields)
 
-    In radiance mode each kept row is converted through radiance_to_vrp.
-    Rows are sorted by timestamp; duplicate timestamps keep the last
-    occurrence (warned).
+
+def _text_columns(rows, n_cols, first_row):
+    """(one list of text per column, the error for the first row with the
+    wrong field count or None). rows[0] is row number first_row of the file.
+    A blank row of any length becomes n_cols empty fields, to be dropped
+    like any blank row. The rows from the first error on are left out: the
+    rows above it still have to be parsed, since a bad field there is the
+    earlier error."""
+    count_error = None
+    if set(map(len, rows)) != {n_cols}:
+        for i, row in enumerate(rows):
+            if len(row) == n_cols:
+                continue
+            if _is_blank(row):
+                rows[i] = [""] * n_cols
+                continue
+            count_error = DataFormatError(
+                f"row {first_row + i}: expected {n_cols} fields, got {len(row)}")
+            del rows[i:]
+            break
+    return [list(map(itemgetter(k), rows)) for k in range(n_cols)], count_error
+
+
+def _parse_column(parse, texts, placeholder):
+    """(list of parse(text) for each text, indices of the texts parse rejects,
+    which hold `placeholder`). The map runs at C speed; a column with a
+    rejected cell is parsed again one cell at a time to find them."""
+    try:
+        return list(map(parse, texts)), []
+    except ValueError:
+        pass
+    parsed, rejected = [], []
+    for i, text in enumerate(texts):
+        try:
+            parsed.append(parse(text))
+        except ValueError:
+            parsed.append(placeholder)
+            rejected.append(i)
+    return parsed, rejected
+
+
+def _parse_columns(columns, first_row):
+    """(timestamps, (n_cols - 1, n) array of values) of the text columns,
+    whose first row is row number first_row of the file.
+
+    Each column is parsed at once by datetime.fromisoformat or float. The
+    rows with a field that rejects, or with a tz-aware timestamp, are then
+    parsed in file order by _parse_timestamp and _parse_value, which define
+    what a field means and raise for the first bad row. A missing value
+    reads as nan, and a blank row as nan values with timestamp None."""
+    stamps, rejected = _parse_column(datetime.fromisoformat, columns[0], None)
+    if any(map(attrgetter("tzinfo"), filter(None, stamps))):
+        rejected += [i for i, ts in enumerate(stamps) if ts is not None and ts.tzinfo]
+    value_columns = []
+    for texts in columns[1:]:
+        parsed, rejected_values = _parse_column(float, texts, math.nan)
+        value_columns.append(parsed)
+        rejected += rejected_values
+    for i in sorted(set(rejected)):
+        fields = [texts[i] for texts in columns]
+        if _is_blank(fields):
+            for parsed in value_columns:
+                parsed[i] = math.nan
+            continue
+        stamps[i] = _parse_timestamp(fields[0], first_row + i)
+        for parsed, text in zip(value_columns, fields[1:]):
+            value = _parse_value(text, first_row + i)
+            parsed[i] = math.nan if value is None else value
+    return stamps, np.array(value_columns, dtype=float)
+
+
+def _keep_last_of_each_stamp(stamps, values):
+    """Stable sort by timestamp; of equal timestamps only the last (in file
+    order) is kept, with a warning for each one dropped."""
+    order = sorted(range(len(stamps)), key=stamps.__getitem__)
+    stamps = [stamps[i] for i in order]
+    last = [a != b for a, b in zip(stamps, islice(stamps, 1, None))] + [True]
+    for ts, is_last in zip(stamps, last):
+        if not is_last:
+            log.warning("duplicate timestamp %s: keeping last occurrence", ts)
+    return list(compress(stamps, last)), values[order][last]
+
+
+def load_csv(path, mode: str = "power") -> TimeSeries:
+    """Load a VRP series a column at a time, dropping blank rows and rows
+    with a missing or non-finite value (counted, not an error).
+
+    In radiance mode the values are MIR_TO_WATTS * (l_mir - l_mir_bk), as
+    radiance_to_vrp computes them. Rows are sorted by timestamp; duplicate
+    timestamps keep the last occurrence (warned).
     """
     if mode not in ("power", "radiance"):
         raise ValueError(f"mode must be 'power' or 'radiance', got {mode!r}")
     n_cols = 2 if mode == "power" else 3
-    records = []
-    dropped = 0
+    stamps, value_parts = [], [np.empty((n_cols - 1, 0))]
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -100,51 +194,48 @@ def load_csv(path, mode: str = "power") -> TimeSeries:
         header = next(reader, None)
         if header is None:
             raise DataFormatError(f"{path}: empty file (header row required)")
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                dropped += 1
-                continue
-            if len(row) != n_cols:
-                raise DataFormatError(
-                    f"row {row_no}: expected {n_cols} fields, got {len(row)}"
-                )
-            ts = _parse_timestamp(row[0], row_no)
-            vals = [_parse_value(c, row_no) for c in row[1:]]
-            if any(v is None or not math.isfinite(v) for v in vals):
-                dropped += 1
-                continue
-            value = vals[0] if mode == "power" else radiance_to_vrp(vals[0], vals[1])
-            if not math.isfinite(value):
-                dropped += 1
-                continue
-            records.append((ts, value))
-    if not records:
+        first_row = 2
+        while rows := list(islice(reader, _CHUNK_ROWS)):
+            columns, count_error = _text_columns(rows, n_cols, first_row)
+            chunk_stamps, chunk_values = _parse_columns(columns, first_row)
+            if count_error is not None:
+                raise count_error
+            stamps += chunk_stamps
+            value_parts.append(chunk_values)
+            first_row += len(rows)
+
+    values = np.concatenate(value_parts, axis=1)
+    if mode == "power":
+        values = values[0]
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = MIR_TO_WATTS * (values[0] - values[1])
+    keep = np.isfinite(values)
+    n_parsed = len(stamps)
+    if not keep.all():
+        stamps, values = list(compress(stamps, keep.tolist())), values[keep]
+    if not stamps:
         raise DataFormatError(f"{path}: no usable rows")
-    records.sort(key=lambda r: r[0])
-    deduped = []
-    for ts, value in records:
-        if deduped and deduped[-1][0] == ts:
-            log.warning("duplicate timestamp %s: keeping last occurrence", ts)
-            deduped[-1] = (ts, value)
-        else:
-            deduped.append((ts, value))
+    n_kept = len(stamps)
+    if not all(map(lt, stamps, islice(stamps, 1, None))):
+        stamps, values = _keep_last_of_each_stamp(stamps, values)
     log.info(
         "loaded %d rows from %s (%d dropped as missing/non-finite, %d duplicates)",
-        len(deduped), path, dropped, len(records) - len(deduped),
+        len(stamps), path, n_parsed - n_kept, n_kept - len(stamps),
     )
-    timestamps = tuple(r[0] for r in deduped)
-    values = np.array([r[1] for r in deduped], dtype=float)
-    return TimeSeries(timestamps, values)
+    return TimeSeries(tuple(stamps), values)
 
 
-def write_csv(path, header, rows) -> None:
-    """The package's CSV writer: a header row, then one line per row, with
-    floats as repr (exact round trip) and LF line endings."""
-    lines = [",".join(header)]
-    lines += [",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
-              for row in rows]
+def write_csv(path, header, columns) -> None:
+    """The package's CSV writer: a header row, then one line per row of the
+    equal-length `columns`, with LF line endings. A numpy array's cells are
+    written by repr of its Python values, other cells by str; for a float
+    both give the shortest text that reads back exactly."""
+    texts = [map(repr, c.tolist()) if isinstance(c, np.ndarray) else map(str, c)
+             for c in columns]
+    lines = chain([",".join(header)], map(",".join, zip(*texts)), [""])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines))
 
 
 def write_json(path, payload) -> None:
@@ -157,7 +248,7 @@ def write_json(path, payload) -> None:
 def save_csv(series: TimeSeries, path) -> None:
     """Write a series in the power-mode CSV layout."""
     write_csv(path, ["timestamp", "vrp_watts"],
-              ((ts.isoformat(), float(v)) for ts, v in zip(series.timestamps, series.values)))
+              [map(datetime.isoformat, series.timestamps), series.values])
 
 
 def _ar_spectral_radius(phi) -> float:

@@ -208,6 +208,21 @@ def evaluate_saved(model, provenance, series: TimeSeries) -> EvalReport:
     return evaluate(model, patterns, series.values, provenance)
 
 
+def forecast_saved(model, provenance, horizon, series: Optional[TimeSeries] = None):
+    """forecast_multi_step() of a saved model with its saved normaliser, from
+    the end of `series` when one is given, else from the residual window and
+    last value recorded in the model's provenance."""
+    norm = series_ops.NormParams(**provenance["norm"])
+    if series is None:
+        window = provenance["last_window_residuals"]
+        last_value = provenance["last_observed_value"]
+    else:
+        diff = _stage("difference", series_ops.difference, series)
+        window = diff.residuals[-model.input_dim:]
+        last_value = float(series.values[-1])
+    return forecast_multi_step(model, window, horizon, norm, last_value)
+
+
 def _choose_hidden(patterns, config: PipelineConfig):
     """(hidden, grid table, (model, report) of the grid winner); the last
     two are None for a fixed hidden size."""
@@ -284,7 +299,13 @@ def write_kpss(out_dir, kpss_raw, kpss_resid) -> str:
 
 def write_entropy_profile(out_dir, profile: lag_select.EntropyProfile) -> str:
     path = _artifact_path(out_dir, "entropy_profile.csv")
-    write_csv(path, ["lag", "delta"], zip(profile.lags, profile.delta))
+    write_csv(path, ["lag", "delta"], [profile.lags, profile.delta])
+    return path
+
+
+def write_forecast(out_dir, forecast) -> str:
+    path = _artifact_path(out_dir, "forecast.csv")
+    write_csv(path, ["step", "forecast_watts"], [range(1, len(forecast) + 1), forecast])
     return path
 
 
@@ -296,8 +317,9 @@ def write_eval_report(out_dir, report: EvalReport) -> str:
 
 def _write_artifacts(out_dir, prep: Prepared, grid_table, model, report, eval_report):
     write_series(out_dir, prep.series)
+    residuals = prep.diff.residuals
     write_csv(_artifact_path(out_dir, "residuals.csv"), ["index", "residual_watts"],
-              [(i, float(v)) for i, v in enumerate(prep.diff.residuals)])
+              [range(residuals.size), residuals])
     write_kpss(out_dir, prep.kpss_raw, prep.kpss_resid)
     if prep.profile is not None:
         write_entropy_profile(out_dir, prep.profile)
