@@ -2,9 +2,10 @@
 
 For each problem size, reports the per-call wall time of the batch forward
 pass, of the residual/Jacobian evaluation that allocates its Jacobian, of
-the same evaluation writing into a reused F-ordered buffer (as an LM or BRNN
-fit does), and of the residual/gradient evaluation by back-propagation (as
-an SCG fit does).
+the same evaluation writing into a reused F-ordered buffer, the same again
+from hidden activations a forward pass already wrote (as an LM or BRNN fit
+does at an accepted step), and of the residual/gradient evaluation by
+back-propagation (as an SCG fit does), fresh and from those activations.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 50]
 """
@@ -17,7 +18,10 @@ import numpy as np
 from vrpcast import init, kernels
 
 SIZES = [
-    # (n_patterns, lag, hidden)
+    # (n_patterns, lag, hidden); lag 1 is what entropy selection picks on the
+    # perfbench grid_search (2000 points) and long_series (50 000) series
+    (1600, 1, 6),
+    (40_000, 1, 9),
     (500, 6, 9),
     (5000, 6, 9),
     (5000, 12, 25),
@@ -46,16 +50,23 @@ def main(argv=None):
         targets = rng.normal(size=n)
         params = (model.w1, model.b1, model.w2, model.b2)
         buffer = np.empty((n, model.n_params), order="F")
+        act = np.empty((h, n))
+        kernels.forward_batch(inputs, *params, hidden_out=act)
         t_fwd = per_call(lambda: kernels.forward_batch(inputs, *params), args.repeats)
         t_jac = per_call(lambda: kernels.residuals_and_jacobian(inputs, targets, *params),
                          args.repeats)
         t_buf = per_call(lambda: kernels.residuals_and_jacobian(inputs, targets, *params,
                                                                 out=buffer), args.repeats)
+        t_reuse = per_call(lambda: kernels.residuals_and_jacobian(
+            inputs, targets, *params, out=buffer, hidden=act), args.repeats)
         t_grad = per_call(lambda: kernels.residuals_and_gradient(inputs, targets, *params),
                           args.repeats)
+        t_grad_reuse = per_call(lambda: kernels.residuals_and_gradient(
+            inputs, targets, *params, hidden=act), args.repeats)
         print(f"n={n:6d} p={p:2d} h={h:2d}  forward {t_fwd * 1e3:8.3f} ms  "
               f"jacobian {t_jac * 1e3:8.3f} ms  jacobian(out=) {t_buf * 1e3:8.3f} ms  "
-              f"gradient {t_grad * 1e3:8.3f} ms")
+              f"jacobian(out=, hidden=) {t_reuse * 1e3:8.3f} ms  "
+              f"gradient {t_grad * 1e3:8.3f} ms  gradient(hidden=) {t_grad_reuse * 1e3:8.3f} ms")
     return 0
 
 

@@ -8,6 +8,13 @@ Memory layout: hidden activations are (h, n), one contiguous row per hidden
 unit. The Jacobian is built parameter-major, each parameter's derivatives a
 contiguous row of a (P, n) buffer, and returned as its (n, P) transpose, an
 F-contiguous view.
+
+Activation buffers: `forward_batch(..., hidden_out=a)` writes the activations
+into a C-contiguous (h, n) array `a` the caller owns. The residual kernels
+read activations already computed at the same weights from `hidden=a` and
+never write to it; without it they compute their own. Either way the
+activations come from the one expression in `_hidden`, so a point evaluated
+once gives bit-identical residuals, Jacobian and gradient as evaluated twice.
 """
 
 import numpy as np
@@ -15,27 +22,32 @@ import numpy as np
 __all__ = ["forward_batch", "residuals_and_jacobian", "residuals_and_gradient"]
 
 
-def _hidden(inputs, w1, b1):
-    """tanh activations (h, n) of the rows of `inputs` (n, p)."""
-    return np.tanh(w1 @ inputs.T + b1[:, None])
+def _hidden(inputs, w1, b1, out=None):
+    """tanh activations (h, n) of the rows of `inputs` (n, p), computed in
+    place in `out` (C-contiguous (h, n)) when given, else in one new array."""
+    z = np.dot(w1, inputs.T, out=out)
+    z += b1[:, None]
+    return np.tanh(z, out=z)
 
 
-def forward_batch(inputs, w1, b1, w2, b2):
-    """Network output for each row of `inputs` (n, p) -> (n,)."""
-    return w2 @ _hidden(inputs, w1, b1) + b2
+def forward_batch(inputs, w1, b1, w2, b2, hidden_out=None):
+    """Network output for each row of `inputs` (n, p) -> (n,). The hidden
+    activations are written into `hidden_out` when given."""
+    return w2 @ _hidden(inputs, w1, b1, hidden_out) + b2
 
 
-def residuals_and_jacobian(inputs, targets, w1, b1, w2, b2, out=None):
+def residuals_and_jacobian(inputs, targets, w1, b1, w2, b2, out=None, hidden=None):
     """Residuals r_i = target_i - output_i and the analytic Jacobian
     dr_i/dtheta_j of shape (n, h*p + 2h + 1).
 
     The Jacobian is written into `out` when given (F-contiguous, that
-    shape) and returned; otherwise a new F-ordered array is allocated."""
+    shape) and returned; otherwise a new F-ordered array is allocated.
+    `hidden`, when given, holds the activations at these weights (read only);
+    otherwise they are computed. No other (h, n) array is made."""
     n, p = inputs.shape
     h = w1.shape[0]
-    a = _hidden(inputs, w1, b1)
+    a = _hidden(inputs, w1, b1) if hidden is None else hidden
     res = targets - (w2 @ a + b2)
-    neg_s = (a * a - 1.0) * w2[:, None]        # (h, n), -d(out)/d(z_j)
     shape = (n, h * p + 2 * h + 1)
     if out is None:
         jac = np.empty(shape, order="F")
@@ -44,19 +56,26 @@ def residuals_and_jacobian(inputs, targets, w1, b1, w2, b2, out=None):
     else:
         jac = out
     rows = jac.T                               # (P, n), C-contiguous
+    neg_s = rows[h * p : h * p + h]            # b1 rows, -d(out)/d(z_j)
+    np.multiply(a, a, out=neg_s)
+    neg_s -= 1.0
+    neg_s *= w2[:, None]
     np.multiply(neg_s[:, None, :], inputs.T, out=rows[: h * p].reshape(h, p, n))
-    rows[h * p : h * p + h] = neg_s
     np.negative(a, out=rows[h * p + h : h * p + 2 * h])
     rows[-1] = -1.0
     return res, jac
 
 
-def residuals_and_gradient(inputs, targets, w1, b1, w2, b2):
+def residuals_and_gradient(inputs, targets, w1, b1, w2, b2, hidden=None):
     """Residuals as in residuals_and_jacobian and J'r, the gradient of half
-    the sum of squared residuals, by back-propagation without the Jacobian."""
-    a = _hidden(inputs, w1, b1)
+    the sum of squared residuals, by back-propagation without the Jacobian.
+    `hidden` is as in residuals_and_jacobian; one (h, n) scratch array is
+    made."""
+    a = _hidden(inputs, w1, b1) if hidden is None else hidden
     res = targets - (w2 @ a + b2)
-    neg_s = (a * a - 1.0) * w2[:, None]
-    return res, np.concatenate([
-        ((neg_s * res) @ inputs).ravel(), neg_s @ res, -(a @ res), [-res.sum()]
-    ])
+    neg_s = np.multiply(a, a)
+    neg_s -= 1.0
+    neg_s *= w2[:, None]
+    g_b1, g_w2, g_b2 = neg_s @ res, -(a @ res), -res.sum()
+    neg_s *= res
+    return res, np.concatenate([(neg_s @ inputs).ravel(), g_b1, g_w2, [g_b2]])

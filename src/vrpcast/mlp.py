@@ -120,22 +120,40 @@ def batch_residuals_and_jacobian(model: MlpModel, inputs, targets):
 def residual_fns(model: MlpModel, inputs, targets):
     """resid(theta), resid_jac(theta) and resid_grad(theta) -> (res, J'r) on
     one training set for flat vectors theta of `model`'s shape. The data are
-    checked once and theta is read through views; every Jacobian is written
-    into one buffer."""
+    checked once and theta is read through views.
+
+    Two buffers serve the whole fit: every Jacobian is written into `jac`,
+    and resid writes the hidden activations of its theta into `act` and keeps
+    a copy of that theta. resid_jac and resid_grad reuse `act` when their
+    theta equals the copy (np.array_equal), as at a trial step the optimizer
+    then accepts; at any other theta they compute fresh activations and leave
+    `act` as it was."""
     inputs, targets = _check_xy(model, inputs, targets)
     p, h = model.input_dim, model.hidden_dim
     jac = np.empty((targets.size, model.n_params), order="F")
+    act = np.empty((h, targets.size))
+    act_theta = None    # copy of the theta whose activations `act` holds
 
     def resid(theta):
-        return targets - kernels.forward_batch(inputs, *_layers(theta, p, h))
+        nonlocal act_theta
+        out = kernels.forward_batch(inputs, *_layers(theta, p, h), hidden_out=act)
+        act_theta = np.array(theta, dtype=float)
+        return targets - out
+
+    def activations(theta):
+        if act_theta is not None and np.array_equal(theta, act_theta):
+            return act
+        return None
 
     def resid_jac(theta):
         return kernels.residuals_and_jacobian(
-            inputs, targets, *_layers(theta, p, h), out=jac
+            inputs, targets, *_layers(theta, p, h), out=jac, hidden=activations(theta)
         )
 
     def resid_grad(theta):
-        return kernels.residuals_and_gradient(inputs, targets, *_layers(theta, p, h))
+        return kernels.residuals_and_gradient(
+            inputs, targets, *_layers(theta, p, h), hidden=activations(theta)
+        )
 
     return resid, resid_jac, resid_grad
 

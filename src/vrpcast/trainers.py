@@ -54,9 +54,16 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainReport:
+    """Outcome of one fit. stop_reason names the branch that ended it: for
+    lm and brnn "gradient", "objective" (relative change, with alpha and beta
+    stable for brnn), "mu_overflow" or "max_epochs"; for scg "gradient",
+    "objective_stall", "lambda_overflow", "zero_direction" or "max_epochs".
+    converged is True for "gradient" and the LM family's "objective"."""
+
     final_objective: float
     epoch_trace: tuple
     converged: bool
+    stop_reason: str
     epochs_used: int
     e_d: float
     e_w: float
@@ -69,6 +76,7 @@ class TrainReport:
             "final_objective": self.final_objective,
             "epoch_trace": list(self.epoch_trace),
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "epochs_used": self.epochs_used,
             "e_d": self.e_d,
             "e_w": self.e_w,
@@ -128,13 +136,13 @@ def lm_least_squares(
         raise TrainingError("non-finite objective at the initial point")
     mu = config.mu_init
     trace = [objective]
-    converged = False
+    stop_reason = "max_epochs"
     epochs = 0
     eig = None  # (lam, V) of the current J'J
     for _ in range(config.max_epochs):
         g = beta * (jac.T @ r) + alpha * theta
         if np.max(np.abs(2.0 * g)) < GRADIENT_TOLERANCE:
-            converged = True
+            stop_reason = "gradient"
             break
         epochs += 1
         if eig is None:
@@ -155,7 +163,8 @@ def lm_least_squares(
                     break
             mu *= MU_FACTOR
         if not accepted:
-            break  # damping overflow: no further descent possible
+            stop_reason = "mu_overflow"  # no further descent possible
+            break
         mu_used = mu
         mu = max(mu / MU_FACTOR, MU_FLOOR)
         rel_change = abs(objective - obj_new) / max(abs(objective), 1e-300)
@@ -184,12 +193,13 @@ def lm_least_squares(
         objective = beta * e_d + alpha * e_w
         trace.append(objective)
         if rel_change < OBJECTIVE_TOLERANCE and params_stable:
-            converged = True
+            stop_reason = "objective"
             break
     report = TrainReport(
         final_objective=objective,
         epoch_trace=tuple(trace),
-        converged=converged,
+        converged=stop_reason in ("gradient", "objective"),
+        stop_reason=stop_reason,
         epochs_used=epochs,
         e_d=e_d,
         e_w=e_w,
@@ -208,8 +218,9 @@ def scg_minimize(
     grad_tol: float = GRADIENT_TOLERANCE,
 ):
     """Moller's scaled conjugate gradient with finite-difference
-    Hessian-vector products. Returns (x, trace, converged, iters);
-    converged=True only when the gradient criterion is met."""
+    Hessian-vector products. Returns (x, trace, stop_reason, iters), the
+    reason as in TrainReport; only "gradient" means the gradient criterion
+    was met."""
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
     fx = float(f(x))
@@ -220,18 +231,19 @@ def scg_minimize(
     lam_bar = 0.0
     success = True
     trace = [fx]
-    converged = False
+    stop_reason = "max_epochs"
     iters = 0
     delta = 0.0
     pnorm2 = float(p @ p)
     if np.max(np.abs(g)) < grad_tol:
-        return x, trace, True, 0
+        return x, trace, "gradient", 0
     for k in range(1, max_iter + 1):
         iters = k
         if success:
             pnorm2 = float(p @ p)
             if pnorm2 == 0.0:
-                converged = np.max(np.abs(g)) < grad_tol
+                # g failed the gradient test when it was computed
+                stop_reason = "zero_direction"
                 break
             sigma = SCG_SIGMA / np.sqrt(pnorm2)
             s = (grad(x + sigma * p) - g) / sigma
@@ -262,18 +274,20 @@ def scg_minimize(
             if comparison >= 0.75:
                 lam = max(0.25 * lam, 1e-18)
             if np.max(np.abs(g)) < grad_tol:
-                converged = True
+                stop_reason = "gradient"
                 break
             if abs(fx_old - fx) < OBJECTIVE_TOLERANCE * max(abs(fx_old), 1e-300):
-                break  # objective stalled; gradient criterion not met
+                stop_reason = "objective_stall"
+                break
         else:
             lam_bar = lam
             success = False
         if comparison < 0.25:
             lam = lam + delta_k * (1.0 - comparison) / pnorm2
         if lam > 1e20:
+            stop_reason = "lambda_overflow"
             break
-    return x, trace, converged, iters
+    return x, trace, stop_reason, iters
 
 
 def _train_lm_family(model, patterns, config, bayes):
@@ -310,7 +324,7 @@ def train_scg(model, patterns, config: TrainConfig):
     def gradient(theta):
         return 2.0 * resid_grad(theta)[1]
 
-    theta, trace, converged, iters = scg_minimize(
+    theta, trace, stop_reason, iters = scg_minimize(
         objective,
         gradient,
         mlp.flatten(model),
@@ -319,7 +333,8 @@ def train_scg(model, patterns, config: TrainConfig):
     report = TrainReport(
         final_objective=trace[-1],
         epoch_trace=tuple(trace),
-        converged=converged,
+        converged=stop_reason == "gradient",
+        stop_reason=stop_reason,
         epochs_used=iters,
         e_d=trace[-1],
         e_w=float(theta @ theta),

@@ -48,6 +48,35 @@ def test_gradient_matches_jacobian_transpose_residuals(rng, p, h):
     assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("p, h", [(1, 6), (1, 13), (6, 9), (12, 25)])
+@pytest.mark.parametrize("n", [300, 1598, 5000])
+def test_activation_buffers_match_allocating_kernels(rng, n, p, h):
+    model, inputs, targets = random_case(rng, n=n, p=p, h=h)
+    args = (model.w1, model.b1, model.w2, model.b2)
+    # the expression the kernels shared before the buffers existed
+    expected_a = np.tanh(model.w1 @ inputs.T + model.b1[:, None])
+    res, jac = kernels.residuals_and_jacobian(inputs, targets, *args)
+    res_g, grad = kernels.residuals_and_gradient(inputs, targets, *args)
+
+    act = np.full((h, n), np.nan)
+    out = kernels.forward_batch(inputs, *args, hidden_out=act)
+    np.testing.assert_array_equal(act, expected_a)
+    np.testing.assert_array_equal(out, kernels.forward_batch(inputs, *args))
+    np.testing.assert_array_equal(targets - out, res)
+
+    kept = act.copy()
+    buffer = np.full(jac.shape, np.nan, order="F")
+    res_b, jac_b = kernels.residuals_and_jacobian(inputs, targets, *args,
+                                                  out=buffer, hidden=act)
+    res_gb, grad_b = kernels.residuals_and_gradient(inputs, targets, *args, hidden=act)
+    np.testing.assert_array_equal(act, kept)       # read, never written
+    assert jac_b is buffer
+    np.testing.assert_array_equal(res_b, res)
+    np.testing.assert_array_equal(jac_b, jac)
+    np.testing.assert_array_equal(res_gb, res_g)
+    np.testing.assert_array_equal(grad_b, grad)
+
+
 def test_bench_kernels_runs():
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run(
@@ -56,4 +85,4 @@ def test_bench_kernels_runs():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert len(out.stdout.strip().splitlines()) == 4
+    assert len(out.stdout.strip().splitlines()) == 6

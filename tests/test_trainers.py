@@ -141,6 +141,50 @@ class TestEngine:
         assert report.epochs_used > 5
         assert len(built) == 1
 
+    @pytest.mark.parametrize("algorithm", ["lm", "brnn", "scg"])
+    def test_one_tanh_per_evaluated_point(self, monkeypatch, algorithm):
+        # lm/brnn: the Jacobian at an accepted step reuses its trial's
+        # activations, so only the start point and the trials evaluate tanh.
+        # scg: f(x0) serves grad(x0) and each accepted f(x + alpha p) serves
+        # grad(x), so only objective calls and the finite-difference
+        # gradients at x + sigma p evaluate it.
+        x, y = sin_task(100)
+        hidden = count_calls(monkeypatch, kernels, "_hidden")
+        trials = count_calls(monkeypatch, kernels, "forward_batch")
+        gradients = []
+        scg = trainers.scg_minimize
+
+        def counting_scg(f, grad, x0, **kwargs):
+            def counted_grad(theta):
+                gradients.append(1)
+                return grad(theta)
+            return scg(f, counted_grad, x0, **kwargs)
+
+        monkeypatch.setattr(trainers, "scg_minimize", counting_scg)
+        _, report = trainers.train(init(1, 6, 4), (x, y),
+                                   TrainConfig(algorithm=algorithm, max_epochs=40))
+        assert report.epochs_used > 5
+        if algorithm == "scg":
+            finite_difference = len(gradients) - len(report.epoch_trace)
+            assert finite_difference > 0
+            assert len(hidden) == len(trials) + finite_difference
+        else:
+            assert len(hidden) == len(trials) + 1
+
+    @pytest.mark.parametrize("algorithm", ["lm", "brnn", "scg"])
+    def test_reused_activations_give_the_recomputing_fit(self, monkeypatch, algorithm):
+        x, y = sin_task(100)
+        config = TrainConfig(algorithm=algorithm, max_epochs=40)
+        model, report = trainers.train(init(1, 6, 4), (x, y), config)
+        for name in ("residuals_and_jacobian", "residuals_and_gradient"):
+            fn = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name,
+                                lambda *a, fn=fn, hidden=None, **kw: fn(*a, **kw))
+        recomputed, report_recomputed = trainers.train(init(1, 6, 4), (x, y), config)
+        assert report.e_d == report_recomputed.e_d
+        assert report.epoch_trace == report_recomputed.epoch_trace
+        np.testing.assert_array_equal(mlp.flatten(model), mlp.flatten(recomputed))
+
     def test_residual_fns_match_model_path(self, rng):
         p, h, n = 4, 7, 300
         theta = rng.normal(size=h * p + 2 * h + 1)
@@ -153,6 +197,125 @@ class TestEngine:
         np.testing.assert_array_equal(r, expected_r)
         np.testing.assert_array_equal(jac, expected_jac)
         np.testing.assert_array_equal(resid(theta), targets - mlp.forward_batch(model, inputs))
+
+
+class TestResidualFnsReuse:
+    """resid(theta) keeps its activations for resid_jac and resid_grad at an
+    equal theta; any other theta must get a fresh evaluation."""
+
+    P, H, N = 3, 7, 200
+
+    def fit_fns(self, rng):
+        model = init(self.P, self.H, 3)
+        inputs = rng.uniform(-1, 1, (self.N, self.P))
+        targets = rng.normal(size=self.N)
+        return model, inputs, targets, mlp.residual_fns(model, inputs, targets)
+
+    def expected(self, inputs, targets, theta):
+        layers = mlp._layers(theta, self.P, self.H)
+        return (kernels.residuals_and_jacobian(inputs, targets, *layers),
+                kernels.residuals_and_gradient(inputs, targets, *layers))
+
+    def assert_matches(self, resid_jac, resid_grad, inputs, targets, theta):
+        (r_exp, jac_exp), (rg_exp, grad_exp) = self.expected(inputs, targets, theta.copy())
+        r, jac = resid_jac(theta)
+        np.testing.assert_array_equal(r, r_exp)
+        np.testing.assert_array_equal(jac, jac_exp)
+        r, grad = resid_grad(theta)
+        np.testing.assert_array_equal(r, rg_exp)
+        np.testing.assert_array_equal(grad, grad_exp)
+
+    def test_other_theta_is_evaluated_fresh(self, rng):
+        model, inputs, targets, (resid, resid_jac, resid_grad) = self.fit_fns(rng)
+        t1 = mlp.flatten(model)
+        t2 = t1 + 0.1 * rng.normal(size=t1.size)
+        resid(t1)
+        self.assert_matches(resid_jac, resid_grad, inputs, targets, t2)
+
+    def test_theta_mutated_in_place_is_evaluated_fresh(self, rng):
+        model, inputs, targets, (resid, resid_jac, resid_grad) = self.fit_fns(rng)
+        theta = mlp.flatten(model)
+        resid(theta)
+        theta[0] += 0.5
+        theta[-2] -= 0.25
+        self.assert_matches(resid_jac, resid_grad, inputs, targets, theta)
+
+    def test_fresh_evaluation_keeps_the_buffer(self, monkeypatch, rng):
+        model, inputs, targets, (resid, resid_jac, resid_grad) = self.fit_fns(rng)
+        t1 = mlp.flatten(model)
+        t2 = t1 + 0.1 * rng.normal(size=t1.size)
+        resid(t1)
+        resid_jac(t2)
+        resid_grad(t2)
+        hidden = count_calls(monkeypatch, kernels, "_hidden")
+        self.assert_matches(resid_jac, resid_grad, inputs, targets, t1.copy())
+        assert len(hidden) == 2     # the two reference evaluations only
+
+
+class TestStopReason:
+    """TrainReport.stop_reason names the branch that ended the fit."""
+
+    def test_lm_gradient(self, rng):
+        resid_jac, k = linear_problem(rng)
+        _, report = lm_least_squares(resid_jac, np.zeros(k), TrainConfig(algorithm="lm"))
+        assert (report.stop_reason, report.converged) == ("gradient", True)
+
+    def test_lm_objective(self):
+        rng = np.random.default_rng(2)
+        x, y = rng.uniform(0, 1, (50, 3)), rng.normal(size=50)
+        _, report = train_lm(init(3, 4, 1), (x, y), TrainConfig(algorithm="lm"))
+        assert (report.stop_reason, report.converged) == ("objective", True)
+        assert report.epochs_used < 1000
+
+    def test_lm_mu_overflow(self):
+        # every trial is worse than the start point
+        _, report = lm_least_squares(lambda th: (np.ones(3), np.ones((3, 1))), np.zeros(1),
+                                     TrainConfig(algorithm="lm"),
+                                     resid=lambda th: np.full(3, 2.0))
+        assert (report.stop_reason, report.converged, report.epochs_used) == (
+            "mu_overflow", False, 1)
+
+    @pytest.mark.parametrize("algorithm", ["lm", "brnn", "scg"])
+    def test_max_epochs(self, algorithm):
+        x, y = sin_task(100)
+        _, report = trainers.train(init(1, 6, 4), (x, y),
+                                   TrainConfig(algorithm=algorithm, max_epochs=5))
+        assert (report.stop_reason, report.converged, report.epochs_used) == (
+            "max_epochs", False, 5)
+
+    def test_scg_gradient(self):
+        _, _, reason, iters = scg_minimize(lambda x: float(x @ x), lambda x: 2.0 * x,
+                                           np.full(3, 0.1), grad_tol=1e-8)
+        assert (reason, iters) == ("gradient", 2)
+        assert scg_minimize(lambda x: 0.0, lambda x: 0.0 * x, np.ones(2))[2:] == (
+            "gradient", 0)
+
+    def test_scg_objective_stall(self):
+        x, y = sin_task(100)
+        _, report = train_scg(init(1, 6, 4), (x, y), TrainConfig(algorithm="scg"))
+        assert (report.stop_reason, report.converged) == ("objective_stall", False)
+        assert report.epochs_used < 1000
+
+    def test_scg_lambda_overflow(self):
+        x0 = np.ones(3)
+
+        def f(x):     # every trial point is worse than the start point
+            return 0.0 if np.array_equal(x, x0) else 1.0
+
+        _, trace, reason, _ = scg_minimize(f, lambda x: 2.0 * x, x0)
+        assert reason == "lambda_overflow"
+        assert trace == [0.0]
+
+    def test_scg_zero_direction(self):
+        # p'p underflows to 0 while the gradient, 1e-170, fails grad_tol = 0
+        _, _, reason, iters = scg_minimize(lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
+                                           np.full(2, 1e-170), grad_tol=0.0)
+        assert (reason, iters) == ("zero_direction", 1)
+
+    def test_written_to_train_report(self):
+        x, y = sin_task(100)
+        _, report = train_lm(init(1, 6, 4), (x, y), TrainConfig(algorithm="lm", max_epochs=5))
+        assert report.to_dict()["stop_reason"] == "max_epochs"
 
 
 class TestScg:
@@ -182,8 +345,8 @@ class TestScg:
         def g(x):
             return 2.0 * x
 
-        x, _, converged, _ = scg_minimize(f, g, rng.normal(size=10), grad_tol=1e-8)
-        assert converged
+        x, _, reason, _ = scg_minimize(f, g, rng.normal(size=10), grad_tol=1e-8)
+        assert reason == "gradient"
         assert np.max(np.abs(g(x))) < 1e-8
 
     def test_sin_fit_within_factor_of_lm(self):
