@@ -5,13 +5,12 @@ Exit codes: 0 success, 1 usage error, 2 data or numeric failure.
 """
 
 import argparse
-import json
 import logging
 import os
 import sys
 
 from . import mlp, pipeline, trainers
-from .data_ingest import SYNTHETIC_KINDS, generate_synthetic, save_csv
+from .data_ingest import SYNTHETIC_KINDS, generate_synthetic, read_json, save_csv
 from .errors import VrpcastError
 
 DEFAULT_SEED = 0
@@ -89,10 +88,7 @@ def _build_parser():
 
 
 def _pipeline_config(args):
-    payload = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            payload = json.load(fh)
+    payload = read_json(args.config) if args.config else {}
     for key in pipeline.PipelineConfig.__dataclass_fields__:
         value = getattr(args, key, None)
         if value is not None:
@@ -192,8 +188,7 @@ def _cmd_compare(args):
 
 def _cmd_synth(args):
     if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = json.load(fh)
+        spec = read_json(args.spec)
         spec.setdefault("kind", args.kind)
         spec.setdefault("n", args.n)
     else:
@@ -223,7 +218,7 @@ def main(argv=None) -> int:
         _COMMANDS[args.subcommand](args)
     except SystemExit as exc:  # usage errors, from the parser or _pipeline_config
         return int(exc.code or 0)
-    except (VrpcastError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (VrpcastError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -1,5 +1,6 @@
-"""Loading VRP observations from CSV, generating synthetic test series, and
-the CSV and JSON writers every artifact goes through.
+"""Loading VRP observations from CSV, generating synthetic test series, the
+CSV and JSON writers every artifact goes through, and the JSON reader every
+JSON input goes through.
 
 CSV layouts (header row required, UTF-8, comma-delimited):
 
@@ -243,6 +244,21 @@ def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_json(path) -> dict:
+    """The package's JSON reader: the object at the top of the file. Raises
+    DataFormatError, naming the path, when the file is not JSON or holds
+    something other than an object."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:   # also a file that is not UTF-8
+            raise DataFormatError(f"{path}: not a JSON file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{path}: expected a JSON object, "
+                              f"got {type(payload).__name__}")
+    return payload
 
 
 def save_csv(series: TimeSeries, path) -> None:

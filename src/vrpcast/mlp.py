@@ -1,13 +1,12 @@
 """The p -> h -> 1 feedforward network: representation, init, forward pass
 and the analytic residual Jacobian consumed by the second-order trainers."""
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .data_ingest import write_json
+from .data_ingest import read_json, write_json
 from .errors import DataFormatError
 
 
@@ -186,12 +185,11 @@ def save(model: MlpModel, path, provenance: dict | None = None) -> None:
 
 
 def load(path) -> tuple[MlpModel, dict]:
-    """Model and provenance of a saved model. DataFormatError when the schema
-    version is not SCHEMA_VERSION (a file without one is version 1), an
-    activation is not the network's, or the provenance lag or forecast window
-    does not match the input size."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Model and provenance of a saved model. DataFormatError when the file
+    does not hold a JSON object, the schema version is not SCHEMA_VERSION (a
+    file without one is version 1), an activation is not the network's, or
+    the provenance lag or forecast window does not match the input size."""
+    payload = read_json(path)
     version = payload.get("schema_version", 1)
     if version != SCHEMA_VERSION:
         raise DataFormatError(f"{path}: unsupported schema_version {version!r}, "

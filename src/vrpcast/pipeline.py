@@ -5,7 +5,7 @@ functions and artifact writers as training."""
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -62,18 +62,6 @@ class EvalReport:
     paired_ttest: stat_tests.TTestResult
     two_sample_ttest: stat_tests.TTestResult
     provenance: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "train_stats": self.train_stats.to_dict(),
-            "test_stats": self.test_stats.to_dict(),
-            "acf_actual": list(self.acf_actual),
-            "acf_forecast": list(self.acf_forecast),
-            "acf_fidelity": self.acf_fidelity,
-            "paired_ttest": self.paired_ttest.to_dict(),
-            "two_sample_ttest": self.two_sample_ttest.to_dict(),
-            "provenance": self.provenance,
-        }
 
 
 def _stage(stage, fn, *args, **kwargs):
@@ -293,7 +281,7 @@ def write_series(out_dir, series: TimeSeries) -> str:
 
 def write_kpss(out_dir, kpss_raw, kpss_resid) -> str:
     path = _artifact_path(out_dir, "kpss.json")
-    write_json(path, {"raw": kpss_raw.to_dict(), "residuals": kpss_resid.to_dict()})
+    write_json(path, {"raw": asdict(kpss_raw), "residuals": asdict(kpss_resid)})
     return path
 
 
@@ -311,7 +299,7 @@ def write_forecast(out_dir, forecast) -> str:
 
 def write_eval_report(out_dir, report: EvalReport) -> str:
     path = _artifact_path(out_dir, "eval_report.json")
-    write_json(path, report.to_dict())
+    write_json(path, asdict(report))
     return path
 
 
@@ -326,7 +314,7 @@ def _write_artifacts(out_dir, prep: Prepared, grid_table, model, report, eval_re
     if grid_table is not None:
         write_json(_artifact_path(out_dir, "grid_search.json"), grid_table)
     mlp.save(model, _artifact_path(out_dir, "model.json"), eval_report.provenance)
-    write_json(_artifact_path(out_dir, "train_report.json"), report.to_dict())
+    write_json(_artifact_path(out_dir, "train_report.json"), asdict(report))
     write_eval_report(out_dir, eval_report)
 
 
@@ -347,8 +335,8 @@ def compare_algorithms(config: PipelineConfig, series: Optional[TimeSeries] = No
             continue
         eval_report = evaluate(model, prep.patterns, prep.series.values)
         table[algorithm] = {
-            "train_stats": eval_report.train_stats.to_dict(),
-            "test_stats": eval_report.test_stats.to_dict(),
+            "train_stats": asdict(eval_report.train_stats),
+            "test_stats": asdict(eval_report.test_stats),
             "converged": report.converged,
             "epochs_used": report.epochs_used,
         }

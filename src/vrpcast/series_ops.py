@@ -1,6 +1,5 @@
 """Stationarization, normalization, windowing and autocorrelation."""
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -67,27 +66,6 @@ class PatternSet:
     @property
     def test_targets(self):
         return self.targets[self.split_index :]
-
-    def to_json(self) -> str:
-        payload = {
-            "lag": self.lag,
-            "norm": {"min": self.norm.min, "max": self.norm.max},
-            "split_index": self.split_index,
-            "inputs": [list(map(float, row)) for row in self.inputs],
-            "targets": [float(t) for t in self.targets],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PatternSet":
-        payload = json.loads(text)
-        return cls(
-            inputs=np.asarray(payload["inputs"], dtype=float),
-            targets=np.asarray(payload["targets"], dtype=float),
-            lag=int(payload["lag"]),
-            norm=NormParams(payload["norm"]["min"], payload["norm"]["max"]),
-            split_index=int(payload["split_index"]),
-        )
 
 
 def difference(series) -> DifferencedSeries:

@@ -20,27 +20,12 @@ class KpssResult:
     critical_values: dict
     reject_at_5pct: bool
 
-    def to_dict(self):
-        return {
-            "statistic": self.statistic,
-            "truncation_lag": self.truncation_lag,
-            "critical_values": {str(k): v for k, v in self.critical_values.items()},
-            "reject_at_5pct": self.reject_at_5pct,
-        }
-
 
 @dataclass(frozen=True)
 class ErrorStats:
     mean_error: float
     mean_squared_error: float
     r_squared: Optional[float]
-
-    def to_dict(self):
-        return {
-            "mean_error": self.mean_error,
-            "mean_squared_error": self.mean_squared_error,
-            "r_squared": self.r_squared,
-        }
 
 
 @dataclass(frozen=True)
@@ -49,14 +34,6 @@ class TTestResult:
     degrees_of_freedom: float
     p_value: float
     reject_at_5pct: bool
-
-    def to_dict(self):
-        return {
-            "t_statistic": self.t_statistic,
-            "degrees_of_freedom": self.degrees_of_freedom,
-            "p_value": self.p_value,
-            "reject_at_5pct": self.reject_at_5pct,
-        }
 
 
 def kpss_level(values) -> KpssResult:

@@ -71,20 +71,6 @@ class TrainReport:
     beta: Optional[float] = None
     gamma_effective: Optional[float] = None
 
-    def to_dict(self):
-        return {
-            "final_objective": self.final_objective,
-            "epoch_trace": list(self.epoch_trace),
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "epochs_used": self.epochs_used,
-            "e_d": self.e_d,
-            "e_w": self.e_w,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma_effective": self.gamma_effective,
-        }
-
 
 def _as_xy(patterns):
     if isinstance(patterns, PatternSet):

@@ -198,6 +198,23 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"input_path": str(series_csv), "bogus": 1}))
         assert run_cli("train", "--config", cfg) == 2
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "{not json"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "forecast", "synth"])
+    def test_json_input_not_an_object(self, series_csv, tmp_path, capsys, command, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = {
+            "train": ["train", "--input", series_csv, "--config", bad],
+            "evaluate": ["evaluate", "--input", series_csv, "--model", bad],
+            "forecast": ["forecast", "--model", bad],
+            "synth": ["synth", "--spec", bad, "--out", tmp_path / "s.csv"],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err
+        assert "Traceback" not in err
+
     def test_config_file_supplies_input(self, series_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

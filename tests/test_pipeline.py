@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from vrpcast import (
     init,
     run_pipeline,
 )
-from vrpcast import mlp, pipeline
+from vrpcast import mlp, pipeline, stat_tests, trainers
 from vrpcast.errors import PipelineStageError
 from vrpcast.series_ops import NormParams
 
@@ -92,9 +93,31 @@ class TestRunPipeline:
         assert len(report.acf_actual) == len(report.acf_forecast) == 21
         assert np.isfinite(report.acf_fidelity)
         assert 0.0 <= report.paired_ttest.p_value <= 1.0
-        payload = report.to_dict()
+        payload = asdict(report)
         json.dumps(payload)  # serializable
         assert payload["train_stats"]["mean_squared_error"] >= 0
+
+    def test_json_reports_hold_their_dataclass_fields(self, tmp_path):
+        run_pipeline(PipelineConfig(out_dir=str(tmp_path), **FAST), generate_synthetic(BURSTY, 5))
+
+        def read(name):
+            return json.loads((tmp_path / name).read_text())
+
+        def names(cls):
+            return {f.name for f in fields(cls)}
+
+        assert set(read("train_report.json")) == names(trainers.TrainReport)
+        report = read("eval_report.json")
+        assert set(report) == names(pipeline.EvalReport)
+        for key in ("train_stats", "test_stats"):
+            assert set(report[key]) == names(stat_tests.ErrorStats)
+        for key in ("paired_ttest", "two_sample_ttest"):
+            assert set(report[key]) == names(stat_tests.TTestResult)
+        kpss = read("kpss.json")
+        assert set(kpss) == {"raw", "residuals"}
+        for result in kpss.values():
+            assert set(result) == names(stat_tests.KpssResult)
+            assert list(result["critical_values"]) == ["0.01", "0.025", "0.05", "0.1"]
 
 
 class TestForecastMultiStep:

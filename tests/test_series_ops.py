@@ -9,7 +9,6 @@ from vrpcast import (
     undifference,
 )
 from vrpcast.errors import DegenerateDataError
-from vrpcast.series_ops import PatternSet
 
 
 class TestDifference:
@@ -122,13 +121,6 @@ class TestExtractPatterns:
     def test_insufficient_data(self, rng):
         with pytest.raises(DegenerateDataError):
             extract_patterns(rng.normal(size=5), 4, 0.8)
-
-    def test_json_round_trip(self, rng):
-        ps = extract_patterns(rng.normal(size=50), 4, 0.8)
-        again = PatternSet.from_json(ps.to_json())
-        np.testing.assert_array_equal(ps.inputs, again.inputs)
-        np.testing.assert_array_equal(ps.targets, again.targets)
-        assert (ps.lag, ps.norm, ps.split_index) == (again.lag, again.norm, again.split_index)
 
 
 class TestAcf:

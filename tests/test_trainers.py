@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -315,7 +317,7 @@ class TestStopReason:
     def test_written_to_train_report(self):
         x, y = sin_task(100)
         _, report = train_lm(init(1, 6, 4), (x, y), TrainConfig(algorithm="lm", max_epochs=5))
-        assert report.to_dict()["stop_reason"] == "max_epochs"
+        assert asdict(report)["stop_reason"] == "max_epochs"
 
 
 class TestScg:
