@@ -73,19 +73,13 @@ def relative_entropy_pair(x, y, bins: int = DEFAULT_BINS) -> float:
     return _hist_entropy(p.sum(axis=1)) + _hist_entropy(p.sum(axis=0)) - _hist_entropy(p)
 
 
-def entropy_profile(
-    residuals,
-    max_lag: int,
-    bins: int = DEFAULT_BINS,
-    eps_rel: float = DEFAULT_EPS_REL,
-    eps_abs: float = DEFAULT_EPS_ABS,
-) -> EntropyProfile:
+def entropy_profile(residuals, max_lag: int, bins: int = DEFAULT_BINS) -> EntropyProfile:
     """Average pairwise dependence per lag window and the stabilized lag.
 
     delta[p] averages relative_entropy_pair at shifts 1..p. selected_lag is
     the smallest p whose remaining profile increments all stay below
-    max(eps_rel * largest increment up to p, eps_abs); max_lag if none
-    stabilizes.
+    max(DEFAULT_EPS_REL * largest increment up to p, DEFAULT_EPS_ABS);
+    max_lag if none stabilizes.
     """
     residuals = np.asarray(residuals, dtype=float)
     if max_lag < 1:
@@ -101,7 +95,7 @@ def entropy_profile(
     selected = max_lag
     for p in range(1, max_lag + 1):
         seen = float(increments[: p - 1].max()) if p > 1 else 0.0
-        threshold = max(eps_rel * seen, eps_abs)
+        threshold = max(DEFAULT_EPS_REL * seen, DEFAULT_EPS_ABS)
         if np.all(increments[p - 1 :] < threshold):
             selected = p
             break

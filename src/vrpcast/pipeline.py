@@ -5,7 +5,7 @@ functions and artifact writers as training."""
 
 import logging
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -17,6 +17,22 @@ from .errors import PipelineStageError, TrainingError, VrpcastError
 log = logging.getLogger(__name__)
 
 ACF_MAX_LAG = 20
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The JSON values PipelineConfig.from_dict accepts per field annotation.
+_CONFIG_TYPES = {
+    int: ("an int", _is_int),
+    Optional[int]: ("an int or null", lambda v: v is None or _is_int(v)),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    Optional[str]: ("a string or null", lambda v: v is None or isinstance(v, str)),
+    tuple: ("two ints", lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+            and all(map(_is_int, v))),
+}
 
 
 @dataclass(frozen=True)
@@ -43,13 +59,21 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
+        """The config of a JSON object; ValueError naming the key for an
+        unknown key or a value of the wrong type."""
+        unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name in payload:
+                what, accepts = _CONFIG_TYPES[f.type]
+                if not accepts(payload[f.name]):
+                    raise ValueError(f"config key {f.name!r} must be {what}, "
+                                     f"got {payload[f.name]!r}")
         if "h_range" in payload:
             payload = dict(payload, h_range=tuple(payload["h_range"]))
         return cls(**payload)
+
 
 
 @dataclass(frozen=True)

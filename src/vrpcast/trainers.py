@@ -161,11 +161,13 @@ def lm_least_squares(
         if reestimate:
             old_alpha, old_beta = alpha, beta
             eig = np.linalg.eigh(jac.T @ jac)
-            # the accepted step's damping keeps H positive definite even
-            # when J'J is rank deficient
-            lam = np.clip(eig[0], 0.0, None)
-            tr_h_inv = float(np.sum(1.0 / (2.0 * (beta * (lam + mu_used) + alpha))))
-            gamma = n_w - 2.0 * alpha * tr_h_inv
+            # gamma = N_w - 2*alpha*tr(H^-1), summed per eigenvalue as
+            # d/(d + alpha) with d = beta*(lam + mu_used): the difference
+            # cancels to rounding noise, possibly negative, when alpha
+            # dominates every d. The accepted step's damping keeps H
+            # positive definite even when J'J is rank deficient.
+            d = beta * (np.clip(eig[0], 0.0, None) + mu_used)
+            gamma = float(np.sum(d / (d + alpha)))
             if e_w > 0.0:
                 alpha = gamma / (2.0 * e_w)
             if gamma <= n_d - 1 and e_d > 0.0:
@@ -293,7 +295,8 @@ def train_brnn(model, patterns, config: TrainConfig):
     """LM on F = beta*E_D + alpha*E_w with evidence-style alpha/beta updates.
 
     After each accepted step: H ~ 2*beta*J'J + 2*alpha*I,
-    gamma = N_w - 2*alpha*tr(H^-1), alpha = gamma/(2*E_w),
+    gamma = N_w - 2*alpha*tr(H^-1) (computed as a sum of per-eigenvalue
+    terms, each in [0, 1]), alpha = gamma/(2*E_w),
     beta = (N_D - gamma)/(2*E_D). alpha starts at 0, beta at 1, with the
     first reestimation after the first accepted step."""
     return _train_lm_family(model, patterns, config, bayes=True)

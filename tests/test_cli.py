@@ -198,6 +198,19 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"input_path": str(series_csv), "bogus": 1}))
         assert run_cli("train", "--config", cfg) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "abc"), ("seed", True), ("max_epochs", 1.5), ("bins", None),
+        ("lag", "3"), ("hidden", 4.0), ("h_range", 5), ("h_range", [2, "x"]),
+        ("train_fraction", "0.8"), ("mode", 1), ("algorithm", None), ("out_dir", 7),
+    ])
+    def test_bad_config_value_type(self, series_csv, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        payload = {"input_path": str(series_csv), "lag": 3, "hidden": 4, "max_epochs": 5}
+        cfg.write_text(json.dumps(dict(payload, **{key: value})))
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg) == 2
+        assert f"error: config key {key!r} must be " in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "{not json"])
     @pytest.mark.parametrize("command", ["train", "evaluate", "forecast", "synth"])
     def test_json_input_not_an_object(self, series_csv, tmp_path, capsys, command, text):

@@ -408,6 +408,19 @@ class TestBrnn:
                                TrainConfig(algorithm="brnn", max_epochs=200))
         assert 0 <= report.gamma_effective <= model.n_params
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pure_noise_keeps_alpha_positive(self, seed):
+        # alpha comes to dominate every eigenvalue term, so gamma is near 0;
+        # as N_w - 2*alpha*tr(H^-1) it cancelled to about -5e-15 and alpha
+        # went negative
+        rng = np.random.default_rng(2)
+        x = rng.uniform(0, 1, (50, 3))
+        y = rng.normal(size=50)
+        model = init(3, 4, seed)
+        _, report = train_brnn(model, (x, y), TrainConfig(algorithm="brnn"))
+        assert report.alpha > 0
+        assert 0 <= report.gamma_effective <= model.n_params
+
 
 class TestGridSearch:
     def test_sweep_size(self, rng):
