@@ -75,7 +75,6 @@ class PipelineConfig:
         return cls(**payload)
 
 
-
 @dataclass(frozen=True)
 class EvalReport:
     train_stats: stat_tests.ErrorStats

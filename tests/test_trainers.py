@@ -410,9 +410,8 @@ class TestBrnn:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pure_noise_keeps_alpha_positive(self, seed):
-        # alpha comes to dominate every eigenvalue term, so gamma is near 0;
-        # as N_w - 2*alpha*tr(H^-1) it cancelled to about -5e-15 and alpha
-        # went negative
+        # alpha comes to dominate every eigenvalue term, so gamma is near 0,
+        # where N_w - 2*alpha*tr(H^-1) cancels to rounding noise of either sign
         rng = np.random.default_rng(2)
         x = rng.uniform(0, 1, (50, 3))
         y = rng.normal(size=50)
