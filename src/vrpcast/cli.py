@@ -10,7 +10,8 @@ import os
 import sys
 
 from . import mlp, pipeline, trainers
-from .data_ingest import SYNTHETIC_KINDS, generate_synthetic, read_json, save_csv
+from .data_ingest import (SYNTHETIC_KINDS, SYNTHETIC_SPEC_TYPES, check_json,
+                          generate_synthetic, read_json, save_csv)
 from .errors import VrpcastError
 
 DEFAULT_SEED = 0
@@ -150,6 +151,8 @@ def _cmd_train(args):
 
 def _cmd_forecast(args):
     model, provenance = mlp.load(args.model)
+    needs = ("norm",) if args.input else ("norm", "last_window_residuals", "last_observed_value")
+    check_json(f"{args.model} provenance", provenance, {}, needs, closed=False)
     series = None
     if args.input:
         series = pipeline.load_series(
@@ -164,6 +167,7 @@ def _cmd_forecast(args):
 def _cmd_evaluate(args):
     cfg = _pipeline_config(args)
     model, provenance = mlp.load(args.model)
+    check_json(f"{args.model} provenance", provenance, {}, ("lag", "norm"), closed=False)
     report = pipeline.evaluate_saved(model, provenance, pipeline.load_series(cfg))
     _print_test_stats(report.test_stats)
     print(f"ACF fidelity (mean abs diff, lags 1-20): {report.acf_fidelity:.4f}")
@@ -189,6 +193,7 @@ def _cmd_compare(args):
 def _cmd_synth(args):
     if args.spec:
         spec = read_json(args.spec)
+        check_json(args.spec, spec, SYNTHETIC_SPEC_TYPES, (), closed=False)
         spec.setdefault("kind", args.kind)
         spec.setdefault("n", args.n)
     else:
@@ -218,7 +223,7 @@ def main(argv=None) -> int:
         _COMMANDS[args.subcommand](args)
     except SystemExit as exc:  # usage errors, from the parser or _pipeline_config
         return int(exc.code or 0)
-    except (VrpcastError, ValueError, OSError, KeyError) as exc:
+    except (VrpcastError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

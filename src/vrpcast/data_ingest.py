@@ -1,6 +1,6 @@
 """Loading VRP observations from CSV, generating synthetic test series, the
-CSV and JSON writers every artifact goes through, and the JSON reader every
-JSON input goes through.
+CSV and JSON writers every artifact goes through, and the JSON reader and
+value-type check every JSON input goes through.
 
 CSV layouts (header row required, UTF-8, comma-delimited):
 
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, compress, islice
 from operator import attrgetter, itemgetter, lt
+from typing import Optional
 
 import numpy as np
 
@@ -36,6 +37,12 @@ MIR_TO_WATTS = 1.89e7
 _CHUNK_ROWS = 1024
 
 SYNTHETIC_KINDS = ("white_noise", "random_walk", "ar", "persistence_bursts")
+
+# The keys generate_synthetic reads from a spec, by the type each holds.
+SYNTHETIC_SPEC_TYPES = {
+    "kind": str, "n": int, "phi": list, "sigma": float, "mean": float,
+    "baseline": float, "rho": float, "burst_prob": float, "burst_scale": float,
+}
 
 
 @dataclass(frozen=True)
@@ -261,6 +268,46 @@ def read_json(path) -> dict:
     return payload
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
+# The JSON values check_json accepts for a key, by the type the key holds.
+# true and false are not numbers.
+JSON_TYPES = {
+    int: ("an int", _is_int),
+    Optional[int]: ("an int or null", lambda v: v is None or _is_int(v)),
+    float: ("a number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    Optional[str]: ("a string or null", lambda v: v is None or isinstance(v, str)),
+    tuple: ("two ints", lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+            and all(map(_is_int, v))),
+    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def check_json(source, payload: dict, types: dict, required, *, closed: bool) -> None:
+    """Check the object `payload` read from `source` against `types`, a
+    mapping of key to JSON_TYPES type. Raises DataFormatError, naming source
+    and the key, when a key in `required` is missing, a key of `types` holds
+    a value of another type, or, when `closed`, a key is not in `types`."""
+    for key in required:
+        if key not in payload:
+            raise DataFormatError(f"{source} key {key!r} is missing")
+    for key, value in payload.items():
+        if key in types:
+            what, accepts = JSON_TYPES[types[key]]
+            if not accepts(value):
+                raise DataFormatError(f"{source} key {key!r} must be {what}, got {value!r}")
+        elif closed:
+            raise DataFormatError(f"{source} key {key!r} is unknown")
+
+
 def save_csv(series: TimeSeries, path) -> None:
     """Write a series in the power-mode CSV layout."""
     write_csv(path, ["timestamp", "vrp_watts"],
@@ -284,6 +331,7 @@ def generate_synthetic(spec: dict, seed: int) -> TimeSeries:
       white_noise / random_walk: sigma (default 1.0), mean (default 0.0)
       ar: phi (list of AR coefficients), sigma
       persistence_bursts: baseline, rho, sigma, burst_prob, burst_scale
+    SYNTHETIC_SPEC_TYPES gives the type of each.
     """
     kind = spec.get("kind")
     if kind not in SYNTHETIC_KINDS:

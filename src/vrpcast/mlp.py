@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .data_ingest import read_json, write_json
+from .data_ingest import check_json, read_json, write_json
 from .errors import DataFormatError
 
 
@@ -108,14 +108,6 @@ def _check_xy(model: MlpModel, inputs, targets):
     return inputs, targets
 
 
-def batch_residuals_and_jacobian(model: MlpModel, inputs, targets):
-    """residuals[i] = targets[i] - forward(inputs[i]) and d(residual)/d(theta)."""
-    inputs, targets = _check_xy(model, inputs, targets)
-    return kernels.residuals_and_jacobian(
-        inputs, targets, model.w1, model.b1, model.w2, model.b2
-    )
-
-
 def residual_fns(model: MlpModel, inputs, targets):
     """resid(theta), resid_jac(theta) and resid_grad(theta) -> (res, J'r) on
     one training set for flat vectors theta of `model`'s shape. The data are
@@ -160,35 +152,35 @@ def residual_fns(model: MlpModel, inputs, targets):
 SCHEMA_VERSION = 1
 ACTIVATIONS = {"hidden_activation": "tanh", "output_activation": "linear"}
 
+# The model.json keys load reads, and the provenance keys the pipeline reads
+# back, by their JSON_TYPES type. The provenance keys are checked when present,
+# since a model saved with no provenance loads; the CLI command that reads one
+# requires it.
+_MODEL_TYPES = {"input_dim": int, "hidden_dim": int, "params": list, "provenance": dict}
+_PROVENANCE_TYPES = {"lag": int, "train_fraction": float, "norm": dict,
+                     "last_window_residuals": list, "last_observed_value": float}
+_NORM_TYPES = {"min": float, "max": float}
 
-def to_dict(model: MlpModel, provenance: dict | None = None) -> dict:
-    return {
+
+def save(model: MlpModel, path, provenance: dict | None = None) -> None:
+    write_json(path, {
         "schema_version": SCHEMA_VERSION,
         "input_dim": model.input_dim,
         "hidden_dim": model.hidden_dim,
         **ACTIVATIONS,
         "params": [float(v) for v in flatten(model)],
         "provenance": provenance or {},
-    }
-
-
-def from_dict(payload: dict) -> MlpModel:
-    return unflatten(
-        np.asarray(payload["params"], dtype=float),
-        int(payload["input_dim"]),
-        int(payload["hidden_dim"]),
-    )
-
-
-def save(model: MlpModel, path, provenance: dict | None = None) -> None:
-    write_json(path, to_dict(model, provenance))
+    })
 
 
 def load(path) -> tuple[MlpModel, dict]:
-    """Model and provenance of a saved model. DataFormatError when the file
-    does not hold a JSON object, the schema version is not SCHEMA_VERSION (a
-    file without one is version 1), an activation is not the network's, or
-    the provenance lag or forecast window does not match the input size."""
+    """Model and provenance of a saved model. DataFormatError, naming the
+    file, when the file does not hold a JSON object, the schema version is
+    not SCHEMA_VERSION (a file without one is version 1), an activation is
+    not the network's, a key of the tables above is missing or of another
+    type, the norm holds another key, the parameters do not fit the layer
+    sizes, or the provenance lag or forecast window does not match the input
+    size."""
     payload = read_json(path)
     version = payload.get("schema_version", 1)
     if version != SCHEMA_VERSION:
@@ -198,7 +190,17 @@ def load(path) -> tuple[MlpModel, dict]:
         if payload.get(key, expected) != expected:
             raise DataFormatError(f"{path}: {key} is {payload[key]!r}, "
                                   f"only {expected!r} is supported")
-    model, provenance = from_dict(payload), payload.get("provenance", {})
+    check_json(path, payload, _MODEL_TYPES, ("input_dim", "hidden_dim", "params"),
+               closed=False)
+    provenance = payload.get("provenance", {})
+    check_json(f"{path} provenance", provenance, _PROVENANCE_TYPES, (), closed=False)
+    if "norm" in provenance:
+        check_json(f"{path} provenance.norm", provenance["norm"], _NORM_TYPES,
+                   _NORM_TYPES, closed=True)
+    try:
+        model = unflatten(payload["params"], payload["input_dim"], payload["hidden_dim"])
+    except ValueError as exc:
+        raise DataFormatError(f"{path} key 'params': {exc}") from exc
     p = model.input_dim
     lag = provenance.get("lag", p)
     n_window = len(provenance.get("last_window_residuals", range(p)))

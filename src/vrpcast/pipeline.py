@@ -11,28 +11,12 @@ from typing import Optional
 import numpy as np
 
 from . import lag_select, mlp, series_ops, stat_tests, trainers
-from .data_ingest import TimeSeries, load_csv, save_csv, write_csv, write_json
+from .data_ingest import TimeSeries, check_json, load_csv, save_csv, write_csv, write_json
 from .errors import PipelineStageError, TrainingError, VrpcastError
 
 log = logging.getLogger(__name__)
 
 ACF_MAX_LAG = 20
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# The JSON values PipelineConfig.from_dict accepts per field annotation.
-_CONFIG_TYPES = {
-    int: ("an int", _is_int),
-    Optional[int]: ("an int or null", lambda v: v is None or _is_int(v)),
-    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    str: ("a string", lambda v: isinstance(v, str)),
-    Optional[str]: ("a string or null", lambda v: v is None or isinstance(v, str)),
-    tuple: ("two ints", lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-            and all(map(_is_int, v))),
-}
 
 
 @dataclass(frozen=True)
@@ -59,17 +43,10 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
-        """The config of a JSON object; ValueError naming the key for an
+        """The config of a JSON object; DataFormatError naming the key for an
         unknown key or a value of the wrong type."""
-        unknown = set(payload) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for f in fields(cls):
-            if f.name in payload:
-                what, accepts = _CONFIG_TYPES[f.type]
-                if not accepts(payload[f.name]):
-                    raise ValueError(f"config key {f.name!r} must be {what}, "
-                                     f"got {payload[f.name]!r}")
+        check_json("config", payload, {f.name: f.type for f in fields(cls)}, (),
+                   closed=True)
         if "h_range" in payload:
             payload = dict(payload, h_range=tuple(payload["h_range"]))
         return cls(**payload)
@@ -335,7 +312,7 @@ def _write_artifacts(out_dir, prep: Prepared, grid_table, model, report, eval_re
     if prep.profile is not None:
         write_entropy_profile(out_dir, prep.profile)
     if grid_table is not None:
-        write_json(_artifact_path(out_dir, "grid_search.json"), grid_table)
+        write_json(_artifact_path(out_dir, "grid_search.json"), list(map(asdict, grid_table)))
     mlp.save(model, _artifact_path(out_dir, "model.json"), eval_report.provenance)
     write_json(_artifact_path(out_dir, "train_report.json"), asdict(report))
     write_eval_report(out_dir, eval_report)

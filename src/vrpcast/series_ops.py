@@ -59,14 +59,6 @@ class PatternSet:
     def train_targets(self):
         return self.targets[: self.split_index]
 
-    @property
-    def test_inputs(self):
-        return self.inputs[self.split_index :]
-
-    @property
-    def test_targets(self):
-        return self.targets[self.split_index :]
-
 
 def difference(series) -> DifferencedSeries:
     """residuals[i] = values[i+1] - values[i]; anchor is the first value."""

@@ -72,6 +72,18 @@ class TrainReport:
     gamma_effective: Optional[float] = None
 
 
+@dataclass(frozen=True)
+class GridRow:
+    """One hidden size of a grid search. A fit that aborted has its message
+    in error and None in objective, converged and epochs_used."""
+
+    hidden: int
+    objective: Optional[float]
+    converged: Optional[bool]
+    epochs_used: Optional[int]
+    error: Optional[str]
+
+
 def _as_xy(patterns):
     if isinstance(patterns, PatternSet):
         return patterns.train_inputs, patterns.train_targets
@@ -343,7 +355,8 @@ def grid_search_fit(patterns, h_range, config: TrainConfig):
     pick the size with the lowest final training MSE; ties go to the
     smaller h. Sizes whose training aborts are excluded.
 
-    Returns (best_h, table, model, report), the last two from best_h's fit."""
+    Returns (best_h, table of one GridRow per size, model, report), the last
+    two from best_h's fit."""
     h_values = list(h_range)
     if not h_values:
         raise ValueError("h_range must be non-empty")
@@ -357,19 +370,15 @@ def grid_search_fit(patterns, h_range, config: TrainConfig):
             trained, report = train(model0, (inputs, targets), config)
         except TrainingError as exc:
             log.warning("hidden size %d aborted: %s", h, exc)
-            results.append({"hidden": h, "objective": None, "error": str(exc)})
+            results.append(GridRow(h, None, None, None, str(exc)))
             continue
         fits[h] = trained, report
-        results.append({
-            "hidden": h,
-            "objective": report.e_d / n_train,
-            "converged": report.converged,
-            "epochs_used": report.epochs_used,
-        })
-    usable = [r for r in results if r["objective"] is not None]
+        results.append(GridRow(h, report.e_d / n_train, report.converged,
+                               report.epochs_used, None))
+    usable = [r for r in results if r.objective is not None]
     if not usable:
         raise TrainingError("every hidden size aborted during grid search")
-    best = min(usable, key=lambda r: (r["objective"], r["hidden"]))["hidden"]
+    best = min(usable, key=lambda r: (r.objective, r.hidden)).hidden
     return best, results, *fits[best]
 
 

@@ -19,6 +19,7 @@ from vrpcast import (
     generate_synthetic,
     grid_search_hidden,
     init,
+    kernels,
     kpss_level,
     mlp,
     paired_ttest,
@@ -70,7 +71,8 @@ def test_criterion_01_jacobian_correctness():
         model = init(p, h, int(rng.integers(0, 10_000)))
         inputs = rng.uniform(-1, 1, (n, p))
         targets = rng.normal(size=n)
-        _, jac = mlp.batch_residuals_and_jacobian(model, inputs, targets)
+        _, jac = kernels.residuals_and_jacobian(inputs, targets, model.w1, model.b1,
+                                                model.w2, model.b2)
         fd = _fd_jacobian(model, inputs, targets)
         tol = np.maximum(1e-6 * np.abs(fd), 1e-9)
         ok = ok and bool(np.all(np.abs(jac - fd) <= tol))
@@ -350,7 +352,7 @@ def test_criterion_12_grid_search():
     _, table = grid_search_hidden(
         (x, y), range(2, 26), TrainConfig(algorithm="lm", max_epochs=15, seed=0)
     )
-    ok = len(table) == 24 and [r["hidden"] for r in table] == list(range(2, 26))
+    ok = len(table) == 24 and [r.hidden for r in table] == list(range(2, 26))
 
     # teacher with 4 hidden nodes: selected size lands near the truth
     r5 = np.random.default_rng(5)

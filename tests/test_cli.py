@@ -228,6 +228,36 @@ class TestExitCodes:
         assert f"error: {bad}: " in err
         assert "Traceback" not in err
 
+    # A saved model that `forecast` runs from; each --model case below breaks it once.
+    MODEL = {"input_dim": 1, "hidden_dim": 2, "params": [0.1] * 7, "provenance": {
+        "lag": 1, "train_fraction": 0.8, "norm": {"min": 0, "max": 1},
+        "last_window_residuals": [0.5], "last_observed_value": 10.0}}
+
+    @pytest.mark.parametrize("option, payload, key", [
+        ("--spec", {"kind": "ar", "n": [1]}, "n"),
+        ("--spec", {"kind": "ar", "n": 50, "phi": {"a": 1}}, "phi"),
+        ("--spec", {"n": "50"}, "n"),
+        ("--spec", {"sigma": True}, "sigma"),
+        ("--model", {"schema_version": 1}, "input_dim"),
+        ("--model", dict(MODEL, provenance={"lag": 1}), "norm"),
+        ("--model", dict(MODEL, params="abc"), "params"),
+        ("--model", dict(MODEL, params=[0.1] * 5), "params"),
+        ("--model", dict(MODEL, provenance=dict(
+            MODEL["provenance"], norm={"min": 0, "max": 1, "mid": 0.5})), "mid"),
+        ("--model", dict(MODEL, provenance=dict(
+            MODEL["provenance"], last_observed_value="x")), "last_observed_value"),
+    ])
+    def test_json_input_bad_key(self, tmp_path, capsys, option, payload, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        argv = (["synth", "--spec", bad, "--out", tmp_path / "s.csv"] if option == "--spec"
+                else ["forecast", "--model", bad])
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}") and repr(key) in err
+        assert "Traceback" not in err
+
     def test_config_file_supplies_input(self, series_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vrpcast import init
-from vrpcast import mlp
+from vrpcast import kernels, mlp
 from vrpcast.errors import DataFormatError
 
 
@@ -101,20 +101,21 @@ class TestJacobian:
         model = init(3, 5, 0)
         x = rng.uniform(0, 1, (15, 3))
         t = mlp.forward_batch(model, x)
-        res, _ = mlp.batch_residuals_and_jacobian(model, x, t)
+        res, _ = kernels.residuals_and_jacobian(x, t, model.w1, model.b1, model.w2, model.b2)
         np.testing.assert_allclose(res, 0.0, atol=1e-14)
 
     def test_bias_column_is_minus_one(self, rng):
         model = init(4, 6, 1)
         x = rng.uniform(0, 1, (10, 4))
-        _, jac = mlp.batch_residuals_and_jacobian(model, x, rng.normal(size=10))
+        _, jac = kernels.residuals_and_jacobian(x, rng.normal(size=10), model.w1, model.b1,
+                                                model.w2, model.b2)
         np.testing.assert_array_equal(jac[:, -1], -np.ones(10))
 
     def test_matches_finite_differences(self, rng):
         model = init(5, 4, 7)
         x = rng.uniform(0, 1, (20, 5))
         t = rng.normal(size=20)
-        _, jac = mlp.batch_residuals_and_jacobian(model, x, t)
+        _, jac = kernels.residuals_and_jacobian(x, t, model.w1, model.b1, model.w2, model.b2)
         fd = finite_difference_jacobian(model, x, t)
         err = np.abs(jac - fd)
         tol = np.maximum(1e-6 * np.abs(fd), 1e-9)
@@ -122,8 +123,7 @@ class TestJacobian:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
-            mlp.batch_residuals_and_jacobian(init(3, 2, 0), rng.normal(size=(5, 3)),
-                                             rng.normal(size=4))
+            mlp.residual_fns(init(3, 2, 0), rng.normal(size=(5, 3)), rng.normal(size=4))
 
 
 class TestSerialization:

@@ -43,7 +43,7 @@ class TestRunPipeline:
                                   np.ones(patterns.split_index)])
         coef, *_ = np.linalg.lstsq(design, patterns.train_targets, rcond=None)
         n_test = patterns.n_patterns - patterns.split_index
-        test_design = np.column_stack([patterns.test_inputs, np.ones(n_test)])
+        test_design = np.column_stack([patterns.inputs[patterns.split_index:], np.ones(n_test)])
         pred_resid = patterns.norm.invert(test_design @ coef)
         idx = np.arange(patterns.split_index, patterns.n_patterns)
         actual = series.values[idx + 7]

@@ -194,7 +194,8 @@ class TestEngine:
         inputs = rng.uniform(0, 1, (n, p))
         targets = rng.normal(size=n)
         resid, resid_jac, _ = mlp.residual_fns(model, inputs, targets)
-        expected_r, expected_jac = mlp.batch_residuals_and_jacobian(model, inputs, targets)
+        expected_r, expected_jac = kernels.residuals_and_jacobian(
+            inputs, targets, model.w1, model.b1, model.w2, model.b2)
         r, jac = resid_jac(theta)
         np.testing.assert_array_equal(r, expected_r)
         np.testing.assert_array_equal(jac, expected_jac)
@@ -435,7 +436,7 @@ class TestGridSearch:
         y = np.zeros(40)
         cfg = TrainConfig(algorithm="lm", max_epochs=30, seed=0)
         best, table = grid_search_hidden((x, y), range(2, 7), cfg)
-        objectives = {r["objective"] for r in table}
+        objectives = {r.objective for r in table}
         assert best == 2
         assert all(v < 1e-10 for v in objectives)
 
