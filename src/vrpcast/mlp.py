@@ -178,9 +178,9 @@ def load(path) -> tuple[MlpModel, dict]:
     file, when the file does not hold a JSON object, the schema version is
     not SCHEMA_VERSION (a file without one is version 1), an activation is
     not the network's, a key of the tables above is missing or of another
-    type, the norm holds another key, the parameters do not fit the layer
-    sizes, or the provenance lag or forecast window does not match the input
-    size."""
+    type, a layer size is below 1, the norm holds another key, the
+    parameters do not fit the layer sizes, or the provenance lag or forecast
+    window does not match the input size."""
     payload = read_json(path)
     version = payload.get("schema_version", 1)
     if version != SCHEMA_VERSION:
@@ -192,6 +192,9 @@ def load(path) -> tuple[MlpModel, dict]:
                                   f"only {expected!r} is supported")
     check_json(path, payload, _MODEL_TYPES, ("input_dim", "hidden_dim", "params"),
                closed=False)
+    for key in ("input_dim", "hidden_dim"):
+        if payload[key] < 1:
+            raise DataFormatError(f"{path} key {key!r} must be at least 1, got {payload[key]!r}")
     provenance = payload.get("provenance", {})
     check_json(f"{path} provenance", provenance, _PROVENANCE_TYPES, (), closed=False)
     if "norm" in provenance:

@@ -9,8 +9,10 @@ Bayesian variant reproduces LM's iterates exactly.
 
 Fits run on the flat parameter vector (mlp.residual_fns) and build one model,
 from the result. Fixed constants: MU_FACTOR, MU_FLOOR, MU_MAX (damping,
-Marquardt 1963), OBJECTIVE_TOLERANCE, GRADIENT_TOLERANCE (stopping, Foresee &
-Hagan 1997), SCG_SIGMA and SCG_LAMBDA_INIT (sigma and lambda_1, Moller 1993).
+Marquardt 1963), OBJECTIVE_TOLERANCE, GRADIENT_TOLERANCE (stopping),
+E_D_TOLERANCE and GAMMA_TOLERANCE (the BRNN stop), GAMMA_PLATEAU and
+PLATEAU_SIZES (the BRNN grid stop, Foresee & Hagan 1997), SCG_SIGMA and
+SCG_LAMBDA_INIT (sigma and lambda_1, Moller 1993).
 """
 
 import logging
@@ -30,6 +32,10 @@ MU_FLOOR = 1e-20
 MU_FACTOR = 10.0
 OBJECTIVE_TOLERANCE = 1e-7      # relative
 GRADIENT_TOLERANCE = 1e-6       # infinity norm
+E_D_TOLERANCE = 1e-6            # relative change in E_D
+GAMMA_TOLERANCE = 1e-3          # change in gamma, times max(1, gamma)
+GAMMA_PLATEAU = 0.05            # relative growth of gamma from one size to the next
+PLATEAU_SIZES = 2               # consecutive sizes below GAMMA_PLATEAU
 SCG_SIGMA = 1e-4
 SCG_LAMBDA_INIT = 1e-6
 
@@ -53,12 +59,36 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
+class BayesTrace:
+    """A brnn fit's state at its start (entry 0) and after each accepted
+    step: E_D, gamma and the alpha and beta re-estimated from it, and mu, the
+    damping of that step (mu_init at entry 0). Entry k's gamma was computed
+    with entry k-1's alpha and beta."""
+
+    e_d: tuple
+    gamma: tuple
+    alpha: tuple
+    beta: tuple
+    mu: tuple
+
+
+@dataclass(frozen=True)
 class TrainReport:
     """Outcome of one fit. stop_reason names the branch that ended it: for
-    lm and brnn "gradient", "objective" (relative change, with alpha and beta
-    stable for brnn), "mu_overflow" or "max_epochs"; for scg "gradient",
-    "objective_stall", "lambda_overflow", "zero_direction" or "max_epochs".
-    converged is True for "gradient" and the LM family's "objective"."""
+    lm, and brnn with alpha pinned, "gradient", "objective" (F changed by
+    less than OBJECTIVE_TOLERANCE, relative), "mu_overflow" or "max_epochs";
+    for brnn re-estimating alpha "gradient", "e_d_and_gamma" (E_D changed by
+    less than E_D_TOLERANCE, relative, and gamma by at most
+    GAMMA_TOLERANCE * max(1, gamma)), "mu_overflow" or "max_epochs"; for scg
+    "gradient", "objective_stall", "lambda_overflow", "zero_direction" or
+    "max_epochs". converged is True for "gradient", "objective" and
+    "e_d_and_gamma".
+
+    epoch_trace holds F at the start and at each accepted point, under the
+    alpha and beta that its step minimized. final_objective is F at the
+    final point under the final alpha and beta. gamma_effective is gamma of
+    the last re-estimate, N_w when alpha is pinned; bayes_trace is set for
+    brnn only."""
 
     final_objective: float
     epoch_trace: tuple
@@ -70,18 +100,23 @@ class TrainReport:
     alpha: Optional[float] = None
     beta: Optional[float] = None
     gamma_effective: Optional[float] = None
+    bayes_trace: Optional[BayesTrace] = None
 
 
 @dataclass(frozen=True)
 class GridRow:
     """One hidden size of a grid search. A fit that aborted has its message
-    in error and None in objective, converged and epochs_used."""
+    in error; a size the grid did not train has its reason in skipped. Both
+    have None in objective, converged, epochs_used and gamma. gamma is the
+    fit's gamma_effective, None for lm and scg."""
 
     hidden: int
-    objective: Optional[float]
-    converged: Optional[bool]
-    epochs_used: Optional[int]
-    error: Optional[str]
+    objective: Optional[float] = None
+    converged: Optional[bool] = None
+    epochs_used: Optional[int] = None
+    gamma: Optional[float] = None
+    error: Optional[str] = None
+    skipped: Optional[str] = None
 
 
 def _as_xy(patterns):
@@ -109,9 +144,13 @@ def lm_least_squares(
     One eigendecomposition J'J = V diag(lam) V' per Jacobian serves every
     damping retry, as the diagonal solve
     step = -V (V'g) / (beta*(lam + mu) + alpha) with g = beta*J'r + alpha*theta,
-    and BRNN's tr(H^-1). A trial step that is not finite is rejected.
-    With bayes=True alpha/beta are reestimated from the Gauss-Newton Hessian
-    after each accepted step (unless config.fixed_alpha pins alpha).
+    and BRNN's gamma. A trial step that is not finite is rejected.
+    With bayes=True alpha/beta are reestimated after each accepted step
+    (unless config.fixed_alpha pins alpha) from the undamped Gauss-Newton
+    Hessian 2*beta*J'J + 2*alpha*I: gamma = sum of beta*lam/(beta*lam + alpha)
+    over the new J'J's eigenvalues, a 0/0 term counted as 0. Such a fit stops
+    when E_D and gamma have both settled (TrainReport, "e_d_and_gamma"); any
+    other stops when F has.
     """
     if resid is None:
         def resid(theta):
@@ -134,6 +173,7 @@ def lm_least_squares(
         raise TrainingError("non-finite objective at the initial point")
     mu = config.mu_init
     trace = [objective]
+    history = [(e_d, gamma, alpha, beta, mu)]
     stop_reason = "max_epochs"
     epochs = 0
     eig = None  # (lam, V) of the current J'J
@@ -166,39 +206,38 @@ def lm_least_squares(
         mu_used = mu
         mu = max(mu / MU_FACTOR, MU_FLOOR)
         rel_change = abs(objective - obj_new) / max(abs(objective), 1e-300)
+        e_d_change = abs(e_d - e_d_new) / max(e_d, 1e-300)
+        old_gamma = gamma
         theta, e_d, e_w = theta_new, e_d_new, e_w_new
         r, jac = resid_jac(theta)
         eig = None
-        params_stable = True
+        trace.append(obj_new)
         if reestimate:
-            old_alpha, old_beta = alpha, beta
             eig = np.linalg.eigh(jac.T @ jac)
-            # gamma = N_w - 2*alpha*tr(H^-1), summed per eigenvalue as
-            # d/(d + alpha) with d = beta*(lam + mu_used): the difference
-            # cancels to rounding noise, possibly negative, when alpha
-            # dominates every d. The accepted step's damping keeps H
-            # positive definite even when J'J is rank deficient.
-            d = beta * (np.clip(eig[0], 0.0, None) + mu_used)
-            gamma = float(np.sum(d / (d + alpha)))
+            # each term lies in [0, 1]; eigh's rounding can make a zero
+            # eigenvalue slightly negative
+            d = beta * np.clip(eig[0], 0.0, None)
+            gamma = float(np.sum(np.divide(d, d + alpha, out=np.zeros_like(d),
+                                           where=d + alpha > 0.0)))
             if e_w > 0.0:
                 alpha = gamma / (2.0 * e_w)
             if gamma <= n_d - 1 and e_d > 0.0:
                 beta = (n_d - gamma) / (2.0 * e_d)
             if not (np.isfinite(alpha) and np.isfinite(beta)):
                 raise TrainingError("non-finite alpha/beta reestimate")
-            params_stable = (
-                abs(alpha - old_alpha) <= OBJECTIVE_TOLERANCE * max(abs(old_alpha), 1e-300)
-                and abs(beta - old_beta) <= OBJECTIVE_TOLERANCE * max(abs(old_beta), 1e-300)
-            )
+            settled = (e_d_change < E_D_TOLERANCE
+                       and abs(gamma - old_gamma) <= GAMMA_TOLERANCE * max(1.0, gamma))
+        else:
+            settled = rel_change < OBJECTIVE_TOLERANCE
+        history.append((e_d, gamma, alpha, beta, mu_used))
         objective = beta * e_d + alpha * e_w
-        trace.append(objective)
-        if rel_change < OBJECTIVE_TOLERANCE and params_stable:
-            stop_reason = "objective"
+        if settled:
+            stop_reason = "e_d_and_gamma" if reestimate else "objective"
             break
     report = TrainReport(
         final_objective=objective,
         epoch_trace=tuple(trace),
-        converged=stop_reason in ("gradient", "objective"),
+        converged=stop_reason in ("gradient", "objective", "e_d_and_gamma"),
         stop_reason=stop_reason,
         epochs_used=epochs,
         e_d=e_d,
@@ -206,6 +245,7 @@ def lm_least_squares(
         alpha=alpha if bayes else None,
         beta=beta if bayes else None,
         gamma_effective=gamma if bayes else None,
+        bayes_trace=BayesTrace(*zip(*history)) if bayes else None,
     )
     return theta, report
 
@@ -306,11 +346,15 @@ def train_lm(model, patterns, config: TrainConfig):
 def train_brnn(model, patterns, config: TrainConfig):
     """LM on F = beta*E_D + alpha*E_w with evidence-style alpha/beta updates.
 
-    After each accepted step: H ~ 2*beta*J'J + 2*alpha*I,
-    gamma = N_w - 2*alpha*tr(H^-1) (computed as a sum of per-eigenvalue
-    terms, each in [0, 1]), alpha = gamma/(2*E_w),
-    beta = (N_D - gamma)/(2*E_D). alpha starts at 0, beta at 1, with the
-    first reestimation after the first accepted step."""
+    After each accepted step, from the undamped Gauss-Newton Hessian
+    H = 2*beta*J'J + 2*alpha*I at the new point (Foresee & Hagan 1997):
+    gamma = N_w - 2*alpha*tr(H^-1) = sum of beta*lam/(beta*lam + alpha) over
+    the eigenvalues lam of J'J (a 0/0 term counts as 0), then
+    alpha = gamma/(2*E_w) and beta = (N_D - gamma)/(2*E_D). alpha starts at
+    0 and beta at 1. The fit stops when E_D changes by less than
+    E_D_TOLERANCE, relative, in the same step as gamma changes by at most
+    GAMMA_TOLERANCE * max(1, gamma). With config.fixed_alpha, alpha and beta
+    stay fixed and the fit stops as LM's does."""
     return _train_lm_family(model, patterns, config, bayes=True)
 
 
@@ -351,30 +395,55 @@ def train(model, patterns, config: TrainConfig):
 
 
 def grid_search_fit(patterns, h_range, config: TrainConfig):
-    """Train one model per hidden size (seed derived as config.seed + h) and
-    pick the size with the lowest final training MSE; ties go to the
-    smaller h. Sizes whose training aborts are excluded.
+    """Train one model per hidden size (seed derived as config.seed + h), in
+    ascending h, and pick the trained size with the lowest final training
+    MSE; ties go to the smaller h. Sizes whose training aborts are excluded.
 
-    Returns (best_h, table of one GridRow per size, model, report), the last
-    two from best_h's fit."""
+    A brnn grid that re-estimates alpha stops growing h once gamma has grown
+    by less than GAMMA_PLATEAU, relative, from one trained size to the next
+    for PLATEAU_SIZES sizes in a row (Foresee & Hagan 1997): the larger
+    sizes are not trained and their rows name the size where gamma stopped
+    growing in skipped. lm, scg and pinned-alpha grids train every size.
+
+    Returns (best_h, table of one GridRow per requested size, in the order
+    given, model, report), the last two from best_h's fit."""
     h_values = list(h_range)
     if not h_values:
         raise ValueError("h_range must be non-empty")
     inputs, targets = _as_xy(patterns)
     n_train = targets.size
-    results = []
+    watch_gamma = config.algorithm == "brnn" and config.fixed_alpha is None
+    rows = {}
     fits = {}
-    for h in h_values:
+    skipped = None
+    gammas = []     # (h, gamma) of the trained sizes, watched grids only
+    flat = 0
+    for h in sorted(set(h_values)):
+        if skipped is not None:
+            rows[h] = GridRow(h, skipped=skipped)
+            continue
         model0 = mlp.init(inputs.shape[1], h, config.seed + h)
         try:
             trained, report = train(model0, (inputs, targets), config)
         except TrainingError as exc:
             log.warning("hidden size %d aborted: %s", h, exc)
-            results.append(GridRow(h, None, None, None, str(exc)))
+            rows[h] = GridRow(h, error=str(exc))
             continue
         fits[h] = trained, report
-        results.append(GridRow(h, report.e_d / n_train, report.converged,
-                               report.epochs_used, None))
+        gamma = report.gamma_effective
+        rows[h] = GridRow(h, report.e_d / n_train, report.converged,
+                          report.epochs_used, gamma)
+        if watch_gamma:
+            grew = not gammas or gamma >= (1.0 + GAMMA_PLATEAU) * gammas[-1][1]
+            flat = 0 if grew else flat + 1
+            gammas.append((h, gamma))
+            if flat == PLATEAU_SIZES:
+                start, start_gamma = gammas[-1 - PLATEAU_SIZES]
+                skipped = (f"gamma stopped growing at h = {start}: it grew by under "
+                           f"{100 * GAMMA_PLATEAU:g}% per size up to h = {h}")
+                log.info("gamma stopped growing at h = %d (gamma %.4g; %.4g at h = %d); "
+                         "sizes above %d are not trained", start, start_gamma, gamma, h, h)
+    results = [rows[h] for h in h_values]
     usable = [r for r in results if r.objective is not None]
     if not usable:
         raise TrainingError("every hidden size aborted during grid search")

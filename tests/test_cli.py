@@ -87,6 +87,18 @@ class TestTrainForecastEvaluate:
         table = json.loads((out / "grid_search.json").read_text())
         assert [row["hidden"] for row in table] == [2, 3, 4]
 
+    def test_brnn_grid_writes_skipped_rows(self, series_csv, tmp_path):
+        out = tmp_path / "grid"
+        assert run_cli("train", "--input", series_csv, "--lag", 3,
+                       "--hidden", "2:12", "--out", out) == 0
+        table = json.loads((out / "grid_search.json").read_text())
+        assert [row["hidden"] for row in table] == list(range(2, 13))
+        skipped = [row for row in table if row["skipped"] is not None]
+        assert skipped and all(row["objective"] is None and row["error"] is None
+                               for row in skipped)
+        hidden = json.loads((out / "model.json").read_text())["hidden_dim"]
+        assert hidden not in {row["hidden"] for row in skipped}
+
     def test_forecast_matches_library(self, series_csv, tmp_path, capsys):
         out = tmp_path / "run"
         assert self.train(series_csv, out) == 0
@@ -246,6 +258,9 @@ class TestExitCodes:
             MODEL["provenance"], norm={"min": 0, "max": 1, "mid": 0.5})), "mid"),
         ("--model", dict(MODEL, provenance=dict(
             MODEL["provenance"], last_observed_value="x")), "last_observed_value"),
+        ("--model", dict(MODEL, input_dim=0, params=[0.1] * 5, provenance=dict(
+            MODEL["provenance"], lag=0, last_window_residuals=[])), "input_dim"),
+        ("--model", dict(MODEL, hidden_dim=0, params=[0.1]), "hidden_dim"),
     ])
     def test_json_input_bad_key(self, tmp_path, capsys, option, payload, key):
         bad = tmp_path / "bad.json"

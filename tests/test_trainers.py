@@ -1,3 +1,4 @@
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -11,13 +12,21 @@ from vrpcast import (
     train_lm,
     train_scg,
 )
-from vrpcast import kernels, mlp, trainers
+from vrpcast import generate_synthetic, kernels, mlp, series_ops, trainers
 from vrpcast.trainers import lm_least_squares, scg_minimize
 
 
 def sin_task(n=200):
     x = np.linspace(0.0, 1.0, n)[:, None]
     return x, np.sin(2 * np.pi * x[:, 0])
+
+
+@pytest.fixture(scope="module")
+def bursts():
+    """Lag-1 patterns of the 2000-point persistence_bursts series of seed 7,
+    the lag the pipeline selects on it."""
+    series = generate_synthetic({"kind": "persistence_bursts", "n": 2000}, 7)
+    return series_ops.extract_patterns(series_ops.difference(series).residuals, 1, 0.8)
 
 
 def linear_problem(rng, n=30, k=5):
@@ -315,6 +324,15 @@ class TestStopReason:
                                            np.full(2, 1e-170), grad_tol=0.0)
         assert (reason, iters) == ("zero_direction", 1)
 
+    def test_brnn_e_d_and_gamma(self, bursts):
+        # with alpha and beta asked to settle to 1e-7 this fit ran to the cap
+        _, report = train_brnn(init(1, 2, 2), bursts, TrainConfig())
+        assert (report.stop_reason, report.converged) == ("e_d_and_gamma", True)
+        assert report.epochs_used < 1000
+        e_d, gamma = report.bayes_trace.e_d, report.bayes_trace.gamma
+        assert abs(e_d[-1] - e_d[-2]) < trainers.E_D_TOLERANCE * e_d[-2]
+        assert abs(gamma[-1] - gamma[-2]) <= trainers.GAMMA_TOLERANCE * max(1.0, gamma[-1])
+
     def test_written_to_train_report(self):
         x, y = sin_task(100)
         _, report = train_lm(init(1, 6, 4), (x, y), TrainConfig(algorithm="lm", max_epochs=5))
@@ -380,6 +398,33 @@ class TestBrnn:
         m_br, r_br = train_brnn(m0, (x, y), cfg_br)
         assert np.max(np.abs(mlp.flatten(m_lm) - mlp.flatten(m_br))) < 1e-10
         np.testing.assert_allclose(r_lm.epoch_trace, r_br.epoch_trace, rtol=1e-10)
+
+    def test_gamma_from_undamped_hessian(self, bursts):
+        # the damped sum reported gamma = N_w = 28 for this fit
+        model, report = train_brnn(init(1, 9, 9), bursts, TrainConfig())
+        _, jac = kernels.residuals_and_jacobian(
+            bursts.train_inputs, bursts.train_targets,
+            model.w1, model.b1, model.w2, model.b2)
+        lam = np.clip(np.linalg.eigvalsh(jac.T @ jac), 0.0, None)
+        # the last re-estimate took gamma from the alpha and beta before it
+        alpha, beta = report.bayes_trace.alpha[-2], report.bayes_trace.beta[-2]
+        expected = float(np.sum(beta * lam / (beta * lam + alpha)))
+        assert report.gamma_effective == pytest.approx(expected, rel=1e-9)
+        assert report.gamma_effective < model.n_params / 2
+
+    def test_bayes_trace_per_epoch(self):
+        x, y = sin_task(100)
+        config = TrainConfig(algorithm="brnn", max_epochs=40)
+        _, report = train_brnn(init(1, 6, 4), (x, y), config)
+        trace = report.bayes_trace
+        assert {len(v) for v in asdict(trace).values()} == {len(report.epoch_trace)}
+        assert (trace.e_d[-1], trace.gamma[-1], trace.alpha[-1], trace.beta[-1]) == (
+            report.e_d, report.gamma_effective, report.alpha, report.beta)
+        assert (trace.alpha[0], trace.beta[0], trace.mu[0]) == (0.0, 1.0, config.mu_init)
+        assert len(set(trace.gamma)) > 2 and len(set(trace.e_d)) > 2
+        assert json.loads(json.dumps(asdict(report)))["bayes_trace"]["gamma"] == list(trace.gamma)
+        _, report_lm = train_lm(init(1, 6, 4), (x, y), TrainConfig(algorithm="lm", max_epochs=5))
+        assert report_lm.bayes_trace is None
 
     def test_noisy_line_regularization(self):
         rng = np.random.default_rng(2)
@@ -450,3 +495,25 @@ class TestGridSearch:
         best, table = grid_search_hidden((x, y), range(2, 10), cfg)
         assert 3 <= best <= 8
         assert len(table) == 8
+
+    def test_brnn_grid_stops_when_gamma_plateaus(self, bursts):
+        best, table, _, report = trainers.grid_search_fit(bursts, range(2, 26), TrainConfig())
+        trained = [r for r in table if r.objective is not None]
+        skipped = [r for r in table if r.objective is None]
+        assert [r.hidden for r in table] == list(range(2, 26))
+        assert 3 <= len(trained) < 24
+        assert [r.hidden for r in trained] == list(range(2, 2 + len(trained)))
+        assert all(r.skipped.startswith("gamma stopped growing at h = ") and r.error is None
+                   and (r.converged, r.epochs_used, r.gamma) == (None, None, None)
+                   for r in skipped)
+        assert all(r.skipped is None and r.gamma > 0 for r in trained)
+        assert best == min(trained, key=lambda r: (r.objective, r.hidden)).hidden
+        assert report.e_d / bursts.train_targets.size == next(
+            r.objective for r in table if r.hidden == best)
+
+    def test_lm_grid_trains_every_size(self, bursts):
+        _, table = grid_search_hidden(bursts, range(2, 26),
+                                      TrainConfig(algorithm="lm", max_epochs=5))
+        assert all(r.objective is not None and r.skipped is None and r.gamma is None
+                   for r in table)
+        assert len(table) == 24
