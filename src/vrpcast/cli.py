@@ -94,8 +94,6 @@ def _pipeline_config(args):
         value = getattr(args, key, None)
         if value is not None:
             payload[key] = value
-    if isinstance(payload.get("hidden"), tuple):  # --hidden a:b
-        payload["h_range"] = payload.pop("hidden")
     cfg = pipeline.PipelineConfig.from_dict(payload)
     if cfg.input_path is None:
         print("error: --input (or --config with input_path) is required", file=sys.stderr)

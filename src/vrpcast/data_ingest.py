@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, compress, islice
 from operator import attrgetter, itemgetter, lt
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -284,8 +284,8 @@ JSON_TYPES = {
     float: ("a number", _is_number),
     str: ("a string", lambda v: isinstance(v, str)),
     Optional[str]: ("a string or null", lambda v: v is None or isinstance(v, str)),
-    tuple: ("two ints", lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-            and all(map(_is_int, v))),
+    Union[int, tuple]: ("an int or two ints", lambda v: _is_int(v) or (
+        isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v)))),
     list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
     dict: ("an object", lambda v: isinstance(v, dict)),
 }

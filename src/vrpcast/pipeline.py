@@ -6,7 +6,7 @@ functions and artifact writers as training."""
 import logging
 import os
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -21,14 +21,17 @@ ACF_MAX_LAG = 20
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """One experiment. hidden is the hidden size to train, or (lo, hi), a
+    grid search over the sizes lo..hi, inclusive, that keeps the fit of the
+    size it selects; from_dict takes [lo, hi]."""
+
     input_path: Optional[str] = None
     mode: str = "power"
     train_fraction: float = 0.8
     lag: Optional[int] = None            # None = entropy-based selection
     max_lag: int = 12
     bins: int = lag_select.DEFAULT_BINS
-    hidden: Optional[int] = None         # None = grid search over h_range
-    h_range: tuple = (2, 25)             # inclusive bounds
+    hidden: Union[int, tuple] = (2, 25)
     algorithm: str = "brnn"
     max_epochs: int = 1000
     out_dir: Optional[str] = None
@@ -47,8 +50,8 @@ class PipelineConfig:
         unknown key or a value of the wrong type."""
         check_json("config", payload, {f.name: f.type for f in fields(cls)}, (),
                    closed=True)
-        if "h_range" in payload:
-            payload = dict(payload, h_range=tuple(payload["h_range"]))
+        if isinstance(payload.get("hidden"), list):
+            payload = dict(payload, hidden=tuple(payload["hidden"]))
         return cls(**payload)
 
 
@@ -65,9 +68,11 @@ class EvalReport:
 
 
 def _stage(stage, fn, *args, **kwargs):
+    """fn(*args, **kwargs), a VrpcastError or ValueError from it raised again
+    as a PipelineStageError naming the stage."""
     try:
         return fn(*args, **kwargs)
-    except VrpcastError as exc:
+    except (VrpcastError, ValueError) as exc:
         raise PipelineStageError(stage, str(exc)) from exc
 
 
@@ -211,20 +216,12 @@ def forecast_saved(model, provenance, horizon, series: Optional[TimeSeries] = No
     return forecast_multi_step(model, window, horizon, norm, last_value)
 
 
-def _choose_hidden(patterns, config: PipelineConfig):
-    """(hidden, grid table, (model, report) of the grid winner); the last
-    two are None for a fixed hidden size."""
-    if config.hidden is not None:
-        return config.hidden, None, None
-    lo, hi = config.h_range
-    best_h, table, model, report = _stage(
-        "grid-search",
-        trainers.grid_search_fit,
-        patterns,
-        range(lo, hi + 1),
-        config.train_config(),
-    )
-    return best_h, table, (model, report)
+def _grid_search(patterns, config: PipelineConfig):
+    """Stage `grid-search` over config.hidden = (lo, hi): grid_search_fit's
+    (best h, table, model, report)."""
+    lo, hi = config.hidden
+    return _stage("grid-search", trainers.grid_search_fit, patterns, range(lo, hi + 1),
+                  config.train_config())
 
 
 def _model_provenance(config, hidden, report, prep: Prepared):
@@ -254,11 +251,13 @@ def run_pipeline(config: PipelineConfig, series: Optional[TimeSeries] = None):
     prep = _prepare(series, config)
     if not prep.kpss_raw.reject_at_5pct:
         log.info("raw series already level-stationary by KPSS; differencing anyway")
-    hidden, grid_table, fit = _choose_hidden(prep.patterns, config)
-    if fit is None:
-        model0 = mlp.init(prep.patterns.lag, hidden, config.seed)
-        fit = _stage("train", trainers.train, model0, prep.patterns, config.train_config())
-    model, report = fit
+    if isinstance(config.hidden, int):
+        hidden, grid_table = config.hidden, None
+        model0 = _stage("train", mlp.init, prep.patterns.lag, hidden, config.seed)
+        model, report = _stage("train", trainers.train, model0, prep.patterns,
+                               config.train_config())
+    else:
+        hidden, grid_table, model, report = _grid_search(prep.patterns, config)
     provenance = _model_provenance(config, hidden, report, prep)
     eval_report = evaluate(model, prep.patterns, prep.series.values, provenance)
     if config.out_dir:
@@ -322,10 +321,12 @@ def compare_algorithms(config: PipelineConfig, series: Optional[TimeSeries] = No
     """Run the identical pipeline once per training algorithm (same seed,
     hidden size and patterns) and emit a per-algorithm error table."""
     prep = _prepare(series, config)
-    hidden, _, _ = _choose_hidden(prep.patterns, config)
+    hidden = config.hidden
+    if not isinstance(hidden, int):
+        hidden = _grid_search(prep.patterns, config)[0]
+    model0 = _stage("train", mlp.init, prep.patterns.lag, hidden, config.seed)
     table = {}
     for algorithm in trainers.ALGORITHMS:
-        model0 = mlp.init(prep.patterns.lag, hidden, config.seed)
         try:
             model, report = trainers.train(
                 model0, prep.patterns, config.train_config(algorithm)

@@ -86,9 +86,11 @@ class TrainReport:
 
     epoch_trace holds F at the start and at each accepted point, under the
     alpha and beta that its step minimized. final_objective is F at the
-    final point under the final alpha and beta. gamma_effective is gamma of
-    the last re-estimate, N_w when alpha is pinned; bayes_trace is set for
-    brnn only."""
+    final point under the final alpha and beta; for a brnn fit that
+    re-estimates them it is N_D/2 by construction (beta*E_D = (N_D - gamma)/2
+    and alpha*E_w = gamma/2), so it says nothing of the fit. gamma_effective
+    is gamma of the last re-estimate, N_w when alpha is pinned; bayes_trace
+    is set for brnn only."""
 
     final_objective: float
     epoch_trace: tuple
@@ -395,9 +397,10 @@ def train(model, patterns, config: TrainConfig):
 
 
 def grid_search_fit(patterns, h_range, config: TrainConfig):
-    """Train one model per hidden size (seed derived as config.seed + h), in
-    ascending h, and pick the trained size with the lowest final training
-    MSE; ties go to the smaller h. Sizes whose training aborts are excluded.
+    """Train one model per hidden size of h_range, which must ascend (seed
+    config.seed + h), and pick the trained size with the lowest final
+    training MSE; a tie stays with the smaller h. Sizes whose training aborts
+    are excluded. Only the best fit so far is kept.
 
     A brnn grid that re-estimates alpha stops growing h once gamma has grown
     by less than GAMMA_PLATEAU, relative, from one trained size to the next
@@ -405,50 +408,42 @@ def grid_search_fit(patterns, h_range, config: TrainConfig):
     sizes are not trained and their rows name the size where gamma stopped
     growing in skipped. lm, scg and pinned-alpha grids train every size.
 
-    Returns (best_h, table of one GridRow per requested size, in the order
-    given, model, report), the last two from best_h's fit."""
-    h_values = list(h_range)
-    if not h_values:
+    Returns (best_h, table of one GridRow per size of h_range, model,
+    report), the last two from best_h's fit."""
+    if not h_range:
         raise ValueError("h_range must be non-empty")
     inputs, targets = _as_xy(patterns)
-    n_train = targets.size
     watch_gamma = config.algorithm == "brnn" and config.fixed_alpha is None
-    rows = {}
-    fits = {}
+    rows = []
+    best = None     # (row, model, report) of the best trained size so far
     skipped = None
-    gammas = []     # (h, gamma) of the trained sizes, watched grids only
-    flat = 0
-    for h in sorted(set(h_values)):
+    for h in h_range:
         if skipped is not None:
-            rows[h] = GridRow(h, skipped=skipped)
+            rows.append(GridRow(h, skipped=skipped))
             continue
         model0 = mlp.init(inputs.shape[1], h, config.seed + h)
         try:
             trained, report = train(model0, (inputs, targets), config)
         except TrainingError as exc:
             log.warning("hidden size %d aborted: %s", h, exc)
-            rows[h] = GridRow(h, error=str(exc))
+            rows.append(GridRow(h, error=str(exc)))
             continue
-        fits[h] = trained, report
-        gamma = report.gamma_effective
-        rows[h] = GridRow(h, report.e_d / n_train, report.converged,
-                          report.epochs_used, gamma)
-        if watch_gamma:
-            grew = not gammas or gamma >= (1.0 + GAMMA_PLATEAU) * gammas[-1][1]
-            flat = 0 if grew else flat + 1
-            gammas.append((h, gamma))
-            if flat == PLATEAU_SIZES:
-                start, start_gamma = gammas[-1 - PLATEAU_SIZES]
-                skipped = (f"gamma stopped growing at h = {start}: it grew by under "
-                           f"{100 * GAMMA_PLATEAU:g}% per size up to h = {h}")
-                log.info("gamma stopped growing at h = %d (gamma %.4g; %.4g at h = %d); "
-                         "sizes above %d are not trained", start, start_gamma, gamma, h, h)
-    results = [rows[h] for h in h_values]
-    usable = [r for r in results if r.objective is not None]
-    if not usable:
+        row = GridRow(h, report.e_d / targets.size, report.converged, report.epochs_used,
+                      report.gamma_effective)
+        rows.append(row)
+        if best is None or row.objective < best[0].objective:
+            best = row, trained, report
+        recent = [r for r in rows if r.objective is not None][-1 - PLATEAU_SIZES:]
+        if watch_gamma and len(recent) > PLATEAU_SIZES and not any(
+                b.gamma >= (1.0 + GAMMA_PLATEAU) * a.gamma for a, b in zip(recent, recent[1:])):
+            start = recent[0]
+            skipped = (f"gamma stopped growing at h = {start.hidden}: it grew by under "
+                       f"{100 * GAMMA_PLATEAU:g}% per size up to h = {h}")
+            log.info("gamma stopped growing at h = %d (gamma %.4g; %.4g at h = %d); "
+                     "sizes above %d are not trained", start.hidden, start.gamma, row.gamma, h, h)
+    if best is None:
         raise TrainingError("every hidden size aborted during grid search")
-    best = min(usable, key=lambda r: (r.objective, r.hidden)).hidden
-    return best, results, *fits[best]
+    return best[0].hidden, rows, *best[1:]
 
 
 def grid_search_hidden(patterns, h_range, config: TrainConfig):

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from vrpcast import cli, forecast_multi_step, generate_synthetic, mlp
+from vrpcast import cli, forecast_multi_step, generate_synthetic, mlp, trainers
 from vrpcast.data_ingest import save_csv
+from vrpcast.errors import TrainingError
 from vrpcast.series_ops import NormParams, fit_normalizer
 
 
@@ -192,6 +193,23 @@ class TestCompare:
         payload = json.loads(outs[0])
         assert set(payload["algorithms"]) == {"lm", "scg", "brnn"}
 
+    def test_failed_algorithm_is_reported(self, series_csv, tmp_path, monkeypatch, capsys):
+        real = trainers.train
+
+        def train(model, patterns, config):
+            if config.algorithm == "lm":
+                raise TrainingError("lm diverged")
+            return real(model, patterns, config)
+
+        monkeypatch.setattr(trainers, "train", train)
+        assert run_cli("compare", "--input", series_csv, "--lag", 3, "--hidden", 4,
+                       "--out", tmp_path / "c") == 0
+        out = capsys.readouterr().out
+        assert "lm: failed (lm diverged)" in out
+        assert "scg: test ME" in out and "brnn: test ME" in out
+        payload = json.loads((tmp_path / "c" / "comparison.json").read_text())
+        assert payload["algorithms"]["lm"] == {"error": "lm diverged"}
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self):
@@ -212,8 +230,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value", [
         ("seed", "abc"), ("seed", True), ("max_epochs", 1.5), ("bins", None),
-        ("lag", "3"), ("hidden", 4.0), ("h_range", 5), ("h_range", [2, "x"]),
+        ("lag", "3"), ("hidden", 4.0), ("hidden", [2, "x"]), ("hidden", [2, 3, 4]),
         ("train_fraction", "0.8"), ("mode", 1), ("algorithm", None), ("out_dir", 7),
+        ("hidden", None),
     ])
     def test_bad_config_value_type(self, series_csv, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
@@ -271,6 +290,44 @@ class TestExitCodes:
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}") and repr(key) in err
+        assert "Traceback" not in err
+
+    def test_config_h_range_is_unknown(self, series_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input_path": str(series_csv), "h_range": [2, 6]}))
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg) == 2
+        assert "error: config key 'h_range' is unknown" in capsys.readouterr().err
+
+    def test_config_hidden_range_equals_flag(self, series_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        common = {"input_path": str(series_csv), "lag": 3, "algorithm": "lm",
+                  "max_epochs": 20}
+        cfg.write_text(json.dumps(dict(common, hidden=[2, 6], out_dir=str(tmp_path / "a"))))
+        assert run_cli("train", "--config", cfg) == 0
+        cfg.write_text(json.dumps(dict(common, out_dir=str(tmp_path / "b"))))
+        assert run_cli("train", "--config", cfg, "--hidden", "2:6") == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert "grid_search.json" in names
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("command, n, flags, stage", [
+        ("train", 15, ["--hidden", 2], "kpss-raw"),
+        ("train", 60, ["--hidden", 2], "lag-selection"),
+        ("train", 300, ["--lag", 0, "--hidden", 2], "extract-patterns"),
+        ("train", 300, ["--lag", 2, "--hidden", 0], "train"),
+        ("train", 300, ["--lag", 2, "--hidden", "5:2"], "grid-search"),
+        ("compare", 300, ["--lag", 2, "--hidden", 0], "train"),
+    ])
+    def test_stage_failure_names_the_stage(self, tmp_path, capsys, command, n, flags, stage):
+        path = tmp_path / "short.csv"
+        save_csv(generate_synthetic({"kind": "persistence_bursts", "n": n}, 3), str(path))
+        capsys.readouterr()
+        assert run_cli(command, "--input", path, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [{stage}] ")
         assert "Traceback" not in err
 
     def test_config_file_supplies_input(self, series_csv, tmp_path, capsys):

@@ -15,7 +15,7 @@ from vrpcast import (
     run_pipeline,
 )
 from vrpcast import mlp, pipeline, stat_tests, trainers
-from vrpcast.errors import PipelineStageError
+from vrpcast.errors import PipelineStageError, TrainingError
 from vrpcast.series_ops import NormParams
 
 
@@ -173,6 +173,19 @@ class TestCompareAlgorithms:
             assert "test_stats" in entry
         again = compare_algorithms(cfg, series)
         assert result == again
+
+    def test_failed_algorithm_gets_an_error_entry(self, monkeypatch):
+        real = trainers.train
+
+        def train(model, patterns, config):
+            if config.algorithm == "scg":
+                raise TrainingError("scg diverged")
+            return real(model, patterns, config)
+
+        monkeypatch.setattr(trainers, "train", train)
+        result = compare_algorithms(PipelineConfig(**FAST), generate_synthetic(BURSTY, 4))
+        assert result["algorithms"]["scg"] == {"error": "scg diverged"}
+        assert all("test_stats" in result["algorithms"][a] for a in ("lm", "brnn"))
 
     def test_zero_noise_teacher_all_algorithms_fit(self):
         # representable target: every trainer should explain > 99% variance
