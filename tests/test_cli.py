@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from vrpcast import cli, forecast_multi_step, generate_synthetic, mlp, trainers
+from vrpcast import cli, forecast_multi_step, generate_synthetic, mlp
 from vrpcast.data_ingest import save_csv
-from vrpcast.errors import TrainingError
 from vrpcast.series_ops import NormParams, fit_normalizer
 
 
@@ -193,22 +192,15 @@ class TestCompare:
         payload = json.loads(outs[0])
         assert set(payload["algorithms"]) == {"lm", "scg", "brnn"}
 
-    def test_failed_algorithm_is_reported(self, series_csv, tmp_path, monkeypatch, capsys):
-        real = trainers.train
-
-        def train(model, patterns, config):
-            if config.algorithm == "lm":
-                raise TrainingError("lm diverged")
-            return real(model, patterns, config)
-
-        monkeypatch.setattr(trainers, "train", train)
+    def test_failed_algorithm_is_reported(self, series_csv, tmp_path, abort_training, capsys):
+        abort_training({"lm"}, {4})
         assert run_cli("compare", "--input", series_csv, "--lag", 3, "--hidden", 4,
                        "--out", tmp_path / "c") == 0
         out = capsys.readouterr().out
-        assert "lm: failed (lm diverged)" in out
+        assert "lm: failed (abort lm h = 4)" in out
         assert "scg: test ME" in out and "brnn: test ME" in out
         payload = json.loads((tmp_path / "c" / "comparison.json").read_text())
-        assert payload["algorithms"]["lm"] == {"error": "lm diverged"}
+        assert payload["algorithms"]["lm"] == {"error": "abort lm h = 4"}
 
 
 class TestExitCodes:

@@ -15,7 +15,7 @@ from vrpcast import (
     run_pipeline,
 )
 from vrpcast import mlp, pipeline, stat_tests, trainers
-from vrpcast.errors import PipelineStageError, TrainingError
+from vrpcast.errors import PipelineStageError
 from vrpcast.series_ops import NormParams
 
 
@@ -174,17 +174,10 @@ class TestCompareAlgorithms:
         again = compare_algorithms(cfg, series)
         assert result == again
 
-    def test_failed_algorithm_gets_an_error_entry(self, monkeypatch):
-        real = trainers.train
-
-        def train(model, patterns, config):
-            if config.algorithm == "scg":
-                raise TrainingError("scg diverged")
-            return real(model, patterns, config)
-
-        monkeypatch.setattr(trainers, "train", train)
+    def test_failed_algorithm_gets_an_error_entry(self, abort_training):
+        abort_training({"scg"}, {FAST["hidden"]})
         result = compare_algorithms(PipelineConfig(**FAST), generate_synthetic(BURSTY, 4))
-        assert result["algorithms"]["scg"] == {"error": "scg diverged"}
+        assert result["algorithms"]["scg"] == {"error": "abort scg h = 4"}
         assert all("test_stats" in result["algorithms"][a] for a in ("lm", "brnn"))
 
     def test_zero_noise_teacher_all_algorithms_fit(self):

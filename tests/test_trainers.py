@@ -512,29 +512,17 @@ class TestGridSearch:
         assert report.e_d / bursts.train_targets.size == next(
             r.objective for r in table if r.hidden == best)
 
-    @staticmethod
-    def abort_sizes(monkeypatch, sizes):
-        """Make trainers.train raise TrainingError for the hidden sizes in sizes."""
-        real = trainers.train
-
-        def train(model, patterns, config):
-            if model.hidden_dim in sizes:
-                raise TrainingError(f"abort h = {model.hidden_dim}")
-            return real(model, patterns, config)
-
-        monkeypatch.setattr(trainers, "train", train)
-
-    def test_aborted_size_gets_an_error_row(self, rng, monkeypatch, caplog):
+    def test_aborted_size_gets_an_error_row(self, rng, abort_training, caplog):
         x = rng.uniform(0, 1, (60, 2))
         y = np.sin(3 * x[:, 0]) + rng.normal(0, 0.05, 60)
         cfg = TrainConfig(algorithm="lm", max_epochs=20, seed=0)
         _, full = grid_search_hidden((x, y), range(2, 6), cfg)
         best_h = min(full, key=lambda r: (r.objective, r.hidden)).hidden
-        self.abort_sizes(monkeypatch, {best_h})
+        abort_training({"lm"}, {best_h})
         best, table, model, report = trainers.grid_search_fit((x, y), range(2, 6), cfg)
         assert [r.hidden for r in table] == [2, 3, 4, 5]
         aborted = next(r for r in table if r.hidden == best_h)
-        assert aborted == trainers.GridRow(best_h, error=f"abort h = {best_h}")
+        assert aborted == trainers.GridRow(best_h, error=f"abort lm h = {best_h}")
         assert f"hidden size {best_h} aborted" in caplog.text
         assert [r for r in table if r.hidden != best_h] == [
             r for r in full if r.hidden != best_h]
@@ -543,10 +531,10 @@ class TestGridSearch:
                            key=lambda r: (r.objective, r.hidden)).hidden
         assert report.e_d / y.size == next(r.objective for r in table if r.hidden == best)
 
-    def test_aborted_size_is_left_out_of_the_plateau(self, bursts, monkeypatch):
-        self.abort_sizes(monkeypatch, {3})
+    def test_aborted_size_is_left_out_of_the_plateau(self, bursts, abort_training):
+        abort_training({"brnn"}, {3})
         _, table = grid_search_hidden(bursts, range(2, 26), TrainConfig(max_epochs=50))
-        assert table[1] == trainers.GridRow(3, error="abort h = 3")
+        assert table[1] == trainers.GridRow(3, error="abort brnn h = 3")
         trained = [r for r in table if r.gamma is not None]
         last = table.index(trained[-1])
         assert all(r.skipped is not None for r in table[last + 1:])
@@ -557,9 +545,9 @@ class TestGridSearch:
         assert len(grew) >= k and not any(grew[-k:])
         assert all(any(grew[i:i + k]) for i in range(len(grew) - k))
 
-    def test_every_size_aborting_raises(self, rng, monkeypatch):
+    def test_every_size_aborting_raises(self, rng, abort_training):
         x = rng.uniform(0, 1, (40, 2))
-        self.abort_sizes(monkeypatch, {2, 3, 4})
+        abort_training({"lm"}, {2, 3, 4})
         with pytest.raises(TrainingError, match="every hidden size aborted"):
             grid_search_hidden((x, x[:, 0]), range(2, 5), TrainConfig(algorithm="lm"))
 
