@@ -220,6 +220,8 @@ def _grid_search(patterns, config: PipelineConfig):
     """Stage `grid-search` over config.hidden = (lo, hi): grid_search_fit's
     (best h, table, model, report)."""
     lo, hi = config.hidden
+    if hi < lo:
+        raise PipelineStageError("grid-search", f"hidden {lo}:{hi} is an empty range")
     return _stage("grid-search", trainers.grid_search_fit, patterns, range(lo, hi + 1),
                   config.train_config())
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vrpcast
 from vrpcast import cli, forecast_multi_step, generate_synthetic, mlp
 from vrpcast.data_ingest import save_csv
 from vrpcast.series_ops import NormParams, fit_normalizer
@@ -291,6 +296,20 @@ class TestExitCodes:
         assert run_cli("train", "--config", cfg) == 2
         assert "error: config key 'h_range' is unknown" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_hidden_range_names_hidden(self, series_csv, tmp_path, capsys, source):
+        if source == "flag":
+            argv = ["--input", series_csv, "--lag", 2, "--hidden", "5:2"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"input_path": str(series_csv), "lag": 2,
+                                       "hidden": [5, 2]}))
+            argv = ["--config", cfg]
+        capsys.readouterr()
+        assert run_cli("train", *argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: [grid-search] hidden 5:2 is an empty range\n"
+
     def test_config_hidden_range_equals_flag(self, series_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         common = {"input_path": str(series_csv), "lag": 3, "algorithm": "lm",
@@ -330,3 +349,14 @@ class TestExitCodes:
         }))
         assert run_cli("train", "--config", cfg) == 0
         assert "algorithm lm" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only reference; importing it costs every process
+    # about 25 MiB and 0.4 s.
+    env = dict(os.environ, PYTHONPATH=str(Path(vrpcast.__file__).parents[1]))
+    code = ("import sys, vrpcast.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "[]\n"

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sps
 
 from vrpcast import (
@@ -10,7 +13,8 @@ from vrpcast import (
     paired_ttest,
     two_sample_ttest,
 )
-from vrpcast.errors import DegenerateDataError
+from vrpcast import stat_tests
+from vrpcast.errors import DegenerateDataError, VrpcastError
 
 
 class TestKpss:
@@ -134,3 +138,50 @@ class TestPairedTtest:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             paired_ttest([1.0, 2.0], [1.0])
+
+
+class TestTwoSidedP:
+    # Log-spaced df, mostly non-integer as Welch's df are.
+    DFS = np.geomspace(1.0, 1e6, 49)
+    TS = np.geomspace(1e-3, 40.0, 41)
+
+    def test_matches_scipy_stdtr(self):
+        checked = 0
+        for df in self.DFS:
+            for t in self.TS:
+                ref = float(2.0 * special.stdtr(df, -t))
+                if ref < 1e-300:
+                    continue
+                assert stat_tests._two_sided_p(t, df) == pytest.approx(ref, rel=1e-12)
+                assert stat_tests._two_sided_p(-t, df) == stat_tests._two_sided_p(t, df)
+                checked += 1
+        assert checked > 1500
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4])
+    def test_closed_forms_for_tiny_t(self, t):
+        # scipy's stdtr is off by 3.1e-9 at df = 1, t = 1e-8.
+        assert stat_tests._two_sided_p(t, 1.0) == pytest.approx(
+            1.0 - 2.0 / math.pi * math.atan(t), rel=1e-15)
+        assert stat_tests._two_sided_p(t, 2.0) == pytest.approx(
+            1.0 - t / math.sqrt(2.0 + t * t), rel=1e-15)
+
+    @pytest.mark.parametrize("df", [1.0, 2.0, 7.3, 399.0, 1e6])
+    def test_edges(self, df):
+        assert stat_tests._two_sided_p(0.0, df) == 1.0
+        assert stat_tests._two_sided_p(math.inf, df) == 0.0
+        assert stat_tests._two_sided_p(-math.inf, df) == 0.0
+        assert math.isnan(stat_tests._two_sided_p(math.nan, df))
+
+    def test_fraction_that_does_not_settle_raises(self, monkeypatch):
+        monkeypatch.setattr(stat_tests, "_CF_MAX_PAIRS", 1)
+        with pytest.raises(VrpcastError, match="did not converge"):
+            stat_tests._two_sided_p(2.1, 399.0)
+
+    def test_plain_python_types(self, rng):
+        p = stat_tests._two_sided_p(np.float64(2.1), np.float64(37.4))
+        assert type(p) is float
+        a = rng.normal(0, 1, 30).astype(np.float32)
+        b = (a + rng.normal(0.5, 1, 30)).astype(np.float32)
+        for result in (two_sample_ttest(a, b), paired_ttest(a, b)):
+            assert type(result.p_value) is float
+            assert type(result.reject_at_5pct) is bool
