@@ -5,7 +5,10 @@ pass, of the residual/Jacobian evaluation that allocates its Jacobian, of
 the same evaluation writing into a reused F-ordered buffer, the same again
 from hidden activations a forward pass already wrote (as an LM or BRNN fit
 does at an accepted step), and of the residual/gradient evaluation by
-back-propagation (as an SCG fit does), fresh and from those activations.
+back-propagation (as an SCG fit does), fresh and from those activations,
+and one evaluation of `mlp.residual_fns`'s J'J, J'r and residuals from
+those activations, summed over mlp.BLOCK_ROWS-row blocks (what an LM or
+BRNN fit pays per accepted step).
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 50]
 """
@@ -15,7 +18,7 @@ import time
 
 import numpy as np
 
-from vrpcast import init, kernels
+from vrpcast import init, kernels, mlp
 
 SIZES = [
     # (n_patterns, lag, hidden); lag 1 is what entropy selection picks on the
@@ -63,10 +66,15 @@ def main(argv=None):
                           args.repeats)
         t_grad_reuse = per_call(lambda: kernels.residuals_and_gradient(
             inputs, targets, *params, hidden=act), args.repeats)
+        resid, normal_eqs, _ = mlp.residual_fns(model, inputs, targets)
+        theta = mlp.flatten(model)
+        resid(theta)
+        t_normal = per_call(lambda: normal_eqs(theta), args.repeats)
         print(f"n={n:6d} p={p:2d} h={h:2d}  forward {t_fwd * 1e3:8.3f} ms  "
               f"jacobian {t_jac * 1e3:8.3f} ms  jacobian(out=) {t_buf * 1e3:8.3f} ms  "
               f"jacobian(out=, hidden=) {t_reuse * 1e3:8.3f} ms  "
-              f"gradient {t_grad * 1e3:8.3f} ms  gradient(hidden=) {t_grad_reuse * 1e3:8.3f} ms")
+              f"gradient {t_grad * 1e3:8.3f} ms  gradient(hidden=) {t_grad_reuse * 1e3:8.3f} ms  "
+              f"normal_eqs {t_normal * 1e3:8.3f} ms")
     return 0
 
 

@@ -235,7 +235,6 @@ def _model_provenance(config, hidden, report, prep: Prepared):
         "train_fraction": config.train_fraction,
         "epochs_used": report.epochs_used,
         "converged": report.converged,
-        "final_objective": report.final_objective,
         "alpha": report.alpha,
         "beta": report.beta,
         "gamma_effective": report.gamma_effective,

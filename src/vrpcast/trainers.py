@@ -85,14 +85,10 @@ class TrainReport:
     "e_d_and_gamma".
 
     epoch_trace holds F at the start and at each accepted point, under the
-    alpha and beta that its step minimized. final_objective is F at the
-    final point under the final alpha and beta; for a brnn fit that
-    re-estimates them it is N_D/2 by construction (beta*E_D = (N_D - gamma)/2
-    and alpha*E_w = gamma/2), so it says nothing of the fit. gamma_effective
-    is gamma of the last re-estimate, N_w when alpha is pinned; bayes_trace
-    is set for brnn only."""
+    alpha and beta that its step minimized. gamma_effective is gamma of the
+    last re-estimate, N_w when alpha is pinned; bayes_trace is set for brnn
+    only."""
 
-    final_objective: float
     epoch_trace: tuple
     converged: bool
     stop_reason: str
@@ -129,7 +125,7 @@ def _as_xy(patterns):
 
 
 def lm_least_squares(
-    resid_jac: Callable,
+    resid_normal_eqs: Callable,
     theta0: np.ndarray,
     config: TrainConfig,
     bayes: bool = False,
@@ -137,13 +133,14 @@ def lm_least_squares(
 ):
     """Damped Gauss-Newton engine shared by train_lm and train_brnn.
 
-    resid_jac(theta) -> (residuals, jacobian) with jacobian = d(res)/d(theta)
-    is called at theta0 and after each accepted step only, so it may return
-    the same Jacobian buffer every time. J is read only through J'J and J'r,
-    so its memory order does not matter. Trial steps evaluate
-    resid(theta) -> residuals (default: the residuals of resid_jac).
+    resid_normal_eqs(theta) -> (residuals, J'J, J'r), J = d(res)/d(theta)
+    the Jacobian, is called at theta0 and after each accepted step only. The
+    engine reads J only through these products, so the caller may build them
+    from J in row blocks and never hold it whole (mlp.residual_fns does).
+    Trial steps evaluate resid(theta) -> residuals (default: the residuals of
+    resid_normal_eqs).
 
-    One eigendecomposition J'J = V diag(lam) V' per Jacobian serves every
+    One eigendecomposition J'J = V diag(lam) V' per evaluation serves every
     damping retry, as the diagonal solve
     step = -V (V'g) / (beta*(lam + mu) + alpha) with g = beta*J'r + alpha*theta,
     and BRNN's gamma. A trial step that is not finite is rejected.
@@ -156,11 +153,11 @@ def lm_least_squares(
     """
     if resid is None:
         def resid(theta):
-            return resid_jac(theta)[0]
+            return resid_normal_eqs(theta)[0]
 
     theta = np.asarray(theta0, dtype=float).copy()
     n_w = theta.size
-    r, jac = resid_jac(theta)
+    r, jtj, jtr = resid_normal_eqs(theta)
     n_d = r.size
     if n_d == 0:
         raise TrainingError("no training patterns")
@@ -180,13 +177,13 @@ def lm_least_squares(
     epochs = 0
     eig = None  # (lam, V) of the current J'J
     for _ in range(config.max_epochs):
-        g = beta * (jac.T @ r) + alpha * theta
+        g = beta * jtr + alpha * theta
         if np.max(np.abs(2.0 * g)) < GRADIENT_TOLERANCE:
             stop_reason = "gradient"
             break
         epochs += 1
         if eig is None:
-            eig = np.linalg.eigh(jac.T @ jac)
+            eig = np.linalg.eigh(jtj)
         lam, vecs = eig
         g_eig = vecs.T @ g
         accepted = False
@@ -211,11 +208,11 @@ def lm_least_squares(
         e_d_change = abs(e_d - e_d_new) / max(e_d, 1e-300)
         old_gamma = gamma
         theta, e_d, e_w = theta_new, e_d_new, e_w_new
-        r, jac = resid_jac(theta)
+        _, jtj, jtr = resid_normal_eqs(theta)
         eig = None
         trace.append(obj_new)
         if reestimate:
-            eig = np.linalg.eigh(jac.T @ jac)
+            eig = np.linalg.eigh(jtj)
             # each term lies in [0, 1]; eigh's rounding can make a zero
             # eigenvalue slightly negative
             d = beta * np.clip(eig[0], 0.0, None)
@@ -237,7 +234,6 @@ def lm_least_squares(
             stop_reason = "e_d_and_gamma" if reestimate else "objective"
             break
     report = TrainReport(
-        final_objective=objective,
         epoch_trace=tuple(trace),
         converged=stop_reason in ("gradient", "objective", "e_d_and_gamma"),
         stop_reason=stop_reason,
@@ -333,9 +329,9 @@ def scg_minimize(
 
 
 def _train_lm_family(model, patterns, config, bayes):
-    resid, resid_jac, _ = mlp.residual_fns(model, *_as_xy(patterns))
+    resid, resid_normal_eqs, _ = mlp.residual_fns(model, *_as_xy(patterns))
     theta, report = lm_least_squares(
-        resid_jac, mlp.flatten(model), config, bayes=bayes, resid=resid
+        resid_normal_eqs, mlp.flatten(model), config, bayes=bayes, resid=resid
     )
     return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
 
@@ -378,7 +374,6 @@ def train_scg(model, patterns, config: TrainConfig):
         max_iter=config.max_epochs,
     )
     report = TrainReport(
-        final_objective=trace[-1],
         epoch_trace=tuple(trace),
         converged=stop_reason == "gradient",
         stop_reason=stop_reason,

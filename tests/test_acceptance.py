@@ -182,11 +182,12 @@ def test_criterion_07_trainer_convergence():
     theta_star = rng.normal(size=5)
     targets = design @ theta_star
 
-    def resid_jac(theta):
-        return targets - design @ theta, -design
+    def normal_eqs(theta):
+        r = targets - design @ theta
+        return r, design.T @ design, -design.T @ r
 
     _, report = lm_least_squares(
-        resid_jac, np.zeros(5), TrainConfig(algorithm="lm", mu_init=1e-12)
+        normal_eqs, np.zeros(5), TrainConfig(algorithm="lm", mu_init=1e-12)
     )
     ok = len(report.epoch_trace) >= 2 and report.epoch_trace[1] < 1e-10
 

@@ -296,6 +296,19 @@ class TestWriters:
         write_csv(path, ["step", "forecast_watts"], [range(0), np.array([])])
         assert path.read_bytes() == b"step,forecast_watts\n"
 
+    def test_writing_in_chunks_changes_nothing(self, tmp_path, monkeypatch):
+        results = []
+        for chunk_rows in (data_ingest._CHUNK_ROWS, 1, 2, 3):
+            monkeypatch.setattr(data_ingest, "_CHUNK_ROWS", chunk_rows)
+            files = []
+            for n in (0, 1, 5, 6):
+                path = tmp_path / f"table_{chunk_rows}_{n}.csv"
+                write_csv(path, ["index", "value"], [range(n), np.array(EDGE_FLOATS + [1.5])[:n]])
+                files.append(path.read_bytes())
+            results.append(files)
+        assert results[0][1] == b"index,value\n0,-0.0\n"
+        assert all(files == results[0] for files in results[1:])
+
 
 class TestGenerateSynthetic:
     def test_deterministic(self):

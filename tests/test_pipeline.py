@@ -120,6 +120,22 @@ class TestRunPipeline:
             assert list(result["critical_values"]) == ["0.01", "0.025", "0.05", "0.1"]
 
 
+    def test_model_saved_with_final_objective_still_loads(self, tmp_path):
+        # models saved before final_objective left the provenance carry it
+        series = generate_synthetic(BURSTY, 5)
+        run_pipeline(PipelineConfig(out_dir=str(tmp_path), **FAST), series)
+        payload = json.loads((tmp_path / "model.json").read_text())
+        assert "final_objective" not in payload["provenance"]
+        payload["provenance"]["final_objective"] = 599.0
+        (tmp_path / "old_model.json").write_text(json.dumps(payload))
+        model, provenance = mlp.load(tmp_path / "model.json")
+        old_model, old_provenance = mlp.load(tmp_path / "old_model.json")
+        assert old_provenance["final_objective"] == 599.0
+        np.testing.assert_array_equal(mlp.flatten(old_model), mlp.flatten(model))
+        assert (pipeline.evaluate_saved(old_model, old_provenance, series).test_stats
+                == pipeline.evaluate_saved(model, provenance, series).test_stats)
+
+
 class TestForecastMultiStep:
     def make_context(self):
         series = generate_synthetic(BURSTY, 11)

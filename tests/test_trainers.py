@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -35,17 +36,18 @@ def linear_problem(rng, n=30, k=5):
     theta_star = rng.normal(size=k)
     targets = design @ theta_star
 
-    def resid_jac(theta):
-        return targets - design @ theta, -design
+    def normal_eqs(theta):
+        r = targets - design @ theta
+        return r, design.T @ design, -design.T @ r
 
-    return resid_jac, k
+    return normal_eqs, k
 
 
 class TestLm:
     def test_linear_exact_in_one_accepted_step(self, rng):
-        resid_jac, k = linear_problem(rng)
+        normal_eqs, k = linear_problem(rng)
         cfg = TrainConfig(algorithm="lm", mu_init=1e-12)
-        _, report = lm_least_squares(resid_jac, np.zeros(k), cfg)
+        _, report = lm_least_squares(normal_eqs, np.zeros(k), cfg)
         assert report.epoch_trace[1] < 1e-10
 
     def test_sin_fit(self):
@@ -120,27 +122,28 @@ class TestEngine:
         design = rng.normal(size=(n, k))
         targets = rng.normal(size=n)
 
-        def resid_jac(theta):
-            return targets - design @ theta, -design
+        def normal_eqs(theta):
+            r = targets - design @ theta
+            return r, design.T @ design, -design.T @ r
 
         theta0 = rng.normal(size=k)
         alpha, mu = 0.3, 0.05
         cfg = TrainConfig(algorithm="brnn", max_epochs=1, mu_init=mu, fixed_alpha=alpha)
-        theta, report = lm_least_squares(resid_jac, theta0, cfg, bayes=True)
+        theta, report = lm_least_squares(normal_eqs, theta0, cfg, bayes=True)
         assert len(report.epoch_trace) == 2  # the step was accepted
-        r, jac = resid_jac(theta0)
-        lhs = jac.T @ jac + (mu + alpha) * np.eye(k)       # beta = 1
-        step = np.linalg.solve(lhs, -(jac.T @ r + alpha * theta0))
+        r, jtj, jtr = normal_eqs(theta0)
+        lhs = jtj + (mu + alpha) * np.eye(k)       # beta = 1
+        step = np.linalg.solve(lhs, -(jtr + alpha * theta0))
         np.testing.assert_allclose(theta, theta0 + step, rtol=0, atol=1e-10)
 
     def test_non_finite_trial_is_rejected(self):
         # J'J = 0 and alpha = -mu_init: the first trial divides by zero and
         # must count as a rejected step; the retry at mu = 10 is accepted
-        def resid_jac(theta):
-            return np.ones(1), np.zeros((1, 1))
+        def normal_eqs(theta):
+            return np.ones(1), np.zeros((1, 1)), np.zeros(1)
 
         cfg = TrainConfig(algorithm="brnn", max_epochs=1, mu_init=1.0, fixed_alpha=-1.0)
-        theta, report = lm_least_squares(resid_jac, np.ones(1), cfg, bayes=True)
+        theta, report = lm_least_squares(normal_eqs, np.ones(1), cfg, bayes=True)
         assert len(report.epoch_trace) == 2
         np.testing.assert_allclose(theta, [1.0 + 1.0 / 9.0], rtol=1e-15)
 
@@ -203,17 +206,18 @@ class TestEngine:
         model = mlp.unflatten(theta, p, h)
         inputs = rng.uniform(0, 1, (n, p))
         targets = rng.normal(size=n)
-        resid, resid_jac, _ = mlp.residual_fns(model, inputs, targets)
+        resid, normal_eqs, _ = mlp.residual_fns(model, inputs, targets)
         expected_r, expected_jac = kernels.residuals_and_jacobian(
             inputs, targets, model.w1, model.b1, model.w2, model.b2)
-        r, jac = resid_jac(theta)
+        r, jtj, jtr = normal_eqs(theta)
         np.testing.assert_array_equal(r, expected_r)
-        np.testing.assert_array_equal(jac, expected_jac)
+        np.testing.assert_array_equal(jtj, expected_jac.T @ expected_jac)
+        np.testing.assert_array_equal(jtr, expected_jac.T @ expected_r)
         np.testing.assert_array_equal(resid(theta), targets - mlp.forward_batch(model, inputs))
 
 
 class TestResidualFnsReuse:
-    """resid(theta) keeps its activations for resid_jac and resid_grad at an
+    """resid(theta) keeps its activations for normal_eqs and resid_grad at an
     equal theta; any other theta must get a fresh evaluation."""
 
     P, H, N = 3, 7, 200
@@ -229,48 +233,107 @@ class TestResidualFnsReuse:
         return (kernels.residuals_and_jacobian(inputs, targets, *layers),
                 kernels.residuals_and_gradient(inputs, targets, *layers))
 
-    def assert_matches(self, resid_jac, resid_grad, inputs, targets, theta):
+    def assert_matches(self, normal_eqs, resid_grad, inputs, targets, theta):
         (r_exp, jac_exp), (rg_exp, grad_exp) = self.expected(inputs, targets, theta.copy())
-        r, jac = resid_jac(theta)
+        r, jtj, jtr = normal_eqs(theta)
         np.testing.assert_array_equal(r, r_exp)
-        np.testing.assert_array_equal(jac, jac_exp)
+        np.testing.assert_array_equal(jtj, jac_exp.T @ jac_exp)
+        np.testing.assert_array_equal(jtr, jac_exp.T @ r_exp)
         r, grad = resid_grad(theta)
         np.testing.assert_array_equal(r, rg_exp)
         np.testing.assert_array_equal(grad, grad_exp)
 
     def test_other_theta_is_evaluated_fresh(self, rng):
-        model, inputs, targets, (resid, resid_jac, resid_grad) = self.fit_fns(rng)
+        model, inputs, targets, (resid, normal_eqs, resid_grad) = self.fit_fns(rng)
         t1 = mlp.flatten(model)
         t2 = t1 + 0.1 * rng.normal(size=t1.size)
         resid(t1)
-        self.assert_matches(resid_jac, resid_grad, inputs, targets, t2)
+        self.assert_matches(normal_eqs, resid_grad, inputs, targets, t2)
 
     def test_theta_mutated_in_place_is_evaluated_fresh(self, rng):
-        model, inputs, targets, (resid, resid_jac, resid_grad) = self.fit_fns(rng)
+        model, inputs, targets, (resid, normal_eqs, resid_grad) = self.fit_fns(rng)
         theta = mlp.flatten(model)
         resid(theta)
         theta[0] += 0.5
         theta[-2] -= 0.25
-        self.assert_matches(resid_jac, resid_grad, inputs, targets, theta)
+        self.assert_matches(normal_eqs, resid_grad, inputs, targets, theta)
 
     def test_fresh_evaluation_keeps_the_buffer(self, monkeypatch, rng):
-        model, inputs, targets, (resid, resid_jac, resid_grad) = self.fit_fns(rng)
+        model, inputs, targets, (resid, normal_eqs, resid_grad) = self.fit_fns(rng)
         t1 = mlp.flatten(model)
         t2 = t1 + 0.1 * rng.normal(size=t1.size)
         resid(t1)
-        resid_jac(t2)
+        normal_eqs(t2)
         resid_grad(t2)
         hidden = count_calls(monkeypatch, kernels, "_hidden")
-        self.assert_matches(resid_jac, resid_grad, inputs, targets, t1.copy())
+        self.assert_matches(normal_eqs, resid_grad, inputs, targets, t1.copy())
         assert len(hidden) == 2     # the two reference evaluations only
+
+
+class TestBlocks:
+    """resid_normal_eqs sums J'J and J'r over row blocks of mlp.BLOCK_ROWS."""
+
+    P, H = 3, 5
+
+    def problem(self, rng, n):
+        model = init(self.P, self.H, 3)
+        inputs = rng.uniform(-1, 1, (n, self.P))
+        targets = rng.normal(size=n)
+        theta = mlp.flatten(model) + 0.1 * rng.normal(size=model.n_params)
+        return model, inputs, targets, theta
+
+    def evaluate(self, model, inputs, targets, theta, cached):
+        resid, normal_eqs, _ = mlp.residual_fns(model, inputs, targets)
+        if cached:
+            resid(theta)
+        return normal_eqs(theta)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("n", [1000, 1024])
+    def test_blocks_match_one_block(self, monkeypatch, rng, n, cached):
+        model, inputs, targets, theta = self.problem(rng, n)
+        expected = self.evaluate(model, inputs, targets, theta, cached)
+        jacobians = count_calls(monkeypatch, kernels, "residuals_and_jacobian")
+        monkeypatch.setattr(mlp, "BLOCK_ROWS", 64)
+        blocked = self.evaluate(model, inputs, targets, theta, cached)
+        assert len(jacobians) == -(-n // 64)
+        for got, want in zip(blocked, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_one_block_is_the_whole_jacobian(self, rng, cached):
+        model, inputs, targets, theta = self.problem(rng, mlp.BLOCK_ROWS)
+        r, jtj, jtr = self.evaluate(model, inputs, targets, theta, cached)
+        expected_r, jac = kernels.residuals_and_jacobian(
+            inputs, targets, *mlp._layers(theta, self.P, self.H))
+        np.testing.assert_array_equal(r, expected_r)
+        np.testing.assert_array_equal(jtj, jac.T @ jac)
+        np.testing.assert_array_equal(jtr, jac.T @ expected_r)
+
+    def test_memory_does_not_grow_with_the_jacobian(self):
+        # beyond the (h, n) activation buffer, a fit's residual functions and
+        # one evaluation allocate far less than the n x P Jacobian would take
+        n, p, h = 100_000, 1, 9
+        model = init(p, h, 0)
+        rng = np.random.default_rng(0)
+        inputs, targets = rng.uniform(-1, 1, (n, p)), rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            _, normal_eqs, _ = mlp.residual_fns(model, inputs, targets)
+            normal_eqs(mlp.flatten(model))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        jacobian_bytes = n * model.n_params * 8
+        assert peak - h * n * 8 < jacobian_bytes / 4
 
 
 class TestStopReason:
     """TrainReport.stop_reason names the branch that ended the fit."""
 
     def test_lm_gradient(self, rng):
-        resid_jac, k = linear_problem(rng)
-        _, report = lm_least_squares(resid_jac, np.zeros(k), TrainConfig(algorithm="lm"))
+        normal_eqs, k = linear_problem(rng)
+        _, report = lm_least_squares(normal_eqs, np.zeros(k), TrainConfig(algorithm="lm"))
         assert (report.stop_reason, report.converged) == ("gradient", True)
 
     def test_lm_objective(self):
@@ -282,7 +345,8 @@ class TestStopReason:
 
     def test_lm_mu_overflow(self):
         # every trial is worse than the start point
-        _, report = lm_least_squares(lambda th: (np.ones(3), np.ones((3, 1))), np.zeros(1),
+        _, report = lm_least_squares(lambda th: (np.ones(3), np.full((1, 1), 3.0), np.full(1, 3.0)),
+                                     np.zeros(1),
                                      TrainConfig(algorithm="lm"),
                                      resid=lambda th: np.full(3, 2.0))
         assert (report.stop_reason, report.converged, report.epochs_used) == (
