@@ -1,8 +1,10 @@
 """Time the series I/O.
 
 For each series length, reports the per-call wall time of loading a
-power-mode CSV (`load_csv`), of writing one (`save_csv`), and of writing the
-residuals.csv artifact that `vrpcast train` writes.  Each time is the best
+power-mode CSV (`load_csv`), of loading the same series with `NA` in every
+100th value (`load_csv(1% NA)`, whose rows with a marker go through the row
+parser), of writing one (`save_csv`), and of writing the residuals.csv
+artifact that `vrpcast train` writes.  Each time is the best
 of --repeats calls, since the machine's speed drifts and drift only adds
 time.  The files go to a temporary directory that is removed at the end.
 
@@ -13,6 +15,7 @@ import argparse
 import os
 import tempfile
 import time
+from datetime import datetime
 
 from vrpcast import difference, generate_synthetic
 from vrpcast.data_ingest import load_csv, save_csv, write_csv
@@ -38,18 +41,25 @@ def main(argv=None):
         parser.error("--repeats must be >= 1 and every size >= 2")
     with tempfile.TemporaryDirectory() as tmp:
         series_csv = os.path.join(tmp, "series.csv")
+        gaps_csv = os.path.join(tmp, "gaps.csv")
         residuals_csv = os.path.join(tmp, "residuals.csv")
         for n in args.sizes:
             series = generate_synthetic({"kind": "persistence_bursts", "n": n}, 0)
             residuals = difference(series).residuals
             save_csv(series, series_csv)
+            values = ["NA" if i % 100 == 0 else repr(v)
+                      for i, v in enumerate(series.values.tolist())]
+            write_csv(gaps_csv, ["timestamp", "vrp_watts"],
+                      [map(datetime.isoformat, series.timestamps), values])
             t_load = best_call(lambda: load_csv(series_csv), args.repeats)
+            t_gaps = best_call(lambda: load_csv(gaps_csv), args.repeats)
             t_save = best_call(lambda: save_csv(series, series_csv), args.repeats)
             t_resid = best_call(
                 lambda: write_csv(residuals_csv, ["index", "residual_watts"],
                                   [range(residuals.size), residuals]),
                 args.repeats)
-            print(f"n={n:6d}  load_csv {t_load * 1e3:8.2f} ms  save_csv {t_save * 1e3:8.2f} ms  "
+            print(f"n={n:6d}  load_csv {t_load * 1e3:8.2f} ms  "
+                  f"load_csv(1% NA) {t_gaps * 1e3:8.2f} ms  save_csv {t_save * 1e3:8.2f} ms  "
                   f"residuals.csv {t_resid * 1e3:8.2f} ms")
     return 0
 

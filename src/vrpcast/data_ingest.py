@@ -9,6 +9,9 @@ CSV layouts (header row required, UTF-8, comma-delimited):
 
 Rows with blank or non-finite values are dropped (counted, not an error);
 rows that do not parse at all raise DataFormatError with the row number.
+_parse_row defines what a row means. load_csv parses each chunk of rows a
+column at a time; the rows that pass cannot read go through _parse_row, in
+file order.
 """
 
 import csv
@@ -97,30 +100,18 @@ def _parse_value(text: str, row_no: int):
         raise DataFormatError(f"row {row_no}: bad value {text!r}") from exc
 
 
-def _is_blank(fields) -> bool:
-    return all(not c.strip() for c in fields)
-
-
-def _text_columns(rows, n_cols, first_row):
-    """(one list of text per column, the error for the first row with the
-    wrong field count or None). rows[0] is row number first_row of the file.
-    A blank row of any length becomes n_cols empty fields, to be dropped
-    like any blank row. The rows from the first error on are left out: the
-    rows above it still have to be parsed, since a bad field there is the
-    earlier error."""
-    count_error = None
-    if set(map(len, rows)) != {n_cols}:
-        for i, row in enumerate(rows):
-            if len(row) == n_cols:
-                continue
-            if _is_blank(row):
-                rows[i] = [""] * n_cols
-                continue
-            count_error = DataFormatError(
-                f"row {first_row + i}: expected {n_cols} fields, got {len(row)}")
-            del rows[i:]
-            break
-    return [list(map(itemgetter(k), rows)) for k in range(n_cols)], count_error
+def _parse_row(fields, n_cols, row_no):
+    """(timestamp, list of n_cols - 1 values) of one row of the file: a blank
+    row of any length is (None, nan...), and a missing value is nan. Raises
+    DataFormatError for another field count, then for the timestamp, then
+    for the first value that does not parse."""
+    if all(not c.strip() for c in fields):
+        return None, [math.nan] * (n_cols - 1)
+    if len(fields) != n_cols:
+        raise DataFormatError(f"row {row_no}: expected {n_cols} fields, got {len(fields)}")
+    stamp = _parse_timestamp(fields[0], row_no)
+    values = [_parse_value(text, row_no) for text in fields[1:]]
+    return stamp, [math.nan if v is None else v for v in values]
 
 
 def _parse_column(parse, texts, placeholder):
@@ -141,16 +132,22 @@ def _parse_column(parse, texts, placeholder):
     return parsed, rejected
 
 
-def _parse_columns(columns, first_row):
-    """(timestamps, (n_cols - 1, n) array of values) of the text columns,
-    whose first row is row number first_row of the file.
+def _parse_rows(rows, n_cols, first_row):
+    """(timestamps, (n_cols - 1, n) array of values) of rows, whose first is
+    row number first_row of the file; a blank row's timestamp is None.
 
-    Each column is parsed at once by datetime.fromisoformat or float. The
-    rows with a field that rejects, or with a tz-aware timestamp, are then
-    parsed in file order by _parse_timestamp and _parse_value, which define
-    what a field means and raise for the first bad row. A missing value
-    reads as nan, and a blank row as nan values with timestamp None."""
-    stamps, rejected = _parse_column(datetime.fromisoformat, columns[0], None)
+    Each column is parsed at once by datetime.fromisoformat or float, with
+    the rows of another field count padded to n_cols empty fields. Those
+    rows, and the rows with a field that rejects or a tz-aware timestamp,
+    are then read in file order by _parse_row, which defines what a row
+    means and raises for the first bad row."""
+    rejected, padded = [], rows
+    if set(map(len, rows)) != {n_cols}:
+        rejected = [i for i, row in enumerate(rows) if len(row) != n_cols]
+        padded = [row if len(row) == n_cols else [""] * n_cols for row in rows]
+    columns = [list(map(itemgetter(k), padded)) for k in range(n_cols)]
+    stamps, rejected_stamps = _parse_column(datetime.fromisoformat, columns[0], None)
+    rejected += rejected_stamps
     if any(map(attrgetter("tzinfo"), filter(None, stamps))):
         rejected += [i for i, ts in enumerate(stamps) if ts is not None and ts.tzinfo]
     value_columns = []
@@ -159,15 +156,9 @@ def _parse_columns(columns, first_row):
         value_columns.append(parsed)
         rejected += rejected_values
     for i in sorted(set(rejected)):
-        fields = [texts[i] for texts in columns]
-        if _is_blank(fields):
-            for parsed in value_columns:
-                parsed[i] = math.nan
-            continue
-        stamps[i] = _parse_timestamp(fields[0], first_row + i)
-        for parsed, text in zip(value_columns, fields[1:]):
-            value = _parse_value(text, first_row + i)
-            parsed[i] = math.nan if value is None else value
+        stamps[i], values = _parse_row(rows[i], n_cols, first_row + i)
+        for parsed, value in zip(value_columns, values):
+            parsed[i] = value
     return stamps, np.array(value_columns, dtype=float)
 
 
@@ -184,8 +175,9 @@ def _keep_last_of_each_stamp(stamps, values):
 
 
 def load_csv(path, mode: str = "power") -> TimeSeries:
-    """Load a VRP series a column at a time, dropping blank rows and rows
-    with a missing or non-finite value (counted, not an error).
+    """Load a VRP series _CHUNK_ROWS rows at a time (_parse_rows), dropping
+    blank rows and rows with a missing or non-finite value (counted, not an
+    error). The first bad row in the file raises DataFormatError.
 
     In radiance mode the values are MIR_TO_WATTS * (l_mir - l_mir_bk), as
     radiance_to_vrp computes them. Rows are sorted by timestamp; duplicate
@@ -206,10 +198,7 @@ def load_csv(path, mode: str = "power") -> TimeSeries:
             raise DataFormatError(f"{path}: empty file (header row required)")
         first_row = 2
         while rows := list(islice(reader, _CHUNK_ROWS)):
-            columns, count_error = _text_columns(rows, n_cols, first_row)
-            chunk_stamps, chunk_values = _parse_columns(columns, first_row)
-            if count_error is not None:
-                raise count_error
+            chunk_stamps, chunk_values = _parse_rows(rows, n_cols, first_row)
             stamps += chunk_stamps
             value_parts.append(chunk_values)
             first_row += len(rows)

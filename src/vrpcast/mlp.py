@@ -2,6 +2,7 @@
 and the normal equations J'J, J'r of the analytic residual Jacobian J,
 summed over row blocks, that the second-order trainers consume."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,6 +196,33 @@ _PROVENANCE_TYPES = {"lag": int, "train_fraction": float, "norm": dict,
 _NORM_TYPES = {"min": float, "max": float}
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int too large for a float
+        return False
+
+
+def _check_provenance_numbers(path, provenance: dict) -> None:
+    """DataFormatError, naming the file and the key, when a number the
+    pipeline computes with is not finite, or the norm's max does not exceed
+    its min."""
+    norm = provenance.get("norm", {})
+    for key, value in norm.items():
+        if not _is_finite(value):
+            raise DataFormatError(f"{path} provenance.norm key {key!r} must be finite, "
+                                  f"got {value!r}")
+    if norm and not norm["max"] > norm["min"]:
+        raise DataFormatError(f"{path} provenance.norm key 'max' must exceed 'min', "
+                              f"got {norm['max']!r} <= {norm['min']!r}")
+    numbers = {"last_window_residuals": provenance.get("last_window_residuals", []),
+               "last_observed_value": [provenance.get("last_observed_value", 0.0)]}
+    for key, values in numbers.items():
+        if not all(map(_is_finite, values)):
+            raise DataFormatError(f"{path} provenance key {key!r} must be finite, "
+                                  f"got {provenance[key]!r}")
+
+
 def save(model: MlpModel, path, provenance: dict | None = None) -> None:
     write_json(path, {
         "schema_version": SCHEMA_VERSION,
@@ -211,8 +239,9 @@ def load(path) -> tuple[MlpModel, dict]:
     file, when the file does not hold a JSON object, the schema version is
     not SCHEMA_VERSION (a file without one is version 1), an activation is
     not the network's, a key of the tables above is missing or of another
-    type, a layer size is below 1, the norm holds another key, the
-    parameters do not fit the layer sizes, or the provenance lag or forecast
+    type, a layer size is below 1, the norm holds another key, a norm bound,
+    forecast-window residual or last observed value is not finite, the norm's
+    max does not exceed its min, the parameters do not fit the layer sizes, or the provenance lag or forecast
     window does not match the input size."""
     payload = read_json(path)
     version = payload.get("schema_version", 1)
@@ -233,6 +262,7 @@ def load(path) -> tuple[MlpModel, dict]:
     if "norm" in provenance:
         check_json(f"{path} provenance.norm", provenance["norm"], _NORM_TYPES,
                    _NORM_TYPES, closed=True)
+    _check_provenance_numbers(path, provenance)
     try:
         model = unflatten(payload["params"], payload["input_dim"], payload["hidden_dim"])
     except ValueError as exc:

@@ -170,21 +170,18 @@ def lm_least_squares(
     objective = beta * e_d + alpha * e_w
     if not np.isfinite(objective):
         raise TrainingError("non-finite objective at the initial point")
+    lam, vecs = np.linalg.eigh(jtj)
     mu = config.mu_init
     trace = [objective]
     history = [(e_d, gamma, alpha, beta, mu)]
     stop_reason = "max_epochs"
     epochs = 0
-    eig = None  # (lam, V) of the current J'J
     for _ in range(config.max_epochs):
         g = beta * jtr + alpha * theta
         if np.max(np.abs(2.0 * g)) < GRADIENT_TOLERANCE:
             stop_reason = "gradient"
             break
         epochs += 1
-        if eig is None:
-            eig = np.linalg.eigh(jtj)
-        lam, vecs = eig
         g_eig = vecs.T @ g
         accepted = False
         while mu <= MU_MAX:
@@ -209,13 +206,12 @@ def lm_least_squares(
         old_gamma = gamma
         theta, e_d, e_w = theta_new, e_d_new, e_w_new
         _, jtj, jtr = resid_normal_eqs(theta)
-        eig = None
+        lam, vecs = np.linalg.eigh(jtj)
         trace.append(obj_new)
         if reestimate:
-            eig = np.linalg.eigh(jtj)
             # each term lies in [0, 1]; eigh's rounding can make a zero
             # eigenvalue slightly negative
-            d = beta * np.clip(eig[0], 0.0, None)
+            d = beta * np.clip(lam, 0.0, None)
             gamma = float(np.sum(np.divide(d, d + alpha, out=np.zeros_like(d),
                                            where=d + alpha > 0.0)))
             if e_w > 0.0:

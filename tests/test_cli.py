@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -277,6 +278,14 @@ class TestExitCodes:
         ("--model", dict(MODEL, input_dim=0, params=[0.1] * 5, provenance=dict(
             MODEL["provenance"], lag=0, last_window_residuals=[])), "input_dim"),
         ("--model", dict(MODEL, hidden_dim=0, params=[0.1]), "hidden_dim"),
+        ("--model", dict(MODEL, provenance=dict(
+            MODEL["provenance"], norm={"min": 1, "max": 1})), "max"),
+        ("--model", dict(MODEL, provenance=dict(
+            MODEL["provenance"], last_window_residuals=[math.nan])), "last_window_residuals"),
+        ("--model", dict(MODEL, provenance=dict(
+            MODEL["provenance"], norm={"min": 0, "max": math.inf})), "max"),
+        ("--model", dict(MODEL, provenance=dict(
+            MODEL["provenance"], last_observed_value=math.inf)), "last_observed_value"),
     ])
     def test_json_input_bad_key(self, tmp_path, capsys, option, payload, key):
         bad = tmp_path / "bad.json"

@@ -1,8 +1,10 @@
+import csv
 import logging
+import math
 import os
 import subprocess
 import sys
-from datetime import datetime
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -117,6 +119,48 @@ def loaded_line(caplog):
     [line] = [r.getMessage() for r in caplog.records
               if r.levelno == logging.INFO and r.getMessage().startswith("loaded ")]
     return line
+
+def reference_load(path, mode):
+    """README's "Data format" rules applied one row at a time: ("ok",
+    timestamps, values, INFO line) or ("error", message)."""
+    n_cols = 2 if mode == "power" else 3
+    kept, dropped = [], 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row_no, fields in enumerate(csv.reader(fh)):
+            if row_no == 0:
+                continue
+            if all(not f.strip() for f in fields):
+                dropped += 1
+                continue
+            if len(fields) != n_cols:
+                return ("error", f"row {row_no + 1}: expected {n_cols} fields, "
+                                 f"got {len(fields)}")
+            try:
+                ts = datetime.fromisoformat(fields[0].strip())
+            except ValueError:
+                return ("error", f"row {row_no + 1}: bad timestamp {fields[0]!r}")
+            if ts.tzinfo is not None:
+                ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
+            nums = []
+            for text in fields[1:]:
+                if text.strip().lower() in ("", "na", "nan", "n/a", "null", "none"):
+                    nums.append(math.nan)
+                    continue
+                try:
+                    nums.append(float(text))
+                except ValueError:
+                    return ("error", f"row {row_no + 1}: bad value {text!r}")
+            value = nums[0] if mode == "power" else 1.89e7 * (nums[0] - nums[1])
+            if math.isfinite(value):
+                kept.append((ts, value))
+            else:
+                dropped += 1
+    if not kept:
+        return ("error", f"{path}: no usable rows")
+    last = dict(sorted(kept, key=lambda pair: pair[0]))    # stable: the last one wins
+    return ("ok", tuple(last), list(last.values()),
+            f"loaded {len(last)} rows from {path} ({dropped} dropped as "
+            f"missing/non-finite, {len(kept) - len(last)} duplicates)")
 
 
 class TestLoadCsvContract:
@@ -248,6 +292,49 @@ class TestLoadCsvContract:
         assert results[0][3] == ["row 11: bad timestamp 'x'", "row 12: expected 2 fields, got 3"]
         assert results[0][1] == [10.0, 3.0, 5.0, 6.0]
         assert all(result == results[0] for result in results[1:])
+
+    def test_column_path_agrees_with_row_rules(self, tmp_path, monkeypatch, caplog, rng):
+        # Random files mix clean rows with blank rows of any length, missing
+        # markers, padded and quoted fields, zoned stamps, miscounted rows and
+        # bad fields, at a per-file rate, so that both loads and errors occur.
+        stamps = ["2020-01-{d:02d}", " 2020-01-{d:02d} ", '"2020-01-{d:02d}T06:00:00"',
+                  "2020-01-{d:02d}T05:00:00+05:00", "2020-01-{d:02d}T00:30:00Z", "bad", ""]
+        values = ["NA", "n/a", "NULL", "None", "nan", "", " ", "inf", "-Infinity", " 2.5 ",
+                  '"3e2"', "1e400", "oops"]
+        outcomes = set()
+        for k in range(300):
+            mode = ("power", "radiance")[k % 2]
+            n_cols = 2 if mode == "power" else 3
+            fault = rng.choice([0.0, 0.05, 0.3])
+            rows = []
+            for i in range(rng.integers(0, 12)):
+                day = int(rng.integers(1, 10))
+                fields = [f"2020-01-{day:02d}T{i:02d}:00:00"] + \
+                    [repr(float(v)) for v in rng.normal(0.0, 3.0, n_cols - 1)]
+                if rng.random() < fault:
+                    fields[0] = str(rng.choice(stamps)).format(d=day)
+                if rng.random() < fault:
+                    fields[int(rng.integers(1, n_cols))] = str(rng.choice(values))
+                if rng.random() < fault / 3:
+                    fields = [" " * int(rng.integers(0, 3))] * int(rng.integers(1, 5))
+                if rng.random() < fault / 3:
+                    fields = fields[:1] if n_cols == 3 else fields + ["1"]
+                rows.append(",".join(fields))
+            path = write(tmp_path, "h\n" + "".join(r + "\n" for r in rows), f"{k}.csv")
+            expected = reference_load(path, mode)
+            outcomes.add(expected[0])
+            for chunk_rows in (data_ingest._CHUNK_ROWS, 1, 2, 3):
+                monkeypatch.setattr(data_ingest, "_CHUNK_ROWS", chunk_rows)
+                caplog.clear()
+                try:
+                    with caplog.at_level(logging.INFO, logger="vrpcast.data_ingest"):
+                        series = load_csv(path, mode=mode)
+                    got = ("ok", series.timestamps, series.values.tolist(),
+                           loaded_line(caplog))
+                except DataFormatError as exc:
+                    got = ("error", str(exc))
+                assert got == expected, (rows, chunk_rows)
+        assert outcomes == {"ok", "error"}
 
 
 # Floats at the edges of repr's shortest round trip: signed zero, the
