@@ -5,8 +5,9 @@ pass, of the residual/Jacobian evaluation that allocates its Jacobian, of
 the same evaluation writing into a reused F-ordered buffer, the same again
 from hidden activations a forward pass already wrote (as an LM or BRNN fit
 does at an accepted step), and of the residual/gradient evaluation by
-back-propagation (as an SCG fit does), fresh and from those activations,
-and one evaluation of `mlp.residual_fns`'s J'J, J'r and residuals from
+back-propagation (as an SCG fit does), fresh, from those activations, and
+from them into a reused scratch buffer (as mlp.residual_fns does), and one
+evaluation of `mlp.residual_fns`'s J'J, J'r and residuals from
 those activations, summed over mlp.BLOCK_ROWS-row blocks (what an LM or
 BRNN fit pays per accepted step).
 
@@ -66,6 +67,9 @@ def main(argv=None):
                           args.repeats)
         t_grad_reuse = per_call(lambda: kernels.residuals_and_gradient(
             inputs, targets, *params, hidden=act), args.repeats)
+        scratch = np.empty((h, n))
+        t_grad_scratch = per_call(lambda: kernels.residuals_and_gradient(
+            inputs, targets, *params, hidden=act, scratch=scratch), args.repeats)
         resid, normal_eqs, _ = mlp.residual_fns(model, inputs, targets)
         theta = mlp.flatten(model)
         resid(theta)
@@ -74,6 +78,7 @@ def main(argv=None):
               f"jacobian {t_jac * 1e3:8.3f} ms  jacobian(out=) {t_buf * 1e3:8.3f} ms  "
               f"jacobian(out=, hidden=) {t_reuse * 1e3:8.3f} ms  "
               f"gradient {t_grad * 1e3:8.3f} ms  gradient(hidden=) {t_grad_reuse * 1e3:8.3f} ms  "
+              f"gradient(hidden=, scratch=) {t_grad_scratch * 1e3:8.3f} ms  "
               f"normal_eqs {t_normal * 1e3:8.3f} ms")
     return 0
 

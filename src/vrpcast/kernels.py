@@ -66,14 +66,15 @@ def residuals_and_jacobian(inputs, targets, w1, b1, w2, b2, out=None, hidden=Non
     return res, jac
 
 
-def residuals_and_gradient(inputs, targets, w1, b1, w2, b2, hidden=None):
+def residuals_and_gradient(inputs, targets, w1, b1, w2, b2, hidden=None, scratch=None):
     """Residuals as in residuals_and_jacobian and J'r, the gradient of half
     the sum of squared residuals, by back-propagation without the Jacobian.
-    `hidden` is as in residuals_and_jacobian; one (h, n) scratch array is
-    made."""
+    `hidden` is as in residuals_and_jacobian. The back-propagated (h, n)
+    terms are written into `scratch` (C-contiguous (h, n), overwritten) when
+    given, else into one new array; the results are bit-identical."""
     a = _hidden(inputs, w1, b1) if hidden is None else hidden
     res = targets - (w2 @ a + b2)
-    neg_s = np.multiply(a, a)
+    neg_s = np.multiply(a, a, out=scratch)
     neg_s -= 1.0
     neg_s *= w2[:, None]
     g_b1, g_w2, g_b2 = neg_s @ res, -(a @ res), -res.sum()

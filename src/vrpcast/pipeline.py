@@ -340,6 +340,7 @@ def compare_algorithms(config: PipelineConfig, series: Optional[TimeSeries] = No
             "train_stats": asdict(eval_report.train_stats),
             "test_stats": asdict(eval_report.test_stats),
             "converged": report.converged,
+            "stop_reason": report.stop_reason,
             "epochs_used": report.epochs_used,
         }
     result = {

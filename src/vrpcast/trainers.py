@@ -11,12 +11,14 @@ Fits run on the flat parameter vector (mlp.residual_fns) and build one model,
 from the result. Fixed constants: MU_FACTOR, MU_FLOOR, MU_MAX (damping,
 Marquardt 1963), OBJECTIVE_TOLERANCE, GRADIENT_TOLERANCE (stopping),
 E_D_TOLERANCE and GAMMA_TOLERANCE (the BRNN stop), GAMMA_PLATEAU and
-PLATEAU_SIZES (the BRNN grid stop, Foresee & Hagan 1997), SCG_SIGMA and
-SCG_LAMBDA_INIT (sigma and lambda_1, Moller 1993).
+PLATEAU_SIZES (the BRNN grid stop, Foresee & Hagan 1997), VALIDATION_FRACTION
+and MAX_FAIL (the validation stop, MATLAB's trainlm with divideblock's
+time-ordered split; Prechelt 1998), SCG_SIGMA and SCG_LAMBDA_INIT (sigma and
+lambda_1, Moller 1993).
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,6 +38,8 @@ E_D_TOLERANCE = 1e-6            # relative change in E_D
 GAMMA_TOLERANCE = 1e-3          # change in gamma, times max(1, gamma)
 GAMMA_PLATEAU = 0.05            # relative growth of gamma from one size to the next
 PLATEAU_SIZES = 2               # consecutive sizes below GAMMA_PLATEAU
+VALIDATION_FRACTION = 0.15      # last share of a PatternSet's training rows
+MAX_FAIL = 6                    # epochs in a row without a better validation SSE
 SCG_SIGMA = 1e-4
 SCG_LAMBDA_INIT = 1e-6
 
@@ -76,17 +80,23 @@ class BayesTrace:
 class TrainReport:
     """Outcome of one fit. stop_reason names the branch that ended it: for
     lm, and brnn with alpha pinned, "gradient", "objective" (F changed by
-    less than OBJECTIVE_TOLERANCE, relative), "mu_overflow" or "max_epochs";
+    less than OBJECTIVE_TOLERANCE, relative), "validation" (MAX_FAIL epochs
+    in a row without a lower validation SSE), "mu_overflow" or "max_epochs";
     for brnn re-estimating alpha "gradient", "e_d_and_gamma" (E_D changed by
     less than E_D_TOLERANCE, relative, and gamma by at most
     GAMMA_TOLERANCE * max(1, gamma)), "mu_overflow" or "max_epochs"; for scg
     "gradient", "objective_stall", "lambda_overflow", "zero_direction" or
-    "max_epochs". converged is True for "gradient", "objective" and
-    "e_d_and_gamma".
+    "max_epochs". converged is True for "gradient", "objective",
+    "validation" and "e_d_and_gamma".
 
     epoch_trace holds F at the start and at each accepted point, under the
-    alpha and beta that its step minimized. gamma_effective is gamma of the
-    last re-estimate, N_w when alpha is pinned; bayes_trace is set for brnn
+    alpha and beta that its step minimized, over the rows the fit descends.
+    validation_trace holds the validation block's SSE at the same points
+    when the fit held one out (train_lm), else it is None; the fit then
+    returns the point of its lowest entry. e_d is the SSE over every
+    training row at the returned point, validation block included, and e_w
+    the sum of squared weights there. gamma_effective is gamma of the last
+    re-estimate, N_w when alpha is pinned; bayes_trace is set for brnn
     only."""
 
     epoch_trace: tuple
@@ -99,6 +109,7 @@ class TrainReport:
     beta: Optional[float] = None
     gamma_effective: Optional[float] = None
     bayes_trace: Optional[BayesTrace] = None
+    validation_trace: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -130,6 +141,7 @@ def lm_least_squares(
     config: TrainConfig,
     bayes: bool = False,
     resid: Optional[Callable] = None,
+    validation: Optional[Callable] = None,
 ):
     """Damped Gauss-Newton engine shared by train_lm and train_brnn.
 
@@ -150,10 +162,20 @@ def lm_least_squares(
     over the new J'J's eigenvalues, a 0/0 term counted as 0. Such a fit stops
     when E_D and gamma have both settled (TrainReport, "e_d_and_gamma"); any
     other stops when F has.
+
+    validation(theta) -> residuals on a held-out block, given only for a fit
+    that does not re-estimate alpha, is evaluated at the start and after
+    each accepted step. The fit then also stops after MAX_FAIL epochs in a
+    row that do not lower the best validation SSE so far, and whatever the
+    stop it returns the point of that best SSE (e_d and e_w are taken
+    there; the report's e_d covers the descended rows only).
     """
     if resid is None:
         def resid(theta):
             return resid_normal_eqs(theta)[0]
+
+    def sse(r):
+        return float(r @ r)
 
     theta = np.asarray(theta0, dtype=float).copy()
     n_w = theta.size
@@ -161,7 +183,7 @@ def lm_least_squares(
     n_d = r.size
     if n_d == 0:
         raise TrainingError("no training patterns")
-    e_d = float(r @ r)
+    e_d = sse(r)
     e_w = float(theta @ theta)
     reestimate = bayes and config.fixed_alpha is None
     alpha = float(config.fixed_alpha) if (bayes and config.fixed_alpha is not None) else 0.0
@@ -174,7 +196,12 @@ def lm_least_squares(
     mu = config.mu_init
     trace = [objective]
     history = [(e_d, gamma, alpha, beta, mu)]
-    stop_reason = "max_epochs"
+    if validation is not None:
+        best_val = sse(validation(theta))
+        val_trace = [best_val]
+        best = theta, e_d, e_w     # theta is never written in place
+        fails = 0
+    stop_reason = None
     epochs = 0
     for _ in range(config.max_epochs):
         g = beta * jtr + alpha * theta
@@ -188,8 +215,7 @@ def lm_least_squares(
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 theta_new = theta - vecs @ (g_eig / (beta * (lam + mu) + alpha))
             if np.all(np.isfinite(theta_new)):
-                r_new = resid(theta_new)
-                e_d_new = float(r_new @ r_new)
+                e_d_new = sse(resid(theta_new))
                 e_w_new = float(theta_new @ theta_new)
                 obj_new = beta * e_d_new + alpha * e_w_new
                 if np.isfinite(obj_new) and obj_new <= objective:
@@ -205,9 +231,18 @@ def lm_least_squares(
         e_d_change = abs(e_d - e_d_new) / max(e_d, 1e-300)
         old_gamma = gamma
         theta, e_d, e_w = theta_new, e_d_new, e_w_new
-        _, jtj, jtr = resid_normal_eqs(theta)
-        lam, vecs = np.linalg.eigh(jtj)
         trace.append(obj_new)
+        if validation is not None:
+            val_trace.append(sse(validation(theta)))
+            if val_trace[-1] < best_val:
+                best, best_val, fails = (theta, e_d, e_w), val_trace[-1], 0
+            else:
+                fails += 1
+        if validation is not None and fails == MAX_FAIL:
+            stop_reason = "validation"  # J at this point would go unused
+        else:
+            _, jtj, jtr = resid_normal_eqs(theta)
+            lam, vecs = np.linalg.eigh(jtj)
         if reestimate:
             # each term lies in [0, 1]; eigh's rounding can make a zero
             # eigenvalue slightly negative
@@ -220,18 +255,21 @@ def lm_least_squares(
                 beta = (n_d - gamma) / (2.0 * e_d)
             if not (np.isfinite(alpha) and np.isfinite(beta)):
                 raise TrainingError("non-finite alpha/beta reestimate")
-            settled = (e_d_change < E_D_TOLERANCE
-                       and abs(gamma - old_gamma) <= GAMMA_TOLERANCE * max(1.0, gamma))
-        else:
-            settled = rel_change < OBJECTIVE_TOLERANCE
+            if (e_d_change < E_D_TOLERANCE
+                    and abs(gamma - old_gamma) <= GAMMA_TOLERANCE * max(1.0, gamma)):
+                stop_reason = "e_d_and_gamma"
+        elif rel_change < OBJECTIVE_TOLERANCE:
+            stop_reason = "objective"
         history.append((e_d, gamma, alpha, beta, mu_used))
         objective = beta * e_d + alpha * e_w
-        if settled:
-            stop_reason = "e_d_and_gamma" if reestimate else "objective"
+        if stop_reason:
             break
+    stop_reason = stop_reason or "max_epochs"
+    if validation is not None:
+        theta, e_d, e_w = best
     report = TrainReport(
         epoch_trace=tuple(trace),
-        converged=stop_reason in ("gradient", "objective", "e_d_and_gamma"),
+        converged=stop_reason in ("gradient", "objective", "validation", "e_d_and_gamma"),
         stop_reason=stop_reason,
         epochs_used=epochs,
         e_d=e_d,
@@ -240,6 +278,7 @@ def lm_least_squares(
         beta=beta if bayes else None,
         gamma_effective=gamma if bayes else None,
         bayes_trace=BayesTrace(*zip(*history)) if bayes else None,
+        validation_trace=None if validation is None else tuple(val_trace),
     )
     return theta, report
 
@@ -325,15 +364,34 @@ def scg_minimize(
 
 
 def _train_lm_family(model, patterns, config, bayes):
-    resid, resid_normal_eqs, _ = mlp.residual_fns(model, *_as_xy(patterns))
+    inputs, targets = _as_xy(patterns)
+    n_val = 0
+    if isinstance(patterns, PatternSet) and not (bayes and config.fixed_alpha is None):
+        n_val = int(VALIDATION_FRACTION * targets.size)
+    n_fit = targets.size - n_val
+    resid, resid_normal_eqs, _ = mlp.residual_fns(model, inputs[:n_fit], targets[:n_fit])
+    validation = None
+    if n_val:
+        validation = mlp.residual_fns(model, inputs[n_fit:], targets[n_fit:])[0]
     theta, report = lm_least_squares(
-        resid_normal_eqs, mlp.flatten(model), config, bayes=bayes, resid=resid
+        resid_normal_eqs, mlp.flatten(model), config, bayes=bayes, resid=resid,
+        validation=validation,
     )
+    if n_val:
+        report = replace(report, e_d=report.e_d + min(report.validation_trace))
     return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
 
 
 def train_lm(model, patterns, config: TrainConfig):
-    """Levenberg-Marquardt minimization of the sum of squared residuals."""
+    """Levenberg-Marquardt minimization of the sum of squared residuals.
+
+    On a PatternSet the last VALIDATION_FRACTION of the training rows, in
+    time order (int(VALIDATION_FRACTION * n) rows), are a validation block,
+    as MATLAB's trainlm with divideblock holds one out: the fit descends
+    the rows before it, stops after MAX_FAIL epochs in a row that do not
+    lower the block's SSE and returns the weights of its lowest SSE
+    (lm_least_squares). An (inputs, targets) pair has no time order and is
+    fitted whole, with no validation stop."""
     return _train_lm_family(model, patterns, config, bayes=False)
 
 
@@ -347,8 +405,9 @@ def train_brnn(model, patterns, config: TrainConfig):
     alpha = gamma/(2*E_w) and beta = (N_D - gamma)/(2*E_D). alpha starts at
     0 and beta at 1. The fit stops when E_D changes by less than
     E_D_TOLERANCE, relative, in the same step as gamma changes by at most
-    GAMMA_TOLERANCE * max(1, gamma). With config.fixed_alpha, alpha and beta
-    stay fixed and the fit stops as LM's does."""
+    GAMMA_TOLERANCE * max(1, gamma); it fits every training row. With
+    config.fixed_alpha, alpha and beta stay fixed and the fit holds out a
+    validation block and stops as train_lm's does."""
     return _train_lm_family(model, patterns, config, bayes=True)
 
 
@@ -390,7 +449,9 @@ def train(model, patterns, config: TrainConfig):
 def grid_search_fit(patterns, h_range, config: TrainConfig):
     """Train one model per hidden size of h_range, which must ascend (seed
     config.seed + h), and pick the trained size with the lowest final
-    training MSE; a tie stays with the smaller h. Sizes whose training aborts
+    training MSE, the report's e_d over the number of training rows (for lm
+    on a PatternSet, validation block included, at the weights the fit
+    returns); a tie stays with the smaller h. Sizes whose training aborts
     are excluded. Only the best fit so far is kept.
 
     A brnn grid that re-estimates alpha stops growing h once gamma has grown
@@ -414,7 +475,7 @@ def grid_search_fit(patterns, h_range, config: TrainConfig):
             continue
         model0 = mlp.init(inputs.shape[1], h, config.seed + h)
         try:
-            trained, report = train(model0, (inputs, targets), config)
+            trained, report = train(model0, patterns, config)
         except TrainingError as exc:
             log.warning("hidden size %d aborted: %s", h, exc)
             rows.append(GridRow(h, error=str(exc)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import vrpcast
-from vrpcast import cli, forecast_multi_step, generate_synthetic, mlp
+from vrpcast import cli, forecast_multi_step, generate_synthetic, mlp, series_ops, trainers
 from vrpcast.data_ingest import save_csv
 from vrpcast.series_ops import NormParams, fit_normalizer
 
@@ -207,6 +207,88 @@ class TestCompare:
         assert "scg: test ME" in out and "brnn: test ME" in out
         payload = json.loads((tmp_path / "c" / "comparison.json").read_text())
         assert payload["algorithms"]["lm"] == {"error": "abort lm h = 4"}
+
+
+class TestLmValidationStop:
+    """lm holds out the last 15 % of the training rows as a validation block
+    and stops on it; its artifacts keep one meaning of e_d."""
+
+    @pytest.fixture(scope="class")
+    def bursts(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("lm_validation")
+        series = generate_synthetic({"kind": "persistence_bursts", "n": 5000}, 9001)
+        csv, config = root / "series.csv", root / "config.json"
+        save_csv(series, str(csv))
+        config.write_text(json.dumps({"max_epochs": 50}))
+        return root, csv, config
+
+    @staticmethod
+    def training_rows(csv, lag):
+        values = np.array([float(line.split(",")[1])
+                           for line in Path(csv).read_text().splitlines()[1:]])
+        resid = np.diff(values)
+        n = resid.size - lag
+        inputs = np.stack([resid[k : k + n] for k in range(lag)], axis=1)
+        split = int(math.floor(0.8 * n + 0.5))
+        return inputs[:split], resid[lag:][:split], resid[: split + lag]
+
+    @classmethod
+    def training_sse(cls, run_dir, csv):
+        """SSE over every training row of model.json, by a numpy forward pass
+        with the normaliser fitted on the training residuals."""
+        model = json.loads((run_dir / "model.json").read_text())
+        p, h = model["input_dim"], model["hidden_dim"]
+        inputs, targets, touched = cls.training_rows(csv, p)
+        lo, hi = touched.min(), touched.max()
+        theta = np.array(model["params"])
+        w1, b1 = theta[: h * p].reshape(h, p), theta[h * p : h * p + h]
+        w2, b2 = theta[h * p + h : -1], theta[-1]
+        out = np.tanh((inputs - lo) / (hi - lo) @ w1.T + b1) @ w2 + b2
+        err = (targets - lo) / (hi - lo) - out
+        return err, targets.size
+
+    def test_compare_lm_stops_on_validation(self, bursts):
+        root, csv, config = bursts
+        assert run_cli("compare", "--input", csv, "--lag", 6, "--hidden", 9,
+                       "--config", config, "--out", root / "c") == 0
+        lm = json.loads((root / "c" / "comparison.json").read_text())["algorithms"]["lm"]
+        assert (lm["stop_reason"], lm["converged"]) == ("validation", True)
+        assert lm["epochs_used"] < 50
+        # the same fit through train: its weights are the argmin of its trace
+        assert run_cli("train", "--input", csv, "--lag", 6, "--hidden", 9, "--algo", "lm",
+                       "--config", config, "--out", root / "t") == 0
+        report = json.loads((root / "t" / "train_report.json").read_text())
+        assert (report["stop_reason"], report["epochs_used"]) == ("validation",
+                                                                  lm["epochs_used"])
+        trace = report["validation_trace"]
+        err, n = self.training_sse(root / "t", csv)
+        n_val = int(0.15 * n)
+        val_err = err[n - n_val:]
+        assert float(val_err @ val_err) == pytest.approx(min(trace), rel=1e-9)
+        assert int(np.argmin(trace)) == len(trace) - 7
+
+    def test_lm_grid_e_d_covers_every_training_row(self, bursts):
+        root, csv, config = bursts
+        out = root / "g"
+        assert run_cli("train", "--input", csv, "--lag", 6, "--hidden", "2:4", "--algo", "lm",
+                       "--config", config, "--out", out) == 0
+        report = json.loads((out / "train_report.json").read_text())
+        err, n = self.training_sse(out, csv)
+        assert report["e_d"] == pytest.approx(float(err @ err), rel=1e-9)
+        assert report["validation_trace"] is not None
+        hidden = json.loads((out / "model.json").read_text())["hidden_dim"]
+        rows = json.loads((out / "grid_search.json").read_text())
+        selected = next(r for r in rows if r["hidden"] == hidden)
+        assert selected["objective"] == report["e_d"] / n
+        # every size: its objective is the whole-block SSE of its fit over n
+        patterns = series_ops.extract_patterns(
+            np.diff(np.array([float(line.split(",")[1])
+                              for line in csv.read_text().splitlines()[1:]])), 6, 0.8)
+        for row in rows:
+            _, fit = trainers.train(mlp.init(6, row["hidden"], row["hidden"]), patterns,
+                                    trainers.TrainConfig(algorithm="lm", max_epochs=50))
+            assert row["objective"] == fit.e_d / n
+            assert (row["epochs_used"], row["converged"]) == (fit.epochs_used, fit.converged)
 
 
 class TestExitCodes:

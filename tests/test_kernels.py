@@ -77,6 +77,22 @@ def test_activation_buffers_match_allocating_kernels(rng, n, p, h):
     np.testing.assert_array_equal(grad_b, grad)
 
 
+@pytest.mark.parametrize("p, h", [(1, 6), (6, 9), (12, 25)])
+@pytest.mark.parametrize("n", [300, 5000])
+def test_gradient_scratch_matches_allocating_kernel(rng, n, p, h):
+    model, inputs, targets = random_case(rng, n=n, p=p, h=h)
+    args = (model.w1, model.b1, model.w2, model.b2)
+    res, grad = kernels.residuals_and_gradient(inputs, targets, *args)
+    act = np.empty((h, n))
+    kernels.forward_batch(inputs, *args, hidden_out=act)
+    scratch = np.full((h, n), np.nan)
+    for hidden in (None, act):
+        res_s, grad_s = kernels.residuals_and_gradient(inputs, targets, *args,
+                                                       hidden=hidden, scratch=scratch)
+        np.testing.assert_array_equal(res_s, res)
+        np.testing.assert_array_equal(grad_s, grad)
+
+
 def test_bench_kernels_runs():
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run(

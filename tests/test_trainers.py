@@ -270,6 +270,28 @@ class TestResidualFnsReuse:
         assert len(hidden) == 2     # the two reference evaluations only
 
 
+    def test_gradient_scratch_is_reused(self, monkeypatch, rng):
+        model, inputs, targets, (resid, _, resid_grad) = self.fit_fns(rng)
+        scratches = []
+        real = kernels.residuals_and_gradient
+
+        def recording(*args, scratch=None, **kwargs):
+            scratches.append(scratch)
+            return real(*args, scratch=scratch, **kwargs)
+
+        monkeypatch.setattr(kernels, "residuals_and_gradient", recording)
+        t1 = mlp.flatten(model)
+        t2 = t1 + 0.1 * rng.normal(size=t1.size)
+        resid(t1)
+        for theta in (t1, t2, t1):
+            r, grad = resid_grad(theta)
+            r_exp, grad_exp = real(inputs, targets, *mlp._layers(theta, self.P, self.H))
+            np.testing.assert_array_equal(r, r_exp)
+            np.testing.assert_array_equal(grad, grad_exp)
+        assert scratches[0].shape == (self.H, self.N)
+        assert all(s is scratches[0] for s in scratches)
+
+
 class TestBlocks:
     """resid_normal_eqs sums J'J and J'r over row blocks of mlp.BLOCK_ROWS."""
 
@@ -621,3 +643,89 @@ class TestGridSearch:
         assert all(r.objective is not None and r.skipped is None and r.gamma is None
                    for r in table)
         assert len(table) == 24
+
+
+@pytest.fixture(scope="module")
+def bursts_5000():
+    """Lag-6 patterns of a 5000-point persistence_bursts series, as
+    `compare --lag 6` builds them."""
+    series = generate_synthetic({"kind": "persistence_bursts", "n": 5000}, 9001)
+    return series_ops.extract_patterns(series_ops.difference(series).residuals, 6, 0.8)
+
+
+def validation_sse(model, patterns):
+    n = patterns.split_index
+    n_val = int(trainers.VALIDATION_FRACTION * n)
+    x, y = patterns.train_inputs[n - n_val:], patterns.train_targets[n - n_val:]
+    err = y - mlp.forward_batch(model, x)
+    return float(err @ err)
+
+
+class TestValidationStop:
+    """On a PatternSet, lm and pinned-alpha brnn hold out the last
+    VALIDATION_FRACTION of the training rows and stop after MAX_FAIL
+    epochs without a lower validation SSE."""
+
+    CONFIG = {"max_epochs": 50}
+
+    def test_pinned_brnn_takes_lms_stop(self, bursts_5000):
+        m0 = init(6, 9, 0)
+        m_lm, r_lm = train_lm(m0, bursts_5000, TrainConfig(algorithm="lm", **self.CONFIG))
+        m_br, r_br = train_brnn(m0, bursts_5000, TrainConfig(algorithm="brnn", fixed_alpha=0.0,
+                                                             **self.CONFIG))
+        np.testing.assert_array_equal(mlp.flatten(m_lm), mlp.flatten(m_br))
+        assert r_lm.epoch_trace == r_br.epoch_trace
+        assert r_lm.validation_trace == r_br.validation_trace
+        assert (r_lm.stop_reason, r_lm.epochs_used) == (r_br.stop_reason, r_br.epochs_used)
+        assert r_lm.e_d == r_br.e_d
+
+    def test_stops_at_max_fail_and_returns_the_best_point(self, bursts_5000):
+        model, report = train_lm(init(6, 9, 0), bursts_5000,
+                                 TrainConfig(algorithm="lm", **self.CONFIG))
+        trace = report.validation_trace
+        assert (report.stop_reason, report.converged) == ("validation", True)
+        assert report.epochs_used < 50
+        assert len(trace) == len(report.epoch_trace) == report.epochs_used + 1
+        best = int(np.argmin(trace))
+        assert best == len(trace) - 1 - trainers.MAX_FAIL
+        assert validation_sse(model, bursts_5000) == pytest.approx(trace[best], rel=1e-12)
+        # e_d covers every training row, the validation block included
+        err = bursts_5000.train_targets - mlp.forward_batch(model, bursts_5000.train_inputs)
+        assert report.e_d == pytest.approx(float(err @ err), rel=1e-12)
+        assert report.e_w == pytest.approx(float(mlp.flatten(model) @ mlp.flatten(model)))
+
+    @pytest.mark.parametrize("max_epochs", [1, 5])
+    def test_best_point_on_every_stop(self, bursts_5000, max_epochs):
+        model, report = train_lm(init(6, 9, 0), bursts_5000,
+                                 TrainConfig(algorithm="lm", max_epochs=max_epochs))
+        assert report.stop_reason == "max_epochs"
+        trace = report.validation_trace
+        assert validation_sse(model, bursts_5000) == pytest.approx(min(trace), rel=1e-12)
+        if max_epochs == 5:     # the validation SSE rose after epoch 2
+            assert np.argmin(trace) < len(trace) - 1
+
+    def test_descends_the_rows_before_the_block(self, bursts_5000, monkeypatch):
+        sizes = []
+        real = mlp.residual_fns
+
+        def recording(model, inputs, targets):
+            sizes.append(len(targets))
+            return real(model, inputs, targets)
+
+        monkeypatch.setattr(mlp, "residual_fns", recording)
+        train_lm(init(6, 9, 0), bursts_5000, TrainConfig(algorithm="lm", max_epochs=2))
+        n = bursts_5000.split_index
+        n_val = int(trainers.VALIDATION_FRACTION * n)
+        assert sizes == [n - n_val, n_val]
+
+    @pytest.mark.parametrize("algorithm", ["scg", "brnn"])
+    def test_others_fit_every_row(self, bursts_5000, algorithm):
+        _, report = trainers.train(init(6, 9, 0), bursts_5000,
+                                   TrainConfig(algorithm=algorithm, max_epochs=5))
+        assert report.validation_trace is None
+        assert asdict(report)["validation_trace"] is None
+
+    def test_pair_is_fitted_whole(self):
+        x, y = sin_task(100)
+        _, report = train_lm(init(1, 6, 4), (x, y), TrainConfig(algorithm="lm", max_epochs=5))
+        assert report.validation_trace is None
