@@ -23,7 +23,8 @@ ACF_MAX_LAG = 20
 class PipelineConfig:
     """One experiment. hidden is the hidden size to train, or (lo, hi), a
     grid search over the sizes lo..hi, inclusive, that keeps the fit of the
-    size it selects; from_dict takes [lo, hi]."""
+    size it selects; from_dict takes [lo, hi]. The training settings are
+    checked when the config is built (TrainConfig's ValueError)."""
 
     input_path: Optional[str] = None
     mode: str = "power"
@@ -36,6 +37,9 @@ class PipelineConfig:
     max_epochs: int = 1000
     out_dir: Optional[str] = None
     seed: int = 0
+
+    def __post_init__(self):
+        self.train_config()
 
     def train_config(self, algorithm: Optional[str] = None) -> trainers.TrainConfig:
         return trainers.TrainConfig(

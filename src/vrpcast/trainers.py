@@ -18,7 +18,7 @@ lambda_1, Moller 1993).
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,6 +58,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be at least 1, not {self.max_epochs}")
         if self.mu_init <= 0.0:
             raise ValueError("mu_init must be positive")
 
@@ -167,8 +169,9 @@ def lm_least_squares(
     that does not re-estimate alpha, is evaluated at the start and after
     each accepted step. The fit then also stops after MAX_FAIL epochs in a
     row that do not lower the best validation SSE so far, and whatever the
-    stop it returns the point of that best SSE (e_d and e_w are taken
-    there; the report's e_d covers the descended rows only).
+    stop it returns the point of that best SSE. The report's e_d is the SSE
+    at the returned point over the rows of resid_normal_eqs and, given
+    validation, the held-out block.
     """
     if resid is None:
         def resid(theta):
@@ -267,6 +270,7 @@ def lm_least_squares(
     stop_reason = stop_reason or "max_epochs"
     if validation is not None:
         theta, e_d, e_w = best
+        e_d += best_val
     report = TrainReport(
         epoch_trace=tuple(trace),
         converged=stop_reason in ("gradient", "objective", "validation", "e_d_and_gamma"),
@@ -377,8 +381,6 @@ def _train_lm_family(model, patterns, config, bayes):
         resid_normal_eqs, mlp.flatten(model), config, bayes=bayes, resid=resid,
         validation=validation,
     )
-    if n_val:
-        report = replace(report, e_d=report.e_d + min(report.validation_trace))
     return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
 
 
@@ -449,10 +451,9 @@ def train(model, patterns, config: TrainConfig):
 def grid_search_fit(patterns, h_range, config: TrainConfig):
     """Train one model per hidden size of h_range, which must ascend (seed
     config.seed + h), and pick the trained size with the lowest final
-    training MSE, the report's e_d over the number of training rows (for lm
-    on a PatternSet, validation block included, at the weights the fit
-    returns); a tie stays with the smaller h. Sizes whose training aborts
-    are excluded. Only the best fit so far is kept.
+    training MSE, the report's e_d over the number of training rows; a tie
+    stays with the smaller h. Sizes whose training aborts are excluded.
+    Only the best fit so far is kept.
 
     A brnn grid that re-estimates alpha stops growing h once gamma has grown
     by less than GAMMA_PLATEAU, relative, from one trained size to the next
@@ -497,8 +498,3 @@ def grid_search_fit(patterns, h_range, config: TrainConfig):
         raise TrainingError("every hidden size aborted during grid search")
     return best[0].hidden, rows, *best[1:]
 
-
-def grid_search_hidden(patterns, h_range, config: TrainConfig):
-    """grid_search_fit's (best_h, table), without the winning fit."""
-    best, results, _, _ = grid_search_fit(patterns, h_range, config)
-    return best, results

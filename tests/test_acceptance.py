@@ -17,7 +17,7 @@ from vrpcast import (
     entropy_profile,
     extract_patterns,
     generate_synthetic,
-    grid_search_hidden,
+    grid_search_fit,
     init,
     kernels,
     kpss_level,
@@ -350,9 +350,9 @@ def test_criterion_12_grid_search():
     # full sweep emits one entry per size in [2, 25]
     x = rng.uniform(0, 1, (60, 2))
     y = np.sin(3 * x[:, 0]) + rng.normal(0, 0.05, 60)
-    _, table = grid_search_hidden(
+    _, table = grid_search_fit(
         (x, y), range(2, 26), TrainConfig(algorithm="lm", max_epochs=15, seed=0)
-    )
+    )[:2]
     ok = len(table) == 24 and [r.hidden for r in table] == list(range(2, 26))
 
     # teacher with 4 hidden nodes: selected size lands near the truth
@@ -361,16 +361,16 @@ def test_criterion_12_grid_search():
     xt = r5.uniform(0, 1, (200, 6))
     signal = mlp.forward_batch(teacher, xt)
     yt = signal + r5.normal(0, 0.2 * signal.std(), 200)
-    best, _ = grid_search_hidden(
+    best, _ = grid_search_fit(
         (xt, yt), range(2, 10), TrainConfig(algorithm="brnn", max_epochs=150, seed=3)
-    )
+    )[:2]
     ok = ok and 3 <= best <= 8
 
     # degenerate data: every size reaches the same objective, tie -> smallest
     xz = rng.uniform(0, 1, (40, 2))
-    best_tie, _ = grid_search_hidden(
+    best_tie, _ = grid_search_fit(
         (xz, np.zeros(40)), range(2, 7),
         TrainConfig(algorithm="lm", max_epochs=30, seed=0),
-    )
+    )[:2]
     ok = ok and best_tie == 2
     _verdict(12, "grid-search", ok)

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -379,6 +380,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}") and repr(key) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("setting, value", [
+        ("max_epochs", -5), ("max_epochs", 0), ("algorithm", "foo")])
+    def test_bad_training_setting_fails_before_load(self, series_csv, tmp_path, capsys,
+                                                    caplog, setting, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input_path": str(series_csv), setting: value}))
+        capsys.readouterr()
+        with caplog.at_level(logging.INFO):
+            assert run_cli("train", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and setting in err
+        assert "loaded" not in caplog.text
 
     def test_config_h_range_is_unknown(self, series_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,9 +1,6 @@
 import csv
 import logging
 import math
-import os
-import subprocess
-import sys
 from datetime import datetime, timezone
 
 import numpy as np
@@ -12,8 +9,6 @@ import pytest
 from vrpcast import acf, data_ingest, generate_synthetic, load_csv, radiance_to_vrp
 from vrpcast.data_ingest import TimeSeries, save_csv, write_csv
 from vrpcast.errors import DataFormatError, DegenerateDataError
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -426,14 +421,3 @@ class TestGenerateSynthetic:
     def test_requested_length(self):
         for kind in ("white_noise", "random_walk", "persistence_bursts"):
             assert len(generate_synthetic({"kind": kind, "n": 37}, 0)) == 37
-
-
-def test_bench_io_runs():
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    out = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "benchmarks", "bench_io.py"),
-         "--repeats", "1", "--sizes", "50", "200"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert len(out.stdout.strip().splitlines()) == 2

@@ -1,13 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from vrpcast import init, kernels
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def random_case(rng, n=40, p=5, h=7):
@@ -91,14 +85,3 @@ def test_gradient_scratch_matches_allocating_kernel(rng, n, p, h):
                                                        hidden=hidden, scratch=scratch)
         np.testing.assert_array_equal(res_s, res)
         np.testing.assert_array_equal(grad_s, grad)
-
-
-def test_bench_kernels_runs():
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    out = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "benchmarks", "bench_kernels.py"),
-         "--repeats", "1"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert len(out.stdout.strip().splitlines()) == 6

@@ -7,7 +7,7 @@ import pytest
 
 from vrpcast import (
     TrainConfig,
-    grid_search_hidden,
+    grid_search_fit,
     init,
     train_brnn,
     train_lm,
@@ -41,6 +41,12 @@ def linear_problem(rng, n=30, k=5):
         return r, design.T @ design, -design.T @ r
 
     return normal_eqs, k
+
+
+@pytest.mark.parametrize("max_epochs", [0, -5])
+def test_config_rejects_max_epochs_below_one(max_epochs):
+    with pytest.raises(ValueError, match="max_epochs must be at least 1"):
+        TrainConfig(max_epochs=max_epochs)
 
 
 class TestLm:
@@ -559,7 +565,7 @@ class TestGridSearch:
         x = rng.uniform(0, 1, (60, 2))
         y = np.sin(3 * x[:, 0]) + rng.normal(0, 0.05, 60)
         cfg = TrainConfig(algorithm="lm", max_epochs=20, seed=0)
-        _, table = grid_search_hidden((x, y), range(2, 26), cfg)
+        _, table = grid_search_fit((x, y), range(2, 26), cfg)[:2]
         assert len(table) == 24
 
     def test_tie_breaks_to_smallest(self, rng):
@@ -567,7 +573,7 @@ class TestGridSearch:
         x = rng.uniform(0, 1, (40, 2))
         y = np.zeros(40)
         cfg = TrainConfig(algorithm="lm", max_epochs=30, seed=0)
-        best, table = grid_search_hidden((x, y), range(2, 7), cfg)
+        best, table = grid_search_fit((x, y), range(2, 7), cfg)[:2]
         objectives = {r.objective for r in table}
         assert best == 2
         assert all(v < 1e-10 for v in objectives)
@@ -579,7 +585,7 @@ class TestGridSearch:
         signal = mlp.forward_batch(teacher, x)
         y = signal + rng.normal(0, 0.2 * signal.std(), 200)
         cfg = TrainConfig(algorithm="brnn", max_epochs=150, seed=3)
-        best, table = grid_search_hidden((x, y), range(2, 10), cfg)
+        best, table = grid_search_fit((x, y), range(2, 10), cfg)[:2]
         assert 3 <= best <= 8
         assert len(table) == 8
 
@@ -602,7 +608,7 @@ class TestGridSearch:
         x = rng.uniform(0, 1, (60, 2))
         y = np.sin(3 * x[:, 0]) + rng.normal(0, 0.05, 60)
         cfg = TrainConfig(algorithm="lm", max_epochs=20, seed=0)
-        _, full = grid_search_hidden((x, y), range(2, 6), cfg)
+        _, full = grid_search_fit((x, y), range(2, 6), cfg)[:2]
         best_h = min(full, key=lambda r: (r.objective, r.hidden)).hidden
         abort_training({"lm"}, {best_h})
         best, table, model, report = trainers.grid_search_fit((x, y), range(2, 6), cfg)
@@ -619,7 +625,7 @@ class TestGridSearch:
 
     def test_aborted_size_is_left_out_of_the_plateau(self, bursts, abort_training):
         abort_training({"brnn"}, {3})
-        _, table = grid_search_hidden(bursts, range(2, 26), TrainConfig(max_epochs=50))
+        _, table = grid_search_fit(bursts, range(2, 26), TrainConfig(max_epochs=50))[:2]
         assert table[1] == trainers.GridRow(3, error="abort brnn h = 3")
         trained = [r for r in table if r.gamma is not None]
         last = table.index(trained[-1])
@@ -635,11 +641,11 @@ class TestGridSearch:
         x = rng.uniform(0, 1, (40, 2))
         abort_training({"lm"}, {2, 3, 4})
         with pytest.raises(TrainingError, match="every hidden size aborted"):
-            grid_search_hidden((x, x[:, 0]), range(2, 5), TrainConfig(algorithm="lm"))
+            grid_search_fit((x, x[:, 0]), range(2, 5), TrainConfig(algorithm="lm"))[:2]
 
     def test_lm_grid_trains_every_size(self, bursts):
-        _, table = grid_search_hidden(bursts, range(2, 26),
-                                      TrainConfig(algorithm="lm", max_epochs=5))
+        _, table = grid_search_fit(bursts, range(2, 26),
+                                   TrainConfig(algorithm="lm", max_epochs=5))[:2]
         assert all(r.objective is not None and r.skipped is None and r.gamma is None
                    for r in table)
         assert len(table) == 24
@@ -724,6 +730,28 @@ class TestValidationStop:
                                    TrainConfig(algorithm=algorithm, max_epochs=5))
         assert report.validation_trace is None
         assert asdict(report)["validation_trace"] is None
+
+    def test_engine_e_d_adds_the_held_out_sse(self, rng):
+        design, held_out = rng.normal(size=(30, 4)), rng.normal(size=(10, 4))
+        targets = design @ rng.normal(size=4) + rng.normal(0, 0.1, 30)
+        theta0 = rng.normal(size=4)
+        held_targets = held_out @ theta0 + rng.normal(0, 0.1, 10)
+
+        def normal_eqs(theta):
+            r = targets - design @ theta
+            return r, design.T @ design, -design.T @ r
+
+        def validation(theta):
+            return held_targets - held_out @ theta
+
+        theta, report = lm_least_squares(normal_eqs, theta0, TrainConfig(algorithm="lm"),
+                                         validation=validation)
+        # the start is the best validation point, so the fit returns it
+        assert np.argmin(report.validation_trace) == 0 and report.epochs_used >= 1
+        np.testing.assert_array_equal(theta, theta0)
+        r, v = normal_eqs(theta)[0], validation(theta)
+        assert float(v @ v) == min(report.validation_trace) > 0.0
+        assert report.e_d == float(r @ r) + float(v @ v)
 
     def test_pair_is_fitted_whole(self):
         x, y = sin_task(100)
