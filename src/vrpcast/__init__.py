@@ -7,6 +7,6 @@ from .mlp import MlpModel, init
 from .pipeline import EvalReport, PipelineConfig, compare_algorithms, forecast_multi_step, run_pipeline
 from .series_ops import NormParams, PatternSet, acf, difference, extract_patterns, fit_normalizer, undifference
 from .stat_tests import error_stats, kpss_level, paired_ttest, two_sample_ttest
-from .trainers import TrainConfig, TrainReport, grid_search_fit, train_brnn, train_lm, train_scg
+from .trainers import TrainConfig, TrainReport, grid_search_fit, train
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import lag_select, mlp, series_ops, stat_tests, trainers
 from .data_ingest import TimeSeries, check_json, load_csv, save_csv, write_csv, write_json
-from .errors import PipelineStageError, TrainingError, VrpcastError
+from .errors import DegenerateDataError, PipelineStageError, TrainingError, VrpcastError
 
 log = logging.getLogger(__name__)
 
@@ -99,7 +99,7 @@ def forecast_multi_step(model, last_window, horizon, norm, last_observed_value):
         raise ValueError("horizon must be >= 1")
     window = np.asarray(last_window, dtype=float).copy()
     if window.shape != (model.input_dim,):
-        raise ValueError(f"window must have length {model.input_dim}")
+        raise ValueError(f"window has {window.size} residuals; the model needs {model.input_dim}")
     preds_resid = np.empty(horizon)
     for step in range(horizon):
         pred_norm = mlp.forward(model, norm.apply(window))
@@ -115,6 +115,10 @@ def evaluate(model, patterns, values, provenance=None) -> EvalReport:
     """Error statistics, ACF comparison and hypothesis tests in watt units."""
     actual, predicted = one_step_predictions_watts(model, patterns, values)
     split = patterns.split_index
+    if actual.size - split <= ACF_MAX_LAG:
+        raise DegenerateDataError(
+            f"the test block has {actual.size - split} one-step forecasts; "
+            f"their ACF to lag {ACF_MAX_LAG} needs at least {ACF_MAX_LAG + 1}")
     train_stats = stat_tests.error_stats(actual[:split], predicted[:split])
     test_stats = stat_tests.error_stats(actual[split:], predicted[split:])
     acf_actual = series_ops.acf(actual[split:], ACF_MAX_LAG)
@@ -194,21 +198,22 @@ def _prepare(series: Optional[TimeSeries], config: PipelineConfig) -> Prepared:
 
 
 def evaluate_saved(model, provenance, series: TimeSeries) -> EvalReport:
-    """evaluate() of a saved model on `series`, whose patterns use the lag,
-    train fraction and normaliser recorded in the model's provenance."""
+    """Stage `evaluate`: evaluate() of a saved model on `series`, whose
+    patterns use the lag, train fraction and normaliser recorded in the
+    model's provenance."""
     diff = _stage("difference", series_ops.difference, series)
     patterns = _stage(
         "extract-patterns", series_ops.extract_patterns, diff.residuals,
         provenance["lag"], provenance.get("train_fraction", PipelineConfig.train_fraction),
         series_ops.NormParams(**provenance["norm"]),
     )
-    return evaluate(model, patterns, series.values, provenance)
+    return _stage("evaluate", evaluate, model, patterns, series.values, provenance)
 
 
 def forecast_saved(model, provenance, horizon, series: Optional[TimeSeries] = None):
-    """forecast_multi_step() of a saved model with its saved normaliser, from
-    the end of `series` when one is given, else from the residual window and
-    last value recorded in the model's provenance."""
+    """Stage `forecast`: forecast_multi_step() of a saved model with its
+    saved normaliser, from the end of `series` when one is given, else from
+    the residual window and last value recorded in the model's provenance."""
     norm = series_ops.NormParams(**provenance["norm"])
     if series is None:
         window = provenance["last_window_residuals"]
@@ -217,7 +222,7 @@ def forecast_saved(model, provenance, horizon, series: Optional[TimeSeries] = No
         diff = _stage("difference", series_ops.difference, series)
         window = diff.residuals[-model.input_dim:]
         last_value = float(series.values[-1])
-    return forecast_multi_step(model, window, horizon, norm, last_value)
+    return _stage("forecast", forecast_multi_step, model, window, horizon, norm, last_value)
 
 
 def _grid_search(patterns, config: PipelineConfig):
@@ -264,7 +269,8 @@ def run_pipeline(config: PipelineConfig, series: Optional[TimeSeries] = None):
     else:
         hidden, grid_table, model, report = _grid_search(prep.patterns, config)
     provenance = _model_provenance(config, hidden, report, prep)
-    eval_report = evaluate(model, prep.patterns, prep.series.values, provenance)
+    eval_report = _stage("evaluate", evaluate, model, prep.patterns, prep.series.values,
+                         provenance)
     if config.out_dir:
         _write_artifacts(config.out_dir, prep, grid_table, model, report, eval_report)
     return model, eval_report, provenance
@@ -339,7 +345,7 @@ def compare_algorithms(config: PipelineConfig, series: Optional[TimeSeries] = No
         except VrpcastError as exc:
             table[algorithm] = {"error": str(exc)}
             continue
-        eval_report = evaluate(model, prep.patterns, prep.series.values)
+        eval_report = _stage("evaluate", evaluate, model, prep.patterns, prep.series.values)
         table[algorithm] = {
             "train_stats": asdict(eval_report.train_stats),
             "test_stats": asdict(eval_report.test_stats),

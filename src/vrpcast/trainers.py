@@ -62,6 +62,13 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be at least 1, not {self.max_epochs}")
         if self.mu_init <= 0.0:
             raise ValueError("mu_init must be positive")
+        if self.fixed_alpha is not None and self.algorithm != "brnn":
+            raise ValueError(f"fixed_alpha applies to brnn only, not {self.algorithm}")
+
+    @property
+    def reestimates_alpha(self) -> bool:
+        """brnn with alpha free: alpha and beta follow the data after each step."""
+        return self.algorithm == "brnn" and self.fixed_alpha is None
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,7 @@ class TrainReport:
     epoch_trace holds F at the start and at each accepted point, under the
     alpha and beta that its step minimized, over the rows the fit descends.
     validation_trace holds the validation block's SSE at the same points
-    when the fit held one out (train_lm), else it is None; the fit then
+    when the fit held one out (see train), else it is None; the fit then
     returns the point of its lowest entry. e_d is the SSE over every
     training row at the returned point, validation block included, and e_w
     the sum of squared weights there. gamma_effective is gamma of the last
@@ -141,11 +148,11 @@ def lm_least_squares(
     resid_normal_eqs: Callable,
     theta0: np.ndarray,
     config: TrainConfig,
-    bayes: bool = False,
     resid: Optional[Callable] = None,
     validation: Optional[Callable] = None,
 ):
-    """Damped Gauss-Newton engine shared by train_lm and train_brnn.
+    """Damped Gauss-Newton engine of the lm and brnn fits: BRNN when
+    config.algorithm is "brnn", plain LM otherwise.
 
     resid_normal_eqs(theta) -> (residuals, J'J, J'r), J = d(res)/d(theta)
     the Jacobian, is called at theta0 and after each accepted step only. The
@@ -158,10 +165,13 @@ def lm_least_squares(
     damping retry, as the diagonal solve
     step = -V (V'g) / (beta*(lam + mu) + alpha) with g = beta*J'r + alpha*theta,
     and BRNN's gamma. A trial step that is not finite is rejected.
-    With bayes=True alpha/beta are reestimated after each accepted step
-    (unless config.fixed_alpha pins alpha) from the undamped Gauss-Newton
-    Hessian 2*beta*J'J + 2*alpha*I: gamma = sum of beta*lam/(beta*lam + alpha)
-    over the new J'J's eigenvalues, a 0/0 term counted as 0. Such a fit stops
+    A brnn fit pins alpha at config.fixed_alpha when that is set; otherwise
+    (config.reestimates_alpha) alpha/beta are reestimated after each
+    accepted step from the undamped Gauss-Newton Hessian
+    2*beta*J'J + 2*alpha*I: gamma = sum of beta*lam/(beta*lam + alpha)
+    over the new J'J's eigenvalues, a 0/0 term counted as 0, then
+    alpha = gamma/(2*E_w) and beta = (N_D - gamma)/(2*E_D), from alpha = 0
+    and beta = 1 at the start (Foresee & Hagan 1997). Such a fit stops
     when E_D and gamma have both settled (TrainReport, "e_d_and_gamma"); any
     other stops when F has.
 
@@ -188,8 +198,9 @@ def lm_least_squares(
         raise TrainingError("no training patterns")
     e_d = sse(r)
     e_w = float(theta @ theta)
-    reestimate = bayes and config.fixed_alpha is None
-    alpha = float(config.fixed_alpha) if (bayes and config.fixed_alpha is not None) else 0.0
+    bayes = config.algorithm == "brnn"
+    reestimate = config.reestimates_alpha
+    alpha = 0.0 if config.fixed_alpha is None else float(config.fixed_alpha)
     beta = 1.0
     gamma = float(n_w)
     objective = beta * e_d + alpha * e_w
@@ -367,85 +378,52 @@ def scg_minimize(
     return x, trace, stop_reason, iters
 
 
-def _train_lm_family(model, patterns, config, bayes):
-    inputs, targets = _as_xy(patterns)
-    n_val = 0
-    if isinstance(patterns, PatternSet) and not (bayes and config.fixed_alpha is None):
-        n_val = int(VALIDATION_FRACTION * targets.size)
-    n_fit = targets.size - n_val
-    resid, resid_normal_eqs, _ = mlp.residual_fns(model, inputs[:n_fit], targets[:n_fit])
-    validation = None
-    if n_val:
-        validation = mlp.residual_fns(model, inputs[n_fit:], targets[n_fit:])[0]
-    theta, report = lm_least_squares(
-        resid_normal_eqs, mlp.flatten(model), config, bayes=bayes, resid=resid,
-        validation=validation,
-    )
-    return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
-
-
-def train_lm(model, patterns, config: TrainConfig):
-    """Levenberg-Marquardt minimization of the sum of squared residuals.
-
-    On a PatternSet the last VALIDATION_FRACTION of the training rows, in
-    time order (int(VALIDATION_FRACTION * n) rows), are a validation block,
-    as MATLAB's trainlm with divideblock holds one out: the fit descends
-    the rows before it, stops after MAX_FAIL epochs in a row that do not
-    lower the block's SSE and returns the weights of its lowest SSE
-    (lm_least_squares). An (inputs, targets) pair has no time order and is
-    fitted whole, with no validation stop."""
-    return _train_lm_family(model, patterns, config, bayes=False)
-
-
-def train_brnn(model, patterns, config: TrainConfig):
-    """LM on F = beta*E_D + alpha*E_w with evidence-style alpha/beta updates.
-
-    After each accepted step, from the undamped Gauss-Newton Hessian
-    H = 2*beta*J'J + 2*alpha*I at the new point (Foresee & Hagan 1997):
-    gamma = N_w - 2*alpha*tr(H^-1) = sum of beta*lam/(beta*lam + alpha) over
-    the eigenvalues lam of J'J (a 0/0 term counts as 0), then
-    alpha = gamma/(2*E_w) and beta = (N_D - gamma)/(2*E_D). alpha starts at
-    0 and beta at 1. The fit stops when E_D changes by less than
-    E_D_TOLERANCE, relative, in the same step as gamma changes by at most
-    GAMMA_TOLERANCE * max(1, gamma); it fits every training row. With
-    config.fixed_alpha, alpha and beta stay fixed and the fit holds out a
-    validation block and stops as train_lm's does."""
-    return _train_lm_family(model, patterns, config, bayes=True)
-
-
-def train_scg(model, patterns, config: TrainConfig):
-    """Moller's scaled conjugate gradient on the sum of squared residuals."""
-    resid, _, resid_grad = mlp.residual_fns(model, *_as_xy(patterns))
-
-    def objective(theta):
-        r = resid(theta)
-        return float(r @ r)
-
-    def gradient(theta):
-        return 2.0 * resid_grad(theta)[1]
-
-    theta, trace, stop_reason, iters = scg_minimize(
-        objective,
-        gradient,
-        mlp.flatten(model),
-        max_iter=config.max_epochs,
-    )
-    report = TrainReport(
-        epoch_trace=tuple(trace),
-        converged=stop_reason == "gradient",
-        stop_reason=stop_reason,
-        epochs_used=iters,
-        e_d=trace[-1],
-        e_w=float(theta @ theta),
-    )
-    return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
-
-
-_TRAINERS = {"lm": train_lm, "scg": train_scg, "brnn": train_brnn}
-
-
 def train(model, patterns, config: TrainConfig):
-    return _TRAINERS[config.algorithm](model, patterns, config)
+    """Fit model to patterns, a PatternSet or an (inputs, targets) pair, with
+    config.algorithm; returns (trained model, TrainReport).
+
+    lm: Levenberg-Marquardt on the sum of squared residuals. On a PatternSet
+    it holds out the last VALIDATION_FRACTION of the training rows, in time
+    order, as MATLAB's trainlm with divideblock does, and stops on them; a
+    pair has no time order and is fitted whole. brnn: the same engine on
+    F = beta*E_D + alpha*E_w, re-estimating alpha and beta after each step
+    (Foresee & Hagan 1997) on every training row; with config.fixed_alpha it
+    is lm with alpha pinned, validation block included. scg: Moller's scaled
+    conjugate gradient on the sum of squared residuals of every training
+    row. lm_least_squares and TrainReport give the details."""
+    inputs, targets = _as_xy(patterns)
+    if config.algorithm == "scg":
+        resid, _, resid_grad = mlp.residual_fns(model, inputs, targets)
+
+        def objective(theta):
+            r = resid(theta)
+            return float(r @ r)
+
+        def gradient(theta):
+            return 2.0 * resid_grad(theta)[1]
+
+        theta, trace, stop_reason, iters = scg_minimize(
+            objective, gradient, mlp.flatten(model), max_iter=config.max_epochs)
+        report = TrainReport(
+            epoch_trace=tuple(trace),
+            converged=stop_reason == "gradient",
+            stop_reason=stop_reason,
+            epochs_used=iters,
+            e_d=trace[-1],
+            e_w=float(theta @ theta),
+        )
+    else:
+        n_val = 0
+        if isinstance(patterns, PatternSet) and not config.reestimates_alpha:
+            n_val = int(VALIDATION_FRACTION * targets.size)
+        n_fit = targets.size - n_val
+        resid, resid_normal_eqs, _ = mlp.residual_fns(model, inputs[:n_fit], targets[:n_fit])
+        validation = None
+        if n_val:
+            validation = mlp.residual_fns(model, inputs[n_fit:], targets[n_fit:])[0]
+        theta, report = lm_least_squares(resid_normal_eqs, mlp.flatten(model), config,
+                                         resid=resid, validation=validation)
+    return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
 
 
 def grid_search_fit(patterns, h_range, config: TrainConfig):
@@ -466,7 +444,6 @@ def grid_search_fit(patterns, h_range, config: TrainConfig):
     if not h_range:
         raise ValueError("h_range must be non-empty")
     inputs, targets = _as_xy(patterns)
-    watch_gamma = config.algorithm == "brnn" and config.fixed_alpha is None
     rows = []
     best = None     # (row, model, report) of the best trained size so far
     skipped = None
@@ -487,7 +464,7 @@ def grid_search_fit(patterns, h_range, config: TrainConfig):
         if best is None or row.objective < best[0].objective:
             best = row, trained, report
         recent = [r for r in rows if r.objective is not None][-1 - PLATEAU_SIZES:]
-        if watch_gamma and len(recent) > PLATEAU_SIZES and not any(
+        if config.reestimates_alpha and len(recent) > PLATEAU_SIZES and not any(
                 b.gamma >= (1.0 + GAMMA_PLATEAU) * a.gamma for a, b in zip(recent, recent[1:])):
             start = recent[0]
             skipped = (f"gamma stopped growing at h = {start.hidden}: it grew by under "

@@ -25,9 +25,7 @@ from vrpcast import (
     paired_ttest,
     relative_entropy_pair,
     shannon_entropy,
-    train_brnn,
-    train_lm,
-    train_scg,
+    train,
     two_sample_ttest,
     undifference,
 )
@@ -210,8 +208,8 @@ def test_criterion_07_trainer_convergence():
     x = np.linspace(0.0, 1.0, 200)[:, None]
     y = np.sin(2 * np.pi * x[:, 0])
     m0 = init(1, 9, 0)
-    for trainer, algo in ((train_lm, "lm"), (train_scg, "scg")):
-        _, rep = trainer(m0, (x, y), TrainConfig(algorithm=algo, max_epochs=1000))
+    for algo in ("lm", "scg"):
+        _, rep = train(m0, (x, y), TrainConfig(algorithm=algo, max_epochs=1000))
         ok = ok and rep.e_d / y.size < 1e-4
     _verdict(7, "trainer-convergence", ok)
 
@@ -233,8 +231,8 @@ def test_criterion_08_brnn_reduction_and_regularization():
     x = np.linspace(0.0, 1.0, 100)[:, None]
     y = np.sin(2 * np.pi * x[:, 0])
     m0 = init(1, 9, 1)
-    m_lm, r_lm = train_lm(m0, (x, y), TrainConfig(algorithm="lm", max_epochs=60))
-    m_br, r_br = train_brnn(
+    m_lm, r_lm = train(m0, (x, y), TrainConfig(algorithm="lm", max_epochs=60))
+    m_br, r_br = train(
         m0, (x, y), TrainConfig(algorithm="brnn", max_epochs=60, fixed_alpha=0.0)
     )
     ok = np.max(np.abs(mlp.flatten(m_lm) - mlp.flatten(m_br))) < 1e-10
@@ -244,8 +242,8 @@ def test_criterion_08_brnn_reduction_and_regularization():
     for seed in range(10):
         x_train, y_train, x_test, y_test = _noisy_line(seed)
         m0 = init(1, 9, seed)
-        m_lm, _ = train_lm(m0, (x_train, y_train), TrainConfig(algorithm="lm"))
-        m_br, report = train_brnn(
+        m_lm, _ = train(m0, (x_train, y_train), TrainConfig(algorithm="lm"))
+        m_br, report = train(
             m0, (x_train, y_train), TrainConfig(algorithm="brnn")
         )
         mse_lm = float(np.mean((y_test - mlp.forward_batch(m_lm, x_test)) ** 2))
@@ -259,7 +257,7 @@ def test_criterion_08_brnn_reduction_and_regularization():
             + list(np.geomspace(11, max(report.epochs_used, 11), 12).astype(int))
         ))
         for epochs in checkpoints:
-            _, partial = train_brnn(
+            _, partial = train(
                 m0, (x_train, y_train),
                 TrainConfig(algorithm="brnn", max_epochs=int(epochs)),
             )
@@ -283,9 +281,8 @@ def test_criterion_09_algorithm_ranking():
         x_train, y_train = x[:200], y[:200]
         x_test, y_test = x[200:], y[200:]
         m0 = init(6, 9, seed)
-        for algo, trainer in (("lm", train_lm), ("scg", train_scg),
-                              ("brnn", train_brnn)):
-            model, _ = trainer(
+        for algo in ("lm", "scg", "brnn"):
+            model, _ = train(
                 m0, (x_train, y_train),
                 TrainConfig(algorithm=algo, max_epochs=500, seed=seed),
             )

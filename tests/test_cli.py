@@ -436,6 +436,8 @@ class TestExitCodes:
         ("train", 300, ["--lag", 2, "--hidden", 0], "train"),
         ("train", 300, ["--lag", 2, "--hidden", "5:2"], "grid-search"),
         ("compare", 300, ["--lag", 2, "--hidden", 0], "train"),
+        ("train", 100, ["--hidden", 3], "evaluate"),
+        ("compare", 100, ["--lag", 2, "--hidden", 3], "evaluate"),
     ])
     def test_stage_failure_names_the_stage(self, tmp_path, capsys, command, n, flags, stage):
         path = tmp_path / "short.csv"
@@ -445,6 +447,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: [{stage}] ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, rows, message", [
+        ("evaluate", None, "[evaluate] the test block has 19 one-step forecasts; "
+                           "their ACF to lag 20 needs at least 21\n"),
+        ("forecast", 3, "[forecast] window has 2 residuals; the model needs 6\n"),
+    ])
+    def test_saved_model_on_short_input_names_the_stage(self, tmp_path, capsys, command, rows,
+                                                        message):
+        # 100 points leave 19 test forecasts, too few for the ACF to lag 20;
+        # 3 rows leave 2 residuals for a lag-6 model's window
+        longer, path = tmp_path / "longer.csv", tmp_path / "short.csv"
+        save_csv(generate_synthetic({"kind": "persistence_bursts", "n": 400}, 3), str(longer))
+        save_csv(generate_synthetic({"kind": "persistence_bursts", "n": 100}, 3), str(path))
+        if rows is not None:
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:1 + rows]))
+        assert run_cli("train", "--input", longer, "--lag", 6, "--hidden", 3, "--algo", "lm",
+                       "--out", tmp_path / "run") == 0
+        capsys.readouterr()
+        assert run_cli(command, "--model", tmp_path / "run" / "model.json", "--input", path) == 2
+        assert capsys.readouterr().err == f"error: {message}"
 
     def test_config_file_supplies_input(self, series_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

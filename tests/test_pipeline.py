@@ -198,16 +198,15 @@ class TestCompareAlgorithms:
 
     def test_zero_noise_teacher_all_algorithms_fit(self):
         # representable target: every trainer should explain > 99% variance
-        from vrpcast import TrainConfig, error_stats, train_brnn, train_lm, train_scg
+        from vrpcast import TrainConfig, error_stats, train
 
         rng = np.random.default_rng(8)
         teacher = init(4, 3, 21)
         x = rng.uniform(0, 1, (300, 4))
         y = mlp.forward_batch(teacher, x)
         m0 = init(4, 6, 0)
-        for algo, trainer in (("lm", train_lm), ("scg", train_scg),
-                              ("brnn", train_brnn)):
-            model, _ = trainer(m0, (x[:200], y[:200]),
-                               TrainConfig(algorithm=algo, max_epochs=500))
+        for algo in ("lm", "scg", "brnn"):
+            model, _ = train(m0, (x[:200], y[:200]),
+                             TrainConfig(algorithm=algo, max_epochs=500))
             stats = error_stats(y[200:], mlp.forward_batch(model, x[200:]))
             assert stats.r_squared > 0.99, algo

@@ -9,9 +9,7 @@ from vrpcast import (
     TrainConfig,
     grid_search_fit,
     init,
-    train_brnn,
-    train_lm,
-    train_scg,
+    train,
 )
 from vrpcast import generate_synthetic, kernels, mlp, series_ops, trainers
 from vrpcast.errors import TrainingError
@@ -49,6 +47,34 @@ def test_config_rejects_max_epochs_below_one(max_epochs):
         TrainConfig(max_epochs=max_epochs)
 
 
+@pytest.mark.parametrize("algorithm", ["lm", "scg"])
+def test_config_rejects_fixed_alpha_outside_brnn(algorithm):
+    with pytest.raises(ValueError, match="fixed_alpha"):
+        TrainConfig(algorithm=algorithm, fixed_alpha=0.0)
+
+
+class TestEngineSelector:
+    """lm_least_squares runs BRNN only under a brnn config."""
+
+    def test_lm_config_has_no_bayes_trace(self, rng):
+        normal_eqs, k = linear_problem(rng)
+        _, report = lm_least_squares(normal_eqs, np.zeros(k),
+                                     TrainConfig(algorithm="lm", max_epochs=5))
+        assert report.bayes_trace is None
+        assert (report.alpha, report.beta, report.gamma_effective) == (None, None, None)
+
+    def test_pinned_brnn_has_a_constant_bayes_trace(self, rng):
+        normal_eqs, k = linear_problem(rng)
+        _, report = lm_least_squares(normal_eqs, np.zeros(k),
+                                     TrainConfig(algorithm="brnn", max_epochs=5,
+                                                 fixed_alpha=0.25))
+        trace = report.bayes_trace
+        assert len(trace.alpha) == len(report.epoch_trace) > 1
+        assert set(trace.alpha) == {0.25}
+        assert set(trace.beta) == {1.0}
+        assert set(trace.gamma) == {float(k)}
+
+
 class TestLm:
     def test_linear_exact_in_one_accepted_step(self, rng):
         normal_eqs, k = linear_problem(rng)
@@ -58,14 +84,14 @@ class TestLm:
 
     def test_sin_fit(self):
         x, y = sin_task()
-        model, report = train_lm(init(1, 9, 0), (x, y), TrainConfig(algorithm="lm"))
+        model, report = train(init(1, 9, 0), (x, y), TrainConfig(algorithm="lm"))
         assert report.e_d / y.size < 1e-4
 
     def test_accepted_trace_non_increasing(self, rng):
         x = rng.uniform(0, 1, (50, 3))
         y = rng.normal(size=50)
-        _, report = train_lm(init(3, 4, 1), (x, y),
-                             TrainConfig(algorithm="lm", max_epochs=50))
+        _, report = train(init(3, 4, 1), (x, y),
+                          TrainConfig(algorithm="lm", max_epochs=50))
         trace = np.array(report.epoch_trace)
         assert np.all(np.diff(trace) <= 1e-12)
 
@@ -73,8 +99,8 @@ class TestLm:
         x = rng.uniform(0, 1, (40, 2))
         y = rng.normal(size=40)
         cfg = TrainConfig(algorithm="lm", max_epochs=30)
-        m1, r1 = train_lm(init(2, 3, 5), (x, y), cfg)
-        m2, r2 = train_lm(init(2, 3, 5), (x, y), cfg)
+        m1, r1 = train(init(2, 3, 5), (x, y), cfg)
+        m2, r2 = train(init(2, 3, 5), (x, y), cfg)
         np.testing.assert_array_equal(mlp.flatten(m1), mlp.flatten(m2))
         assert r1.epoch_trace == r2.epoch_trace
 
@@ -93,12 +119,12 @@ def count_calls(monkeypatch, module, name):
 
 
 class TestEngine:
-    @pytest.mark.parametrize("train_fn, algorithm", [(train_lm, "lm"), (train_brnn, "brnn")])
-    def test_one_jacobian_per_accepted_step(self, monkeypatch, train_fn, algorithm):
+    @pytest.mark.parametrize("algorithm", ["lm", "brnn"])
+    def test_one_jacobian_per_accepted_step(self, monkeypatch, algorithm):
         x, y = sin_task(100)
         jacobians = count_calls(monkeypatch, kernels, "residuals_and_jacobian")
-        _, report = train_fn(init(1, 6, 4), (x, y),
-                             TrainConfig(algorithm=algorithm, max_epochs=40))
+        _, report = train(init(1, 6, 4), (x, y),
+                          TrainConfig(algorithm=algorithm, max_epochs=40))
         accepted = len(report.epoch_trace) - 1
         assert accepted > 5
         assert len(jacobians) == accepted + 1
@@ -117,8 +143,8 @@ class TestEngine:
             return scg(f, counted_grad, x0, **kwargs)
 
         monkeypatch.setattr(trainers, "scg_minimize", counting_scg)
-        _, report = train_scg(init(1, 6, 4), (x, y),
-                              TrainConfig(algorithm="scg", max_epochs=40))
+        _, report = train(init(1, 6, 4), (x, y),
+                          TrainConfig(algorithm="scg", max_epochs=40))
         assert report.epochs_used > 5
         assert len(jacobians) == 0
         assert len(backprops) == len(gradients)
@@ -135,7 +161,7 @@ class TestEngine:
         theta0 = rng.normal(size=k)
         alpha, mu = 0.3, 0.05
         cfg = TrainConfig(algorithm="brnn", max_epochs=1, mu_init=mu, fixed_alpha=alpha)
-        theta, report = lm_least_squares(normal_eqs, theta0, cfg, bayes=True)
+        theta, report = lm_least_squares(normal_eqs, theta0, cfg)
         assert len(report.epoch_trace) == 2  # the step was accepted
         r, jtj, jtr = normal_eqs(theta0)
         lhs = jtj + (mu + alpha) * np.eye(k)       # beta = 1
@@ -149,7 +175,7 @@ class TestEngine:
             return np.ones(1), np.zeros((1, 1)), np.zeros(1)
 
         cfg = TrainConfig(algorithm="brnn", max_epochs=1, mu_init=1.0, fixed_alpha=-1.0)
-        theta, report = lm_least_squares(normal_eqs, np.ones(1), cfg, bayes=True)
+        theta, report = lm_least_squares(normal_eqs, np.ones(1), cfg)
         assert len(report.epoch_trace) == 2
         np.testing.assert_allclose(theta, [1.0 + 1.0 / 9.0], rtol=1e-15)
 
@@ -367,7 +393,7 @@ class TestStopReason:
     def test_lm_objective(self):
         rng = np.random.default_rng(2)
         x, y = rng.uniform(0, 1, (50, 3)), rng.normal(size=50)
-        _, report = train_lm(init(3, 4, 1), (x, y), TrainConfig(algorithm="lm"))
+        _, report = train(init(3, 4, 1), (x, y), TrainConfig(algorithm="lm"))
         assert (report.stop_reason, report.converged) == ("objective", True)
         assert report.epochs_used < 1000
 
@@ -397,7 +423,7 @@ class TestStopReason:
 
     def test_scg_objective_stall(self):
         x, y = sin_task(100)
-        _, report = train_scg(init(1, 6, 4), (x, y), TrainConfig(algorithm="scg"))
+        _, report = train(init(1, 6, 4), (x, y), TrainConfig(algorithm="scg"))
         assert (report.stop_reason, report.converged) == ("objective_stall", False)
         assert report.epochs_used < 1000
 
@@ -419,7 +445,7 @@ class TestStopReason:
 
     def test_brnn_e_d_and_gamma(self, bursts):
         # with alpha and beta asked to settle to 1e-7 this fit ran to the cap
-        _, report = train_brnn(init(1, 2, 2), bursts, TrainConfig())
+        _, report = train(init(1, 2, 2), bursts, TrainConfig())
         assert (report.stop_reason, report.converged) == ("e_d_and_gamma", True)
         assert report.epochs_used < 1000
         e_d, gamma = report.bayes_trace.e_d, report.bayes_trace.gamma
@@ -428,7 +454,7 @@ class TestStopReason:
 
     def test_written_to_train_report(self):
         x, y = sin_task(100)
-        _, report = train_lm(init(1, 6, 4), (x, y), TrainConfig(algorithm="lm", max_epochs=5))
+        _, report = train(init(1, 6, 4), (x, y), TrainConfig(algorithm="lm", max_epochs=5))
         assert asdict(report)["stop_reason"] == "max_epochs"
 
 
@@ -466,8 +492,8 @@ class TestScg:
     def test_sin_fit_within_factor_of_lm(self):
         x, y = sin_task()
         m0 = init(1, 9, 0)
-        _, rep_lm = train_lm(m0, (x, y), TrainConfig(algorithm="lm"))
-        _, rep_scg = train_scg(m0, (x, y), TrainConfig(algorithm="scg"))
+        _, rep_lm = train(m0, (x, y), TrainConfig(algorithm="lm"))
+        _, rep_scg = train(m0, (x, y), TrainConfig(algorithm="scg"))
         assert rep_scg.e_d / y.size < 1e-4
         assert rep_scg.e_d <= 10 * max(rep_lm.e_d, 1e-4 * y.size)
 
@@ -477,9 +503,9 @@ class TestBrnn:
         x = rng.uniform(0, 1, (30, 2))
         y = rng.normal(size=30)
         model = init(2, 3, 0)
-        _, report = train_brnn(model, (x, y),
-                               TrainConfig(algorithm="brnn", max_epochs=20,
-                                           fixed_alpha=0.0))
+        _, report = train(model, (x, y),
+                          TrainConfig(algorithm="brnn", max_epochs=20,
+                                      fixed_alpha=0.0))
         assert report.gamma_effective == model.n_params
 
     def test_reduces_to_lm_with_alpha_pinned(self):
@@ -487,14 +513,14 @@ class TestBrnn:
         m0 = init(1, 9, 1)
         cfg_lm = TrainConfig(algorithm="lm", max_epochs=60)
         cfg_br = TrainConfig(algorithm="brnn", max_epochs=60, fixed_alpha=0.0)
-        m_lm, r_lm = train_lm(m0, (x, y), cfg_lm)
-        m_br, r_br = train_brnn(m0, (x, y), cfg_br)
+        m_lm, r_lm = train(m0, (x, y), cfg_lm)
+        m_br, r_br = train(m0, (x, y), cfg_br)
         assert np.max(np.abs(mlp.flatten(m_lm) - mlp.flatten(m_br))) < 1e-10
         np.testing.assert_allclose(r_lm.epoch_trace, r_br.epoch_trace, rtol=1e-10)
 
     def test_gamma_from_undamped_hessian(self, bursts):
         # the damped sum reported gamma = N_w = 28 for this fit
-        model, report = train_brnn(init(1, 9, 9), bursts, TrainConfig())
+        model, report = train(init(1, 9, 9), bursts, TrainConfig())
         _, jac = kernels.residuals_and_jacobian(
             bursts.train_inputs, bursts.train_targets,
             model.w1, model.b1, model.w2, model.b2)
@@ -508,7 +534,7 @@ class TestBrnn:
     def test_bayes_trace_per_epoch(self):
         x, y = sin_task(100)
         config = TrainConfig(algorithm="brnn", max_epochs=40)
-        _, report = train_brnn(init(1, 6, 4), (x, y), config)
+        _, report = train(init(1, 6, 4), (x, y), config)
         trace = report.bayes_trace
         assert {len(v) for v in asdict(trace).values()} == {len(report.epoch_trace)}
         assert (trace.e_d[-1], trace.gamma[-1], trace.alpha[-1], trace.beta[-1]) == (
@@ -516,7 +542,7 @@ class TestBrnn:
         assert (trace.alpha[0], trace.beta[0], trace.mu[0]) == (0.0, 1.0, config.mu_init)
         assert len(set(trace.gamma)) > 2 and len(set(trace.e_d)) > 2
         assert json.loads(json.dumps(asdict(report)))["bayes_trace"]["gamma"] == list(trace.gamma)
-        _, report_lm = train_lm(init(1, 6, 4), (x, y), TrainConfig(algorithm="lm", max_epochs=5))
+        _, report_lm = train(init(1, 6, 4), (x, y), TrainConfig(algorithm="lm", max_epochs=5))
         assert report_lm.bayes_trace is None
 
     def test_noisy_line_regularization(self):
@@ -526,8 +552,8 @@ class TestBrnn:
         x_test = rng.uniform(0, 1, (200, 1))
         y_test = 2 * x_test[:, 0] + rng.normal(0, 0.1, 200)
         m0 = init(1, 9, 2)
-        m_lm, _ = train_lm(m0, (x_train, y_train), TrainConfig(algorithm="lm"))
-        m_br, report = train_brnn(m0, (x_train, y_train), TrainConfig(algorithm="brnn"))
+        m_lm, _ = train(m0, (x_train, y_train), TrainConfig(algorithm="lm"))
+        m_br, report = train(m0, (x_train, y_train), TrainConfig(algorithm="brnn"))
 
         def mse(model):
             return float(np.mean((y_test - mlp.forward_batch(model, x_test)) ** 2))
@@ -543,8 +569,8 @@ class TestBrnn:
         x = rng.uniform(0, 1, (25, 2))
         y = rng.normal(size=25)
         model = init(2, 5, 3)
-        _, report = train_brnn(model, (x, y),
-                               TrainConfig(algorithm="brnn", max_epochs=200))
+        _, report = train(model, (x, y),
+                          TrainConfig(algorithm="brnn", max_epochs=200))
         assert 0 <= report.gamma_effective <= model.n_params
 
     @pytest.mark.parametrize("seed", range(6))
@@ -555,7 +581,7 @@ class TestBrnn:
         x = rng.uniform(0, 1, (50, 3))
         y = rng.normal(size=50)
         model = init(3, 4, seed)
-        _, report = train_brnn(model, (x, y), TrainConfig(algorithm="brnn"))
+        _, report = train(model, (x, y), TrainConfig(algorithm="brnn"))
         assert report.alpha > 0
         assert 0 <= report.gamma_effective <= model.n_params
 
@@ -676,9 +702,9 @@ class TestValidationStop:
 
     def test_pinned_brnn_takes_lms_stop(self, bursts_5000):
         m0 = init(6, 9, 0)
-        m_lm, r_lm = train_lm(m0, bursts_5000, TrainConfig(algorithm="lm", **self.CONFIG))
-        m_br, r_br = train_brnn(m0, bursts_5000, TrainConfig(algorithm="brnn", fixed_alpha=0.0,
-                                                             **self.CONFIG))
+        m_lm, r_lm = train(m0, bursts_5000, TrainConfig(algorithm="lm", **self.CONFIG))
+        m_br, r_br = train(m0, bursts_5000, TrainConfig(algorithm="brnn", fixed_alpha=0.0,
+                                                        **self.CONFIG))
         np.testing.assert_array_equal(mlp.flatten(m_lm), mlp.flatten(m_br))
         assert r_lm.epoch_trace == r_br.epoch_trace
         assert r_lm.validation_trace == r_br.validation_trace
@@ -686,8 +712,8 @@ class TestValidationStop:
         assert r_lm.e_d == r_br.e_d
 
     def test_stops_at_max_fail_and_returns_the_best_point(self, bursts_5000):
-        model, report = train_lm(init(6, 9, 0), bursts_5000,
-                                 TrainConfig(algorithm="lm", **self.CONFIG))
+        model, report = train(init(6, 9, 0), bursts_5000,
+                              TrainConfig(algorithm="lm", **self.CONFIG))
         trace = report.validation_trace
         assert (report.stop_reason, report.converged) == ("validation", True)
         assert report.epochs_used < 50
@@ -702,8 +728,8 @@ class TestValidationStop:
 
     @pytest.mark.parametrize("max_epochs", [1, 5])
     def test_best_point_on_every_stop(self, bursts_5000, max_epochs):
-        model, report = train_lm(init(6, 9, 0), bursts_5000,
-                                 TrainConfig(algorithm="lm", max_epochs=max_epochs))
+        model, report = train(init(6, 9, 0), bursts_5000,
+                              TrainConfig(algorithm="lm", max_epochs=max_epochs))
         assert report.stop_reason == "max_epochs"
         trace = report.validation_trace
         assert validation_sse(model, bursts_5000) == pytest.approx(min(trace), rel=1e-12)
@@ -719,7 +745,7 @@ class TestValidationStop:
             return real(model, inputs, targets)
 
         monkeypatch.setattr(mlp, "residual_fns", recording)
-        train_lm(init(6, 9, 0), bursts_5000, TrainConfig(algorithm="lm", max_epochs=2))
+        train(init(6, 9, 0), bursts_5000, TrainConfig(algorithm="lm", max_epochs=2))
         n = bursts_5000.split_index
         n_val = int(trainers.VALIDATION_FRACTION * n)
         assert sizes == [n - n_val, n_val]
@@ -755,5 +781,5 @@ class TestValidationStop:
 
     def test_pair_is_fitted_whole(self):
         x, y = sin_task(100)
-        _, report = train_lm(init(1, 6, 4), (x, y), TrainConfig(algorithm="lm", max_epochs=5))
+        _, report = train(init(1, 6, 4), (x, y), TrainConfig(algorithm="lm", max_epochs=5))
         assert report.validation_trace is None
