@@ -88,17 +88,6 @@ def unflatten(theta, p: int, h: int) -> MlpModel:
     return MlpModel(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=float(b2))
 
 
-def forward(model: MlpModel, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.input_dim,):
-        raise ValueError(f"expected input of length {model.input_dim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input must be finite")
-    return float(
-        kernels.forward_batch(x[None, :], model.w1, model.b1, model.w2, model.b2)[0]
-    )
-
-
 def forward_batch(model: MlpModel, inputs) -> np.ndarray:
     inputs = np.ascontiguousarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:

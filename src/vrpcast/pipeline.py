@@ -45,7 +45,6 @@ class PipelineConfig:
         return trainers.TrainConfig(
             algorithm=algorithm or self.algorithm,
             max_epochs=self.max_epochs,
-            seed=self.seed,
         )
 
     @classmethod
@@ -100,9 +99,11 @@ def forecast_multi_step(model, last_window, horizon, norm, last_observed_value):
     window = np.asarray(last_window, dtype=float).copy()
     if window.shape != (model.input_dim,):
         raise ValueError(f"window has {window.size} residuals; the model needs {model.input_dim}")
+    if not np.all(np.isfinite(window)):
+        raise ValueError("window must be finite")
     preds_resid = np.empty(horizon)
     for step in range(horizon):
-        pred_norm = mlp.forward(model, norm.apply(window))
+        pred_norm = float(mlp.forward_batch(model, norm.apply(window)[None])[0])
         if not np.isfinite(pred_norm):
             raise TrainingError(f"non-finite forecast at horizon step {step + 1}")
         resid = float(norm.invert(pred_norm))
@@ -111,14 +112,20 @@ def forecast_multi_step(model, last_window, horizon, norm, last_observed_value):
     return series_ops.undifference(preds_resid, last_observed_value)
 
 
+def _check_test_block(patterns) -> None:
+    """DegenerateDataError when the test block is too short for evaluate()."""
+    n_test = patterns.n_patterns - patterns.split_index
+    if n_test <= ACF_MAX_LAG:
+        raise DegenerateDataError(
+            f"the test block has {n_test} one-step forecasts; "
+            f"their ACF to lag {ACF_MAX_LAG} needs at least {ACF_MAX_LAG + 1}")
+
+
 def evaluate(model, patterns, values, provenance=None) -> EvalReport:
     """Error statistics, ACF comparison and hypothesis tests in watt units."""
+    _check_test_block(patterns)
     actual, predicted = one_step_predictions_watts(model, patterns, values)
     split = patterns.split_index
-    if actual.size - split <= ACF_MAX_LAG:
-        raise DegenerateDataError(
-            f"the test block has {actual.size - split} one-step forecasts; "
-            f"their ACF to lag {ACF_MAX_LAG} needs at least {ACF_MAX_LAG + 1}")
     train_stats = stat_tests.error_stats(actual[:split], predicted[:split])
     test_stats = stat_tests.error_stats(actual[split:], predicted[split:])
     acf_actual = series_ops.acf(actual[split:], ACF_MAX_LAG)
@@ -180,7 +187,7 @@ def select_lag(diff: series_ops.DifferencedSeries,
 def _prepare(series: Optional[TimeSeries], config: PipelineConfig) -> Prepared:
     """Front half of the training paths: load (unless a series is given),
     difference + KPSS, lag, patterns. Aborts when the first differences are
-    still non-stationary."""
+    still non-stationary or, before any fit, when the test block is too short."""
     if series is None:
         series = load_series(config)
     diff, kpss_raw, kpss_resid = stationarity(series)
@@ -194,6 +201,7 @@ def _prepare(series: Optional[TimeSeries], config: PipelineConfig) -> Prepared:
     lag = config.lag if profile is None else profile.selected_lag
     patterns = _stage("extract-patterns", series_ops.extract_patterns,
                       diff.residuals, lag, config.train_fraction)
+    _stage("evaluate", _check_test_block, patterns)
     return Prepared(series, diff, kpss_raw, kpss_resid, profile, patterns)
 
 
@@ -232,7 +240,7 @@ def _grid_search(patterns, config: PipelineConfig):
     if hi < lo:
         raise PipelineStageError("grid-search", f"hidden {lo}:{hi} is an empty range")
     return _stage("grid-search", trainers.grid_search_fit, patterns, range(lo, hi + 1),
-                  config.train_config())
+                  config.train_config(), config.seed)
 
 
 def _model_provenance(config, hidden, report, prep: Prepared):

@@ -130,7 +130,8 @@ def acf(values, max_lag: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     n = values.size
     if max_lag < 0 or n <= max_lag:
-        raise ValueError("need length > max_lag >= 0")
+        raise ValueError(f"acf needs max_lag >= 0 and more values than max_lag; "
+                         f"got {n} values and max_lag {max_lag}")
     centered = values - values.mean()
     c0 = centered @ centered / n
     if c0 == 0.0:

@@ -38,7 +38,7 @@ E_D_TOLERANCE = 1e-6            # relative change in E_D
 GAMMA_TOLERANCE = 1e-3          # change in gamma, times max(1, gamma)
 GAMMA_PLATEAU = 0.05            # relative growth of gamma from one size to the next
 PLATEAU_SIZES = 2               # consecutive sizes below GAMMA_PLATEAU
-VALIDATION_FRACTION = 0.15      # last share of a PatternSet's training rows
+VALIDATION_FRACTION = 0.15      # last share of a fit's training rows
 MAX_FAIL = 6                    # epochs in a row without a better validation SSE
 SCG_SIGMA = 1e-4
 SCG_LAMBDA_INIT = 1e-6
@@ -51,7 +51,6 @@ class TrainConfig:
     algorithm: str = "brnn"
     max_epochs: int = 1000
     mu_init: float = 1e-3
-    seed: int = 0
     # brnn only: pin alpha (disables alpha/beta reestimation); None = adapt
     fixed_alpha: Optional[float] = None
 
@@ -152,7 +151,8 @@ def lm_least_squares(
     validation: Optional[Callable] = None,
 ):
     """Damped Gauss-Newton engine of the lm and brnn fits: BRNN when
-    config.algorithm is "brnn", plain LM otherwise.
+    config.algorithm is "brnn", plain LM when it is "lm". A ValueError
+    names any other algorithm.
 
     resid_normal_eqs(theta) -> (residuals, J'J, J'r), J = d(res)/d(theta)
     the Jacobian, is called at theta0 and after each accepted step only. The
@@ -183,6 +183,8 @@ def lm_least_squares(
     at the returned point over the rows of resid_normal_eqs and, given
     validation, the held-out block.
     """
+    if config.algorithm not in ("lm", "brnn"):
+        raise ValueError(f"lm_least_squares runs lm and brnn, not {config.algorithm}")
     if resid is None:
         def resid(theta):
             return resid_normal_eqs(theta)[0]
@@ -382,15 +384,15 @@ def train(model, patterns, config: TrainConfig):
     """Fit model to patterns, a PatternSet or an (inputs, targets) pair, with
     config.algorithm; returns (trained model, TrainReport).
 
-    lm: Levenberg-Marquardt on the sum of squared residuals. On a PatternSet
-    it holds out the last VALIDATION_FRACTION of the training rows, in time
-    order, as MATLAB's trainlm with divideblock does, and stops on them; a
-    pair has no time order and is fitted whole. brnn: the same engine on
-    F = beta*E_D + alpha*E_w, re-estimating alpha and beta after each step
-    (Foresee & Hagan 1997) on every training row; with config.fixed_alpha it
-    is lm with alpha pinned, validation block included. scg: Moller's scaled
-    conjugate gradient on the sum of squared residuals of every training
-    row. lm_least_squares and TrainReport give the details."""
+    lm: Levenberg-Marquardt on the sum of squared residuals. It holds out
+    the last VALIDATION_FRACTION of the training rows, in the order given,
+    as MATLAB's trainlm with divideblock does, and stops on them. brnn: the
+    same engine on F = beta*E_D + alpha*E_w, re-estimating alpha and beta
+    after each step (Foresee & Hagan 1997) on every training row; with
+    config.fixed_alpha it is lm with alpha pinned, validation block
+    included. scg: Moller's scaled conjugate gradient on the sum of squared
+    residuals of every training row. lm_least_squares and TrainReport give
+    the details."""
     inputs, targets = _as_xy(patterns)
     if config.algorithm == "scg":
         resid, _, resid_grad = mlp.residual_fns(model, inputs, targets)
@@ -413,9 +415,7 @@ def train(model, patterns, config: TrainConfig):
             e_w=float(theta @ theta),
         )
     else:
-        n_val = 0
-        if isinstance(patterns, PatternSet) and not config.reestimates_alpha:
-            n_val = int(VALIDATION_FRACTION * targets.size)
+        n_val = 0 if config.reestimates_alpha else int(VALIDATION_FRACTION * targets.size)
         n_fit = targets.size - n_val
         resid, resid_normal_eqs, _ = mlp.residual_fns(model, inputs[:n_fit], targets[:n_fit])
         validation = None
@@ -426,9 +426,9 @@ def train(model, patterns, config: TrainConfig):
     return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
 
 
-def grid_search_fit(patterns, h_range, config: TrainConfig):
-    """Train one model per hidden size of h_range, which must ascend (seed
-    config.seed + h), and pick the trained size with the lowest final
+def grid_search_fit(patterns, h_range, config: TrainConfig, seed: int = 0):
+    """Train one model per hidden size of h_range, which must ascend, from
+    mlp.init(p, h, seed + h), and pick the trained size with the lowest final
     training MSE, the report's e_d over the number of training rows; a tie
     stays with the smaller h. Sizes whose training aborts are excluded.
     Only the best fit so far is kept.
@@ -451,7 +451,7 @@ def grid_search_fit(patterns, h_range, config: TrainConfig):
         if skipped is not None:
             rows.append(GridRow(h, skipped=skipped))
             continue
-        model0 = mlp.init(inputs.shape[1], h, config.seed + h)
+        model0 = mlp.init(inputs.shape[1], h, seed + h)
         try:
             trained, report = train(model0, patterns, config)
         except TrainingError as exc:

@@ -284,7 +284,7 @@ def test_criterion_09_algorithm_ranking():
         for algo in ("lm", "scg", "brnn"):
             model, _ = train(
                 m0, (x_train, y_train),
-                TrainConfig(algorithm=algo, max_epochs=500, seed=seed),
+                TrainConfig(algorithm=algo, max_epochs=500),
             )
             err = y_test - mlp.forward_batch(model, x_test)
             mse[algo].append(float(np.mean(err**2)))
@@ -348,7 +348,7 @@ def test_criterion_12_grid_search():
     x = rng.uniform(0, 1, (60, 2))
     y = np.sin(3 * x[:, 0]) + rng.normal(0, 0.05, 60)
     _, table = grid_search_fit(
-        (x, y), range(2, 26), TrainConfig(algorithm="lm", max_epochs=15, seed=0)
+        (x, y), range(2, 26), TrainConfig(algorithm="lm", max_epochs=15), seed=0
     )[:2]
     ok = len(table) == 24 and [r.hidden for r in table] == list(range(2, 26))
 
@@ -359,7 +359,7 @@ def test_criterion_12_grid_search():
     signal = mlp.forward_batch(teacher, xt)
     yt = signal + r5.normal(0, 0.2 * signal.std(), 200)
     best, _ = grid_search_fit(
-        (xt, yt), range(2, 10), TrainConfig(algorithm="brnn", max_epochs=150, seed=3)
+        (xt, yt), range(2, 10), TrainConfig(algorithm="brnn", max_epochs=150), seed=3
     )[:2]
     ok = ok and 3 <= best <= 8
 
@@ -367,7 +367,7 @@ def test_criterion_12_grid_search():
     xz = rng.uniform(0, 1, (40, 2))
     best_tie, _ = grid_search_fit(
         (xz, np.zeros(40)), range(2, 7),
-        TrainConfig(algorithm="lm", max_epochs=30, seed=0),
+        TrainConfig(algorithm="lm", max_epochs=30), seed=0,
     )[:2]
     ok = ok and best_tie == 2
     _verdict(12, "grid-search", ok)

@@ -468,6 +468,25 @@ class TestExitCodes:
         assert run_cli(command, "--model", tmp_path / "run" / "model.json", "--input", path) == 2
         assert capsys.readouterr().err == f"error: {message}"
 
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--hidden", "2:4", "--config", "cfg.json"]),
+        ("compare", ["--lag", 2, "--hidden", 3]),
+    ])
+    def test_short_test_block_fails_before_any_fit(self, tmp_path, capsys, monkeypatch,
+                                                   command, flags):
+        def train(*args):
+            raise AssertionError("trainers.train was called")
+
+        monkeypatch.setattr(trainers, "train", train)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"max_epochs": 5}))
+        assert run_cli("synth", "--n", 100, "--seed", 3, "--out", "short.csv") == 0
+        capsys.readouterr()
+        assert run_cli(command, "--input", "short.csv", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [evaluate] the test block has ")
+        assert err.endswith(" one-step forecasts; their ACF to lag 20 needs at least 21\n")
+
     def test_config_file_supplies_input(self, series_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

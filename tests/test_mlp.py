@@ -49,11 +49,12 @@ class TestInit:
 class TestForward:
     def test_zero_parameters(self, rng):
         model = mlp.MlpModel(np.zeros((3, 2)), np.zeros(3), np.zeros(3), 0.0)
-        assert mlp.forward(model, rng.normal(size=2)) == 0.0
+        assert mlp.forward_batch(model, rng.normal(size=2)[None])[0] == 0.0
 
     def test_tanh_saturation(self):
         model = mlp.MlpModel(np.zeros((1, 2)), np.array([50.0]), np.array([4.2]), 0.0)
-        assert mlp.forward(model, np.array([0.3, -0.3])) == pytest.approx(4.2, abs=1e-12)
+        x = np.array([0.3, -0.3])
+        assert mlp.forward_batch(model, x[None])[0] == pytest.approx(4.2, abs=1e-12)
 
     def test_matches_straight_line_arithmetic(self, rng):
         model = init(5, 7, 9)
@@ -64,11 +65,11 @@ class TestForward:
             for k in range(5):
                 z += model.w1[j, k] * x[k]
             expected += model.w2[j] * np.tanh(z)
-        assert mlp.forward(model, x) == pytest.approx(expected, abs=1e-14)
+        assert mlp.forward_batch(model, x[None])[0] == pytest.approx(expected, abs=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mlp.forward(init(4, 2, 0), np.zeros(3))
+            mlp.forward_batch(init(4, 2, 0), np.zeros(3)[None])[0]
 
     def test_hidden_sign_symmetry(self, rng):
         model = init(4, 3, 2)
@@ -79,7 +80,8 @@ class TestForward:
             model.b2,
         )
         x = rng.uniform(0, 1, 4)
-        assert mlp.forward(model, x) == pytest.approx(mlp.forward(flipped, x), abs=1e-14)
+        assert mlp.forward_batch(model, x[None])[0] == pytest.approx(
+            mlp.forward_batch(flipped, x[None])[0], abs=1e-14)
 
 
 class TestFlatten:

@@ -148,7 +148,7 @@ class TestForecastMultiStep:
     def test_horizon_one_is_single_step(self):
         model, norm, window, last = self.make_context()
         single = forecast_multi_step(model, window, 1, norm, last)
-        pred = norm.invert(mlp.forward(model, norm.apply(window)))
+        pred = norm.invert(mlp.forward_batch(model, norm.apply(window)[None])[0])
         assert single.shape == (1,)
         assert single[0] == pytest.approx(last + pred)
 
@@ -167,7 +167,7 @@ class TestForecastMultiStep:
         level = last
         manual = []
         for _ in range(5):
-            resid = float(norm.invert(mlp.forward(model, norm.apply(w))))
+            resid = float(norm.invert(mlp.forward_batch(model, norm.apply(w)[None])[0]))
             w = np.concatenate([w[1:], [resid]])
             level += resid
             manual.append(level)
@@ -177,6 +177,13 @@ class TestForecastMultiStep:
         model, norm, window, last = self.make_context()
         with pytest.raises(ValueError):
             forecast_multi_step(model, window, 0, norm, last)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_window(self, bad):
+        model, norm, window, last = self.make_context()
+        window[-1] = bad
+        with pytest.raises(ValueError, match="window must be finite"):
+            forecast_multi_step(model, window, 3, norm, last)
 
 
 class TestCompareAlgorithms:

@@ -146,3 +146,8 @@ class TestAcf:
     def test_zero_variance(self):
         with pytest.raises(DegenerateDataError):
             acf(np.ones(30), 5)
+
+    @pytest.mark.parametrize("n, max_lag", [(5, 5), (5, -1)])
+    def test_error_gives_length_and_lag(self, rng, n, max_lag):
+        with pytest.raises(ValueError, match=f"got {n} values and max_lag {max_lag}$"):
+            acf(rng.normal(size=n), max_lag)

@@ -56,6 +56,11 @@ def test_config_rejects_fixed_alpha_outside_brnn(algorithm):
 class TestEngineSelector:
     """lm_least_squares runs BRNN only under a brnn config."""
 
+    def test_scg_config_is_rejected(self, rng):
+        normal_eqs, k = linear_problem(rng)
+        with pytest.raises(ValueError, match="not scg"):
+            lm_least_squares(normal_eqs, np.zeros(k), TrainConfig(algorithm="scg"))
+
     def test_lm_config_has_no_bayes_trace(self, rng):
         normal_eqs, k = linear_problem(rng)
         _, report = lm_least_squares(normal_eqs, np.zeros(k),
@@ -127,7 +132,8 @@ class TestEngine:
                           TrainConfig(algorithm=algorithm, max_epochs=40))
         accepted = len(report.epoch_trace) - 1
         assert accepted > 5
-        assert len(jacobians) == accepted + 1
+        # a validation stop skips the Jacobian of the last point, which nothing uses
+        assert len(jacobians) == accepted + (report.stop_reason != "validation")
 
     def test_scg_gradients_skip_the_jacobian(self, monkeypatch):
         x, y = sin_task(100)
@@ -391,9 +397,13 @@ class TestStopReason:
         assert (report.stop_reason, report.converged) == ("gradient", True)
 
     def test_lm_objective(self):
+        # the engine with no validation block; train would stop this fit on one
         rng = np.random.default_rng(2)
         x, y = rng.uniform(0, 1, (50, 3)), rng.normal(size=50)
-        _, report = train(init(3, 4, 1), (x, y), TrainConfig(algorithm="lm"))
+        model = init(3, 4, 1)
+        resid, normal_eqs, _ = mlp.residual_fns(model, x, y)
+        _, report = lm_least_squares(normal_eqs, mlp.flatten(model),
+                                     TrainConfig(algorithm="lm"), resid=resid)
         assert (report.stop_reason, report.converged) == ("objective", True)
         assert report.epochs_used < 1000
 
@@ -590,19 +600,31 @@ class TestGridSearch:
     def test_sweep_size(self, rng):
         x = rng.uniform(0, 1, (60, 2))
         y = np.sin(3 * x[:, 0]) + rng.normal(0, 0.05, 60)
-        cfg = TrainConfig(algorithm="lm", max_epochs=20, seed=0)
-        _, table = grid_search_fit((x, y), range(2, 26), cfg)[:2]
+        cfg = TrainConfig(algorithm="lm", max_epochs=20)
+        _, table = grid_search_fit((x, y), range(2, 26), cfg, seed=0)[:2]
         assert len(table) == 24
 
-    def test_tie_breaks_to_smallest(self, rng):
-        # constant targets: every hidden size reaches the same zero objective
+    def test_tie_breaks_to_smallest(self, rng, monkeypatch):
+        # every size reports the same e_d: an exact tie
+        def train(model, patterns, config):
+            return model, trainers.TrainReport((1.0,), True, "gradient", 0, e_d=1.0, e_w=0.0)
+
+        monkeypatch.setattr(trainers, "train", train)
         x = rng.uniform(0, 1, (40, 2))
-        y = np.zeros(40)
-        cfg = TrainConfig(algorithm="lm", max_epochs=30, seed=0)
-        best, table = grid_search_fit((x, y), range(2, 7), cfg)[:2]
-        objectives = {r.objective for r in table}
-        assert best == 2
-        assert all(v < 1e-10 for v in objectives)
+        best, table, model, _ = grid_search_fit((x, np.zeros(40)), range(2, 7),
+                                                TrainConfig(algorithm="lm"))
+        assert [r.objective for r in table] == [1.0 / 40] * 5
+        assert best == model.hidden_dim == 2
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_size_h_starts_from_seed_plus_h(self, rng, seed):
+        x = rng.uniform(0, 1, (60, 2))
+        y = np.sin(3 * x[:, 0]) + rng.normal(0, 0.05, 60)
+        cfg = TrainConfig(algorithm="lm", max_epochs=20)
+        best, _, model, report = grid_search_fit((x, y), range(2, 6), cfg, seed=seed)
+        expected, expected_report = train(init(2, best, seed + best), (x, y), cfg)
+        np.testing.assert_array_equal(mlp.flatten(model), mlp.flatten(expected))
+        assert report == expected_report
 
     def test_teacher_task_selects_near_truth(self):
         rng = np.random.default_rng(5)
@@ -610,8 +632,8 @@ class TestGridSearch:
         x = rng.uniform(0, 1, (200, 6))
         signal = mlp.forward_batch(teacher, x)
         y = signal + rng.normal(0, 0.2 * signal.std(), 200)
-        cfg = TrainConfig(algorithm="brnn", max_epochs=150, seed=3)
-        best, table = grid_search_fit((x, y), range(2, 10), cfg)[:2]
+        cfg = TrainConfig(algorithm="brnn", max_epochs=150)
+        best, table = grid_search_fit((x, y), range(2, 10), cfg, seed=3)[:2]
         assert 3 <= best <= 8
         assert len(table) == 8
 
@@ -633,11 +655,11 @@ class TestGridSearch:
     def test_aborted_size_gets_an_error_row(self, rng, abort_training, caplog):
         x = rng.uniform(0, 1, (60, 2))
         y = np.sin(3 * x[:, 0]) + rng.normal(0, 0.05, 60)
-        cfg = TrainConfig(algorithm="lm", max_epochs=20, seed=0)
-        _, full = grid_search_fit((x, y), range(2, 6), cfg)[:2]
+        cfg = TrainConfig(algorithm="lm", max_epochs=20)
+        _, full = grid_search_fit((x, y), range(2, 6), cfg, seed=0)[:2]
         best_h = min(full, key=lambda r: (r.objective, r.hidden)).hidden
         abort_training({"lm"}, {best_h})
-        best, table, model, report = trainers.grid_search_fit((x, y), range(2, 6), cfg)
+        best, table, model, report = trainers.grid_search_fit((x, y), range(2, 6), cfg, seed=0)
         assert [r.hidden for r in table] == [2, 3, 4, 5]
         aborted = next(r for r in table if r.hidden == best_h)
         assert aborted == trainers.GridRow(best_h, error=f"abort lm h = {best_h}")
@@ -694,9 +716,9 @@ def validation_sse(model, patterns):
 
 
 class TestValidationStop:
-    """On a PatternSet, lm and pinned-alpha brnn hold out the last
-    VALIDATION_FRACTION of the training rows and stop after MAX_FAIL
-    epochs without a lower validation SSE."""
+    """lm and pinned-alpha brnn hold out the last VALIDATION_FRACTION of
+    the training rows and stop after MAX_FAIL epochs without a lower
+    validation SSE."""
 
     CONFIG = {"max_epochs": 50}
 
@@ -779,7 +801,12 @@ class TestValidationStop:
         assert float(v @ v) == min(report.validation_trace) > 0.0
         assert report.e_d == float(r @ r) + float(v @ v)
 
-    def test_pair_is_fitted_whole(self):
-        x, y = sin_task(100)
-        _, report = train(init(1, 6, 4), (x, y), TrainConfig(algorithm="lm", max_epochs=5))
-        assert report.validation_trace is None
+    def test_pair_is_split_like_a_pattern_set(self, bursts_5000):
+        cfg = TrainConfig(algorithm="lm", **self.CONFIG)
+        m_set, r_set = train(init(6, 9, 0), bursts_5000, cfg)
+        pair = (bursts_5000.train_inputs, bursts_5000.train_targets)
+        m_pair, r_pair = train(init(6, 9, 0), pair, cfg)
+        np.testing.assert_array_equal(mlp.flatten(m_set), mlp.flatten(m_pair))
+        assert r_set.epoch_trace == r_pair.epoch_trace
+        assert r_set.validation_trace == r_pair.validation_trace
+        assert r_set.stop_reason == r_pair.stop_reason == "validation"
