@@ -9,12 +9,10 @@ import logging
 import os
 import sys
 
-from . import mlp, pipeline, trainers
+from . import pipeline, trainers
 from .data_ingest import (SYNTHETIC_KINDS, SYNTHETIC_SPEC_TYPES, check_json,
                           generate_synthetic, read_json, save_csv)
 from .errors import VrpcastError
-
-DEFAULT_SEED = 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +79,7 @@ def _build_parser():
     p = sub.add_parser("synth", help="write a deterministic synthetic series")
     p.add_argument("--kind", choices=SYNTHETIC_KINDS, default="persistence_bursts")
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--spec", help="JSON file with the full generator spec")
     p.add_argument("--out", required=True, help="output CSV path")
 
@@ -148,14 +146,11 @@ def _cmd_train(args):
 
 
 def _cmd_forecast(args):
-    model, provenance = mlp.load(args.model)
-    needs = ("norm",) if args.input else ("norm", "last_window_residuals", "last_observed_value")
-    check_json(f"{args.model} provenance", provenance, {}, needs, closed=False)
     series = None
     if args.input:
         series = pipeline.load_series(
             pipeline.PipelineConfig(input_path=args.input, mode=args.mode))
-    forecast = pipeline.forecast_saved(model, provenance, args.steps, series)
+    forecast = pipeline.forecast_saved(args.model, args.steps, series)
     for step, value in enumerate(forecast, start=1):
         print(f"step {step}: {value:.6g} W")
     if args.out:
@@ -164,9 +159,7 @@ def _cmd_forecast(args):
 
 def _cmd_evaluate(args):
     cfg = _pipeline_config(args)
-    model, provenance = mlp.load(args.model)
-    check_json(f"{args.model} provenance", provenance, {}, ("lag", "norm"), closed=False)
-    report = pipeline.evaluate_saved(model, provenance, pipeline.load_series(cfg))
+    report = pipeline.evaluate_saved(args.model, pipeline.load_series(cfg))
     _print_test_stats(report.test_stats)
     print(f"ACF fidelity (mean abs diff, lags 1-20): {report.acf_fidelity:.4f}")
     if cfg.out_dir:
@@ -196,8 +189,7 @@ def _cmd_synth(args):
         spec.setdefault("n", args.n)
     else:
         spec = {"kind": args.kind, "n": args.n}
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    series = generate_synthetic(spec, seed)
+    series = generate_synthetic(spec, args.seed)
     save_csv(series, args.out)
     print(f"wrote {len(series)} observations to {args.out}")
 

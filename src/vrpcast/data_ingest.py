@@ -18,6 +18,7 @@ import csv
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import compress, islice
@@ -267,7 +268,8 @@ def _is_int(value):
 
 
 def _is_number(value):
-    return _is_int(value) or isinstance(value, float)
+    """A float, or an int that fits one."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
 
 
 # The JSON values check_json accepts for a key, by the type the key holds.

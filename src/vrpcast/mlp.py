@@ -2,7 +2,6 @@
 and the normal equations J'J, J'r of the analytic residual Jacobian J,
 summed over row blocks, that the second-order trainers consume."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,41 +181,9 @@ def residual_fns(model: MlpModel, inputs, targets):
 SCHEMA_VERSION = 1
 ACTIVATIONS = {"hidden_activation": "tanh", "output_activation": "linear"}
 
-# The model.json keys load reads, and the provenance keys the pipeline reads
-# back, by their JSON_TYPES type. The provenance keys are checked when present,
-# since a model saved with no provenance loads; the CLI command that reads one
-# requires it.
+# The model.json keys load reads, by their JSON_TYPES type. The provenance is
+# the pipeline's to check.
 _MODEL_TYPES = {"input_dim": int, "hidden_dim": int, "params": list, "provenance": dict}
-_PROVENANCE_TYPES = {"lag": int, "train_fraction": float, "norm": dict,
-                     "last_window_residuals": list, "last_observed_value": float}
-_NORM_TYPES = {"min": float, "max": float}
-
-
-def _is_finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:   # an int too large for a float
-        return False
-
-
-def _check_provenance_numbers(path, provenance: dict) -> None:
-    """DataFormatError, naming the file and the key, when a number the
-    pipeline computes with is not finite, or the norm's max does not exceed
-    its min."""
-    norm = provenance.get("norm", {})
-    for key, value in norm.items():
-        if not _is_finite(value):
-            raise DataFormatError(f"{path} provenance.norm key {key!r} must be finite, "
-                                  f"got {value!r}")
-    if norm and not norm["max"] > norm["min"]:
-        raise DataFormatError(f"{path} provenance.norm key 'max' must exceed 'min', "
-                              f"got {norm['max']!r} <= {norm['min']!r}")
-    numbers = {"last_window_residuals": provenance.get("last_window_residuals", []),
-               "last_observed_value": [provenance.get("last_observed_value", 0.0)]}
-    for key, values in numbers.items():
-        if not all(map(_is_finite, values)):
-            raise DataFormatError(f"{path} provenance key {key!r} must be finite, "
-                                  f"got {provenance[key]!r}")
 
 
 def save(model: MlpModel, path, provenance: dict | None = None) -> None:
@@ -231,14 +198,12 @@ def save(model: MlpModel, path, provenance: dict | None = None) -> None:
 
 
 def load(path) -> tuple[MlpModel, dict]:
-    """Model and provenance of a saved model. DataFormatError, naming the
-    file, when the file does not hold a JSON object, the schema version is
-    not SCHEMA_VERSION (a file without one is version 1), an activation is
-    not the network's, a key of the tables above is missing or of another
-    type, a layer size is below 1, the norm holds another key, a norm bound,
-    forecast-window residual or last observed value is not finite, the norm's
-    max does not exceed its min, the parameters do not fit the layer sizes, or the provenance lag or forecast
-    window does not match the input size."""
+    """Model and provenance, as read, of a saved model. DataFormatError,
+    naming the file, when the file does not hold a JSON object, the schema
+    version is not SCHEMA_VERSION (a file without one is version 1), an
+    activation is not the network's, a key of _MODEL_TYPES is missing or of
+    another type, a layer size is below 1, or the parameters do not fit the
+    layer sizes."""
     payload = read_json(path)
     version = payload.get("schema_version", 1)
     if version != SCHEMA_VERSION:
@@ -253,20 +218,8 @@ def load(path) -> tuple[MlpModel, dict]:
     for key in ("input_dim", "hidden_dim"):
         if payload[key] < 1:
             raise DataFormatError(f"{path} key {key!r} must be at least 1, got {payload[key]!r}")
-    provenance = payload.get("provenance", {})
-    check_json(f"{path} provenance", provenance, _PROVENANCE_TYPES, (), closed=False)
-    if "norm" in provenance:
-        check_json(f"{path} provenance.norm", provenance["norm"], _NORM_TYPES,
-                   _NORM_TYPES, closed=True)
-    _check_provenance_numbers(path, provenance)
     try:
         model = unflatten(payload["params"], payload["input_dim"], payload["hidden_dim"])
     except ValueError as exc:
         raise DataFormatError(f"{path} key 'params': {exc}") from exc
-    p = model.input_dim
-    lag = provenance.get("lag", p)
-    n_window = len(provenance.get("last_window_residuals", range(p)))
-    if (lag, n_window) != (p, p):
-        raise DataFormatError(f"{path}: input_dim is {p}, but the provenance lag is "
-                              f"{lag} and last_window_residuals has {n_window} values")
-    return model, provenance
+    return model, payload.get("provenance", {})

@@ -4,6 +4,7 @@ written as CSV/JSON. The CLI's inspection subcommands call the same stage
 functions and artifact writers as training."""
 
 import logging
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union
@@ -12,7 +13,8 @@ import numpy as np
 
 from . import lag_select, mlp, series_ops, stat_tests, trainers
 from .data_ingest import TimeSeries, check_json, load_csv, save_csv, write_csv, write_json
-from .errors import DegenerateDataError, PipelineStageError, TrainingError, VrpcastError
+from .errors import (DataFormatError, DegenerateDataError, PipelineStageError, TrainingError,
+                     VrpcastError)
 
 log = logging.getLogger(__name__)
 
@@ -205,10 +207,11 @@ def _prepare(series: Optional[TimeSeries], config: PipelineConfig) -> Prepared:
     return Prepared(series, diff, kpss_raw, kpss_resid, profile, patterns)
 
 
-def evaluate_saved(model, provenance, series: TimeSeries) -> EvalReport:
-    """Stage `evaluate`: evaluate() of a saved model on `series`, whose
-    patterns use the lag, train fraction and normaliser recorded in the
-    model's provenance."""
+def evaluate_saved(model_path, series: TimeSeries) -> EvalReport:
+    """Stage `evaluate`: evaluate() of the model saved at model_path on
+    `series`, whose patterns use the lag, train fraction and normaliser
+    recorded in the model's provenance."""
+    model, provenance = _load_saved(model_path, ("lag", "norm"))
     diff = _stage("difference", series_ops.difference, series)
     patterns = _stage(
         "extract-patterns", series_ops.extract_patterns, diff.residuals,
@@ -218,10 +221,14 @@ def evaluate_saved(model, provenance, series: TimeSeries) -> EvalReport:
     return _stage("evaluate", evaluate, model, patterns, series.values, provenance)
 
 
-def forecast_saved(model, provenance, horizon, series: Optional[TimeSeries] = None):
-    """Stage `forecast`: forecast_multi_step() of a saved model with its
-    saved normaliser, from the end of `series` when one is given, else from
-    the residual window and last value recorded in the model's provenance."""
+def forecast_saved(model_path, horizon, series: Optional[TimeSeries] = None):
+    """Stage `forecast`: forecast_multi_step() of the model saved at
+    model_path with its saved normaliser, from the end of `series` when one
+    is given, else from the residual window and last value recorded in the
+    model's provenance."""
+    needs = ("norm",) if series is not None else (
+        "norm", "last_window_residuals", "last_observed_value")
+    model, provenance = _load_saved(model_path, needs)
     norm = series_ops.NormParams(**provenance["norm"])
     if series is None:
         window = provenance["last_window_residuals"]
@@ -259,6 +266,47 @@ def _model_provenance(config, hidden, report, prep: Prepared):
         "last_window_residuals": [float(v) for v in prep.diff.residuals[-prep.patterns.lag:]],
         "last_observed_value": float(prep.series.values[-1]),
     }
+
+
+# The provenance keys the saved-model readers read back, by their JSON_TYPES
+# type; each reader requires the ones it uses.
+_PROVENANCE_TYPES = {"lag": int, "train_fraction": float, "norm": dict,
+                     "last_window_residuals": list, "last_observed_value": float}
+_NORM_TYPES = {"min": float, "max": float}
+
+
+def _load_saved(path, needs):
+    """mlp.load of the model file at `path`. DataFormatError, naming the
+    file and the key, when a provenance key in `needs` is missing, one of
+    _PROVENANCE_TYPES is of another type, the norm holds another key, a norm
+    bound, forecast-window residual or last observed value is not finite,
+    the norm's max does not exceed its min, or the lag or forecast window
+    does not match the input size."""
+    model, provenance = mlp.load(path)
+    check_json(f"{path} provenance", provenance, _PROVENANCE_TYPES, needs, closed=False)
+    norm = provenance.get("norm")
+    if norm is not None:
+        check_json(f"{path} provenance.norm", norm, _NORM_TYPES, _NORM_TYPES, closed=True)
+        for key, value in norm.items():
+            if not math.isfinite(value):
+                raise DataFormatError(f"{path} provenance.norm key {key!r} must be finite, "
+                                      f"got {value!r}")
+        if not norm["max"] > norm["min"]:
+            raise DataFormatError(f"{path} provenance.norm key 'max' must exceed 'min', "
+                                  f"got {norm['max']!r} <= {norm['min']!r}")
+    numbers = {"last_window_residuals": provenance.get("last_window_residuals", []),
+               "last_observed_value": [provenance.get("last_observed_value", 0.0)]}
+    for key, values in numbers.items():
+        if not all(map(math.isfinite, values)):
+            raise DataFormatError(f"{path} provenance key {key!r} must be finite, "
+                                  f"got {provenance[key]!r}")
+    p = model.input_dim
+    lag = provenance.get("lag", p)
+    n_window = len(provenance.get("last_window_residuals", range(p)))
+    if (lag, n_window) != (p, p):
+        raise DataFormatError(f"{path}: input_dim is {p}, but the provenance lag is "
+                              f"{lag} and last_window_residuals has {n_window} values")
+    return model, provenance
 
 
 def run_pipeline(config: PipelineConfig, series: Optional[TimeSeries] = None):

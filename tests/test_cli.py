@@ -36,6 +36,12 @@ class TestSynth:
                        "--seed", 7, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_default_seed_is_zero(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("synth", "--n", 200, "--out", a) == 0
+        assert run_cli("synth", "--n", 200, "--seed", 0, "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_spec_file(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "ar", "n": 300, "phi": [0.6]}))
@@ -209,6 +215,19 @@ class TestCompare:
         payload = json.loads((tmp_path / "c" / "comparison.json").read_text())
         assert payload["algorithms"]["lm"] == {"error": "abort lm h = 4"}
 
+    @pytest.mark.parametrize("algo, hidden", [("brnn", 4), ("lm", 5)])
+    def test_hidden_range_picks_the_size_train_picks(self, tmp_path, algo, hidden):
+        series, cfg = tmp_path / "series.csv", tmp_path / "cfg.json"
+        assert run_cli("synth", "--n", 600, "--seed", 3, "--out", series) == 0
+        cfg.write_text(json.dumps({"max_epochs": 30}))
+        common = ["--input", series, "--config", cfg, "--lag", 3, "--hidden", "2:5",
+                  "--algo", algo]
+        assert run_cli("compare", *common, "--out", tmp_path / "c") == 0
+        assert run_cli("train", *common, "--out", tmp_path / "t") == 0
+        compared = json.loads((tmp_path / "c" / "comparison.json").read_text())["hidden"]
+        trained = json.loads((tmp_path / "t" / "model.json").read_text())["hidden_dim"]
+        assert compared == trained == hidden
+
 
 class TestLmValidationStop:
     """lm holds out the last 15 % of the training rows as a validation block
@@ -369,6 +388,8 @@ class TestExitCodes:
             MODEL["provenance"], norm={"min": 0, "max": math.inf})), "max"),
         ("--model", dict(MODEL, provenance=dict(
             MODEL["provenance"], last_observed_value=math.inf)), "last_observed_value"),
+        ("--spec", {"kind": "white_noise", "n": 50, "sigma": 10 ** 400}, "sigma"),
+        ("--model", dict(MODEL, params=[10 ** 400] + [0.1] * 6), "params"),
     ])
     def test_json_input_bad_key(self, tmp_path, capsys, option, payload, key):
         bad = tmp_path / "bad.json"

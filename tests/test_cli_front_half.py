@@ -56,13 +56,16 @@ def test_lags_prints_the_lag_train_uses(tmp_path, capsys):
     series = write_series(tmp_path, 2000, 36)
     cfg = write_config(tmp_path, max_epochs=5)
     capsys.readouterr()
-    assert cli.main(["lags", "--input", str(series)]) == 0
-    selected = capsys.readouterr().out.splitlines()[-1]
+    assert cli.main(["lags", "--input", str(series), "--out", str(tmp_path / "lags")]) == 0
+    selected = capsys.readouterr().out.splitlines()[-2]
     assert cli.main(["train", "--input", str(series), "--hidden", "3",
-                     "--config", str(cfg)]) == 0
+                     "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
     trained = capsys.readouterr().out.splitlines()[0]
     assert selected == "selected lag: 2"
     assert trained.startswith("algorithm brnn, lag 2, hidden 3")
+    # train writes the profile lags writes
+    assert ((tmp_path / "lags" / "entropy_profile.csv").read_bytes()
+            == (tmp_path / "run" / "entropy_profile.csv").read_bytes())
 
 
 def test_lags_honours_config_max_lag(tmp_path, capsys):

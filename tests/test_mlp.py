@@ -159,9 +159,3 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match="schema_version"):
             mlp.load(path)
-
-    def test_load_rejects_short_forecast_window(self, tmp_path):
-        path = tmp_path / "model.json"
-        mlp.save(init(3, 2, 0), path, {"lag": 3, "last_window_residuals": [1.0, 2.0]})
-        with pytest.raises(DataFormatError, match="2 values"):
-            mlp.load(path)

@@ -15,7 +15,7 @@ from vrpcast import (
     run_pipeline,
 )
 from vrpcast import mlp, pipeline, stat_tests, trainers
-from vrpcast.errors import PipelineStageError
+from vrpcast.errors import DataFormatError, PipelineStageError
 from vrpcast.series_ops import NormParams
 
 
@@ -132,8 +132,30 @@ class TestRunPipeline:
         old_model, old_provenance = mlp.load(tmp_path / "old_model.json")
         assert old_provenance["final_objective"] == 599.0
         np.testing.assert_array_equal(mlp.flatten(old_model), mlp.flatten(model))
-        assert (pipeline.evaluate_saved(old_model, old_provenance, series).test_stats
-                == pipeline.evaluate_saved(model, provenance, series).test_stats)
+        assert (pipeline.evaluate_saved(tmp_path / "old_model.json", series).test_stats
+                == pipeline.evaluate_saved(tmp_path / "model.json", series).test_stats)
+
+
+class TestSavedModelReaders:
+    def test_short_forecast_window_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        mlp.save(init(3, 2, 0), path, {"lag": 3, "norm": {"min": 0.0, "max": 1.0},
+                                       "last_window_residuals": [1.0, 2.0],
+                                       "last_observed_value": 5.0})
+        with pytest.raises(DataFormatError, match="2 values"):
+            pipeline.evaluate_saved(path, generate_synthetic(BURSTY, 5))
+        with pytest.raises(DataFormatError, match="2 values"):
+            pipeline.forecast_saved(path, 3)
+
+    def test_missing_norm_names_file_and_key(self, tmp_path):
+        path = tmp_path / "model.json"
+        mlp.save(init(3, 2, 0), path, {"lag": 3, "last_window_residuals": [1.0, 2.0, 3.0],
+                                       "last_observed_value": 5.0})
+        with pytest.raises(DataFormatError) as info:
+            pipeline.evaluate_saved(path, generate_synthetic(BURSTY, 5))
+        assert str(info.value) == f"{path} provenance key 'norm' is missing"
+        with pytest.raises(DataFormatError, match="'norm' is missing"):
+            pipeline.forecast_saved(path, 3)
 
 
 class TestForecastMultiStep:
