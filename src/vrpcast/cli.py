@@ -13,6 +13,7 @@ from . import pipeline, trainers
 from .data_ingest import (SYNTHETIC_KINDS, SYNTHETIC_SPEC_TYPES, check_json,
                           generate_synthetic, read_json, save_csv)
 from .errors import VrpcastError
+from .stat_tests import ErrorStats
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,7 +38,7 @@ def _build_parser():
     def add_common(p, *, training=False):
         p.add_argument("--input", dest="input_path", help="input CSV path")
         p.add_argument("--mode", choices=("power", "radiance"))
-        p.add_argument("--out", dest="out_dir", help="output directory or file")
+        p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument("--config", help="JSON config file (flags take precedence)")
         if training:
             p.add_argument("--lag", type=int, help="lag window p (default: entropy-selected)")
@@ -99,9 +100,9 @@ def _pipeline_config(args):
     return cfg
 
 
-def _print_test_stats(stats):
-    print(f"test ME {stats.mean_error:.6g} W, MSE {stats.mean_squared_error:.6g} W^2, "
-          f"R^2 {stats.r_squared if stats.r_squared is not None else 'undefined'}")
+def _test_stats_line(stats: ErrorStats) -> str:
+    return (f"test ME {stats.mean_error:.6g} W, MSE {stats.mean_squared_error:.6g} W^2, "
+            f"R^2 {stats.r_squared if stats.r_squared is not None else 'undefined'}")
 
 
 def _cmd_ingest(args):
@@ -140,7 +141,7 @@ def _cmd_train(args):
     model, report, provenance = pipeline.run_pipeline(cfg)
     print(f"algorithm {provenance['algorithm']}, lag {provenance['lag']}, "
           f"hidden {provenance['hidden']}, epochs {provenance['epochs_used']}")
-    _print_test_stats(report.test_stats)
+    print(_test_stats_line(report.test_stats))
     if cfg.out_dir:
         print(f"artifacts in {cfg.out_dir}")
 
@@ -160,7 +161,7 @@ def _cmd_forecast(args):
 def _cmd_evaluate(args):
     cfg = _pipeline_config(args)
     report = pipeline.evaluate_saved(args.model, pipeline.load_series(cfg))
-    _print_test_stats(report.test_stats)
+    print(_test_stats_line(report.test_stats))
     print(f"ACF fidelity (mean abs diff, lags 1-20): {report.acf_fidelity:.4f}")
     if cfg.out_dir:
         print(f"wrote {pipeline.write_eval_report(cfg.out_dir, report)}")
@@ -174,9 +175,7 @@ def _cmd_compare(args):
         if "error" in entry:
             print(f"{algorithm}: failed ({entry['error']})")
             continue
-        stats = entry["test_stats"]
-        print(f"{algorithm}: test ME {stats['mean_error']:.6g} W, "
-              f"MSE {stats['mean_squared_error']:.6g} W^2, R^2 {stats['r_squared']}")
+        print(f"{algorithm}: {_test_stats_line(ErrorStats(**entry['test_stats']))}")
     if cfg.out_dir:
         print(f"wrote {os.path.join(cfg.out_dir, 'comparison.json')}")
 

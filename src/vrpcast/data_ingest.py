@@ -9,9 +9,9 @@ CSV layouts (header row required, UTF-8, comma-delimited):
 
 Rows with blank or non-finite values are dropped (counted, not an error);
 rows that do not parse at all raise DataFormatError with the row number.
-_parse_row defines what a row means. load_csv parses each chunk of rows a
-column at a time; the rows that pass cannot read go through _parse_row, in
-file order.
+_parse_row defines what a row means. load_csv parses a clean chunk of rows
+a column at a time; a chunk with a row those maps cannot read goes through
+_parse_row row by row, in file order.
 """
 
 import csv
@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import compress, islice
-from operator import attrgetter, itemgetter, lt
+from operator import attrgetter, lt
 from typing import Optional, Union
 
 import numpy as np
@@ -39,7 +39,9 @@ MIR_TO_WATTS = 1.89e7
 # objects (tracemalloc) and leave the heap fragmented, so peak RSS grew over
 # repeated loads in one process; 1024-row chunks peak under 4 MiB, and larger
 # ones are no faster. Writing a 50 000-row series.csv peaked at 7.9 MiB of
-# Python objects with all its lines joined, and at 1.7 MiB in chunks.
+# Python objects with all its lines joined, and at 1.7 MiB in chunks. A
+# blank or bad row, a missing marker or a tz-aware timestamp sends its whole
+# chunk through _parse_row, about 3x slower per row than the column maps.
 _CHUNK_ROWS = 1024
 
 SYNTHETIC_KINDS = ("white_noise", "random_walk", "ar", "persistence_bursts")
@@ -115,52 +117,28 @@ def _parse_row(fields, n_cols, row_no):
     return stamp, [math.nan if v is None else v for v in values]
 
 
-def _parse_column(parse, texts, placeholder):
-    """(list of parse(text) for each text, indices of the texts parse rejects,
-    which hold `placeholder`). The map runs at C speed; a column with a
-    rejected cell is parsed again one cell at a time to find them."""
-    try:
-        return list(map(parse, texts)), []
-    except ValueError:
-        pass
-    parsed, rejected = [], []
-    for i, text in enumerate(texts):
-        try:
-            parsed.append(parse(text))
-        except ValueError:
-            parsed.append(placeholder)
-            rejected.append(i)
-    return parsed, rejected
-
-
 def _parse_rows(rows, n_cols, first_row):
     """(timestamps, (n_cols - 1, n) array of values) of rows, whose first is
     row number first_row of the file; a blank row's timestamp is None.
 
-    Each column is parsed at once by datetime.fromisoformat or float, with
-    the rows of another field count padded to n_cols empty fields. Those
-    rows, and the rows with a field that rejects or a tz-aware timestamp,
-    are then read in file order by _parse_row, which defines what a row
-    means and raises for the first bad row."""
-    rejected, padded = [], rows
-    if set(map(len, rows)) != {n_cols}:
-        rejected = [i for i, row in enumerate(rows) if len(row) != n_cols]
-        padded = [row if len(row) == n_cols else [""] * n_cols for row in rows]
-    columns = [list(map(itemgetter(k), padded)) for k in range(n_cols)]
-    stamps, rejected_stamps = _parse_column(datetime.fromisoformat, columns[0], None)
-    rejected += rejected_stamps
-    if any(map(attrgetter("tzinfo"), filter(None, stamps))):
-        rejected += [i for i, ts in enumerate(stamps) if ts is not None and ts.tzinfo]
-    value_columns = []
-    for texts in columns[1:]:
-        parsed, rejected_values = _parse_column(float, texts, math.nan)
-        value_columns.append(parsed)
-        rejected += rejected_values
-    for i in sorted(set(rejected)):
-        stamps[i], values = _parse_row(rows[i], n_cols, first_row + i)
-        for parsed, value in zip(value_columns, values):
-            parsed[i] = value
-    return stamps, np.array(value_columns, dtype=float)
+    When every row has n_cols fields, each column is parsed at once by
+    datetime.fromisoformat or float, and those columns are returned if no
+    field rejects and no timestamp is tz-aware. Otherwise every row is read
+    in file order by _parse_row, which defines what a row means and raises
+    for the first bad row."""
+    if set(map(len, rows)) == {n_cols}:
+        stamp_texts, *value_texts = zip(*rows)
+        try:
+            stamps = list(map(datetime.fromisoformat, stamp_texts))
+            values = [list(map(float, texts)) for texts in value_texts]
+        except ValueError:
+            pass
+        else:
+            if not any(map(attrgetter("tzinfo"), stamps)):
+                return stamps, np.array(values, dtype=float)
+    stamps, values = zip(*(_parse_row(row, n_cols, first_row + i)
+                           for i, row in enumerate(rows)))
+    return list(stamps), np.array(values, dtype=float).T
 
 
 def _keep_last_of_each_stamp(stamps, values):
@@ -176,9 +154,10 @@ def _keep_last_of_each_stamp(stamps, values):
 
 
 def load_csv(path, mode: str = "power") -> TimeSeries:
-    """Load a VRP series _CHUNK_ROWS rows at a time (_parse_rows), dropping
-    blank rows and rows with a missing or non-finite value (counted, not an
-    error). The first bad row in the file raises DataFormatError.
+    """Load a VRP series _CHUNK_ROWS rows at a time (_parse_rows: by
+    columns when the chunk is clean, else row by row), dropping blank rows
+    and rows with a missing or non-finite value (counted, not an error). The
+    first bad row in the file raises DataFormatError.
 
     In radiance mode the values are MIR_TO_WATTS * (l_mir - l_mir_bk), as
     radiance_to_vrp computes them. Rows are sorted by timestamp; duplicate

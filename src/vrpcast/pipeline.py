@@ -280,8 +280,8 @@ def _load_saved(path, needs):
     file and the key, when a provenance key in `needs` is missing, one of
     _PROVENANCE_TYPES is of another type, the norm holds another key, a norm
     bound, forecast-window residual or last observed value is not finite,
-    the norm's max does not exceed its min, or the lag or forecast window
-    does not match the input size."""
+    the norm's max does not exceed its min, the train fraction is not in
+    (0, 1), or the lag or forecast window does not match the input size."""
     model, provenance = mlp.load(path)
     check_json(f"{path} provenance", provenance, _PROVENANCE_TYPES, needs, closed=False)
     norm = provenance.get("norm")
@@ -294,6 +294,10 @@ def _load_saved(path, needs):
         if not norm["max"] > norm["min"]:
             raise DataFormatError(f"{path} provenance.norm key 'max' must exceed 'min', "
                                   f"got {norm['max']!r} <= {norm['min']!r}")
+    fraction = provenance.get("train_fraction")
+    if fraction is not None and not 0.0 < fraction < 1.0:
+        raise DataFormatError(f"{path} provenance key 'train_fraction' must be in (0, 1), "
+                              f"got {fraction!r}")
     numbers = {"last_window_residuals": provenance.get("last_window_residuals", []),
                "last_observed_value": [provenance.get("last_observed_value", 0.0)]}
     for key, values in numbers.items():

@@ -323,8 +323,6 @@ def scg_minimize(
     trace = [fx]
     stop_reason = "max_epochs"
     iters = 0
-    delta = 0.0
-    pnorm2 = float(p @ p)
     if np.max(np.abs(g)) < grad_tol:
         return x, trace, "gradient", 0
     for k in range(1, max_iter + 1):

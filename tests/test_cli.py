@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import vrpcast
-from vrpcast import cli, forecast_multi_step, generate_synthetic, mlp, series_ops, trainers
+from vrpcast import (cli, forecast_multi_step, generate_synthetic, mlp, series_ops,
+                     stat_tests, trainers)
 from vrpcast.data_ingest import save_csv
 from vrpcast.series_ops import NormParams, fit_normalizer
 
@@ -228,6 +229,10 @@ class TestCompare:
         trained = json.loads((tmp_path / "t" / "model.json").read_text())["hidden_dim"]
         assert compared == trained == hidden
 
+    def test_undefined_r_squared_prints_undefined(self):
+        stats = stat_tests.ErrorStats(mean_error=0.5, mean_squared_error=2.0, r_squared=None)
+        assert cli._test_stats_line(stats) == "test ME 0.5 W, MSE 2 W^2, R^2 undefined"
+
 
 class TestLmValidationStop:
     """lm holds out the last 15 % of the training rows as a validation block
@@ -390,6 +395,10 @@ class TestExitCodes:
             MODEL["provenance"], last_observed_value=math.inf)), "last_observed_value"),
         ("--spec", {"kind": "white_noise", "n": 50, "sigma": 10 ** 400}, "sigma"),
         ("--model", dict(MODEL, params=[10 ** 400] + [0.1] * 6), "params"),
+        ("--model", dict(MODEL, provenance=dict(
+            MODEL["provenance"], train_fraction=1.5)), "train_fraction"),
+        ("--model", dict(MODEL, provenance=dict(
+            MODEL["provenance"], train_fraction=0.0)), "train_fraction"),
     ])
     def test_json_input_bad_key(self, tmp_path, capsys, option, payload, key):
         bad = tmp_path / "bad.json"

@@ -331,6 +331,26 @@ class TestLoadCsvContract:
                 assert got == expected, (rows, chunk_rows)
         assert outcomes == {"ok", "error"}
 
+    @staticmethod
+    def no_row_path(fields, n_cols, row_no):
+        raise AssertionError(f"row {row_no} of a clean file went through _parse_row")
+
+    def test_clean_chunks_take_the_column_path(self, tmp_path, monkeypatch, rng):
+        # A clean chunk never reaches _parse_row, the slower row-by-row path.
+        stamps = [f"2020-01-01T{i:02d}:00:00" for i in range(7)]
+        values = rng.normal(0.0, 3.0, (7, 2))
+        for mode, n_cols in (("power", 2), ("radiance", 3)):
+            path = write(tmp_path, "h\n" + "".join(
+                ",".join([ts] + [repr(float(v)) for v in row[:n_cols - 1]]) + "\n"
+                for ts, row in zip(stamps, values)), f"{mode}.csv")
+            expected = load_csv(path, mode=mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(data_ingest, "_CHUNK_ROWS", 2)
+                patch.setattr(data_ingest, "_parse_row", self.no_row_path)
+                series = load_csv(path, mode=mode)
+            assert series.timestamps == expected.timestamps
+            assert series.values.tolist() == expected.values.tolist()
+
 
 # Floats at the edges of repr's shortest round trip: signed zero, the
 # smallest subnormal, the first power of ten repr writes with an exponent,

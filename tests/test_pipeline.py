@@ -157,6 +157,15 @@ class TestSavedModelReaders:
         with pytest.raises(DataFormatError, match="'norm' is missing"):
             pipeline.forecast_saved(path, 3)
 
+    def test_train_fraction_out_of_range_names_file_and_key(self, tmp_path):
+        path = tmp_path / "model.json"
+        mlp.save(init(3, 2, 0), path, {"lag": 3, "train_fraction": 1.5,
+                                       "norm": {"min": 0.0, "max": 1.0}})
+        with pytest.raises(DataFormatError) as info:
+            pipeline.evaluate_saved(path, generate_synthetic(BURSTY, 5))
+        assert str(info.value) == (f"{path} provenance key 'train_fraction' must be in "
+                                   f"(0, 1), got 1.5")
+
 
 class TestForecastMultiStep:
     def make_context(self):
