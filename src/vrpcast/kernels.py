@@ -9,12 +9,10 @@ unit. The Jacobian is built parameter-major, each parameter's derivatives a
 contiguous row of a (P, n) buffer, and returned as its (n, P) transpose, an
 F-contiguous view.
 
-Activation buffers: `forward_batch(..., hidden_out=a)` writes the activations
-into a C-contiguous (h, n) array `a` the caller owns. The residual kernels
-read activations already computed at the same weights from `hidden=a` and
-never write to it; without it they compute their own. Either way the
-activations come from the one expression in `_hidden`, so a point evaluated
-once gives bit-identical residuals, Jacobian and gradient as evaluated twice.
+Activations: `forward_batch(..., hidden_out=a)` is the one forward pass; it
+writes the activations into a C-contiguous (h, n) array `a` the caller owns.
+The residual kernels only differentiate: they take `a` in place of w1 and
+b1, read it and never write it.
 """
 
 import numpy as np
@@ -36,17 +34,16 @@ def forward_batch(inputs, w1, b1, w2, b2, hidden_out=None):
     return w2 @ _hidden(inputs, w1, b1, hidden_out) + b2
 
 
-def residuals_and_jacobian(inputs, targets, w1, b1, w2, b2, out=None, hidden=None):
+def residuals_and_jacobian(inputs, targets, a, w2, b2, out=None):
     """Residuals r_i = target_i - output_i and the analytic Jacobian
-    dr_i/dtheta_j of shape (n, h*p + 2h + 1).
+    dr_i/dtheta_j of shape (n, h*p + 2h + 1), from the activations `a`
+    (h, n) of `inputs` (n, p), read only.
 
     The Jacobian is written into `out` when given (F-contiguous, that
-    shape) and returned; otherwise a new F-ordered array is allocated.
-    `hidden`, when given, holds the activations at these weights (read only);
-    otherwise they are computed. No other (h, n) array is made."""
+    shape) and returned; otherwise a new F-ordered array is allocated. No
+    (h, n) array is made."""
     n, p = inputs.shape
-    h = w1.shape[0]
-    a = _hidden(inputs, w1, b1) if hidden is None else hidden
+    h = a.shape[0]
     res = targets - (w2 @ a + b2)
     shape = (n, h * p + 2 * h + 1)
     if out is None:
@@ -66,13 +63,12 @@ def residuals_and_jacobian(inputs, targets, w1, b1, w2, b2, out=None, hidden=Non
     return res, jac
 
 
-def residuals_and_gradient(inputs, targets, w1, b1, w2, b2, hidden=None, scratch=None):
+def residuals_and_gradient(inputs, targets, a, w2, b2, scratch=None):
     """Residuals as in residuals_and_jacobian and J'r, the gradient of half
     the sum of squared residuals, by back-propagation without the Jacobian.
-    `hidden` is as in residuals_and_jacobian. The back-propagated (h, n)
-    terms are written into `scratch` (C-contiguous (h, n), overwritten) when
-    given, else into one new array; the results are bit-identical."""
-    a = _hidden(inputs, w1, b1) if hidden is None else hidden
+    The back-propagated (h, n) terms are written into `scratch`
+    (C-contiguous (h, n), overwritten) when given, else into one new array;
+    the results are bit-identical."""
     res = targets - (w2 @ a + b2)
     neg_s = np.multiply(a, a, out=scratch)
     neg_s -= 1.0

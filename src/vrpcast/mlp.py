@@ -105,27 +105,26 @@ def _check_xy(model: MlpModel, inputs, targets):
 
 
 def residual_fns(model: MlpModel, inputs, targets):
-    """resid(theta), resid_normal_eqs(theta) -> (res, J'J, J'r) and
-    resid_grad(theta) -> (res, J'r) on one training set for flat vectors
-    theta of `model`'s shape, J the residual Jacobian. The data are checked
-    once and theta is read through views.
+    """resid(theta), normal_eqs(theta) -> (J'J, J'r) and resid_grad(theta)
+    -> (res, J'r) on one training set for flat vectors theta of `model`'s
+    shape, J the residual Jacobian. The data are checked once and theta is
+    read through views.
 
-    resid_normal_eqs never holds J whole: it walks the rows in blocks of
+    The one place that computes hidden activations: resid runs the forward
+    pass into `act`, one (h, n) buffer of the fit, and keeps the bytes of its
+    theta. normal_eqs and resid_grad differentiate at `act`; at a theta with
+    other bytes they first run resid, so a miss refreshes the buffer and an
+    accepted trial step's derivatives reuse its activations. (Comparing
+    bytes takes 0.1 us where np.array_equal took 4 us at P = 19.)
+
+    normal_eqs never holds J whole: it walks the rows in blocks of
     BLOCK_ROWS, writes each block's Jacobian into one buffer of
-    min(n, BLOCK_ROWS) rows that serves the whole fit, sums the blocks'
-    J'J and J'r and writes the residuals into one new n-vector. With one
-    block (n <= BLOCK_ROWS) the products are J.T @ J and J.T @ r of the whole
-    Jacobian; with more they differ from those by rounding only.
-
-    resid writes the hidden activations of its theta into `act`, an (h, n)
-    buffer, and keeps the bytes of that theta. resid_normal_eqs and
-    resid_grad reuse `act` when their theta has the same bytes, as at a
-    trial step the optimizer then accepts; at any other theta they compute
-    fresh activations, block by block for resid_normal_eqs, and leave `act`
-    as it was. (Comparing bytes takes 0.1 us where np.array_equal took 4 us
-    at P = 19, more than the block loop adds to one evaluation.) resid_grad
-    also back-propagates into one (h, n) scratch buffer of the fit, made at
-    its first call, where the kernel would make a new array per call."""
+    min(n, BLOCK_ROWS) rows that serves the whole fit and sums the blocks'
+    J'J and J'r. With one block (n <= BLOCK_ROWS) the products are J.T @ J
+    and J.T @ r of the whole Jacobian; with more they differ from those by
+    rounding only. resid_grad back-propagates into one (h, n) scratch buffer
+    of the fit, made at its first call, where the kernel would make a new
+    array per call."""
     inputs, targets = _check_xy(model, inputs, targets)
     p, h = model.input_dim, model.hidden_dim
     n, n_w = targets.size, model.n_params
@@ -133,13 +132,13 @@ def residual_fns(model: MlpModel, inputs, targets):
     act = np.empty((h, n))
     act_key = None      # bytes of the theta whose activations `act` holds
     grad_scratch = None
-    # per block: its rows, inputs, targets, activations and Jacobian view;
-    # an empty training set gets one empty block
+    # per block: its inputs, targets, activations and Jacobian view; an
+    # empty training set gets one empty block
     blocks = []
     for lo in range(0, max(n, 1), BLOCK_ROWS):
         rows = slice(lo, min(lo + BLOCK_ROWS, n))
         m = rows.stop - lo
-        blocks.append((rows, inputs[rows], targets[rows], act[:, rows],
+        blocks.append((inputs[rows], targets[rows], act[:, rows],
                        block[: m * n_w].reshape(n_w, m).T))
 
     def resid(theta):
@@ -148,34 +147,32 @@ def residual_fns(model: MlpModel, inputs, targets):
         act_key = theta.tobytes()
         return targets - out
 
-    def activations(theta):
-        return act if theta.tobytes() == act_key else None
+    def output_layer(theta):
+        """w2, b2 of theta, with `act` holding theta's activations."""
+        if theta.tobytes() != act_key:
+            resid(theta)
+        return _layers(theta, p, h)[2:]
 
-    def resid_normal_eqs(theta):
-        layers = _layers(theta, p, h)
-        cached = activations(theta) is not None
-        r = np.empty(n)
-        for rows, x, y, a, jac in blocks:
-            res, _ = kernels.residuals_and_jacobian(x, y, *layers, out=jac,
-                                                    hidden=a if cached else None)
-            r[rows] = res
-            if rows.start == 0:
+    def normal_eqs(theta):
+        w2, b2 = output_layer(theta)
+        for i, (x, y, a, jac) in enumerate(blocks):
+            res, _ = kernels.residuals_and_jacobian(x, y, a, w2, b2, out=jac)
+            if i == 0:
                 jtj, jtr = jac.T @ jac, jac.T @ res
             else:
                 jtj += jac.T @ jac
                 jtr += jac.T @ res
-        return r, jtj, jtr
+        return jtj, jtr
 
     def resid_grad(theta):
         nonlocal grad_scratch
         if grad_scratch is None:
             grad_scratch = np.empty((h, n))
-        return kernels.residuals_and_gradient(
-            inputs, targets, *_layers(theta, p, h), hidden=activations(theta),
-            scratch=grad_scratch,
-        )
+        w2, b2 = output_layer(theta)
+        return kernels.residuals_and_gradient(inputs, targets, act, w2, b2,
+                                              scratch=grad_scratch)
 
-    return resid, resid_normal_eqs, resid_grad
+    return resid, normal_eqs, resid_grad
 
 
 SCHEMA_VERSION = 1

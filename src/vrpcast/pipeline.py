@@ -25,8 +25,8 @@ ACF_MAX_LAG = 20
 class PipelineConfig:
     """One experiment. hidden is the hidden size to train, or (lo, hi), a
     grid search over the sizes lo..hi, inclusive, that keeps the fit of the
-    size it selects; from_dict takes [lo, hi]. The training settings are
-    checked when the config is built (TrainConfig's ValueError)."""
+    size it selects; from_dict takes [lo, hi]. Building it checks the
+    training settings, train_fraction in (0, 1) and seed >= 0 (ValueError)."""
 
     input_path: Optional[str] = None
     mode: str = "power"
@@ -41,6 +41,10 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0.0 < self.train_fraction < 1.0:     # NaN fails too
+            raise ValueError(f"train_fraction must be in (0, 1), not {self.train_fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
         self.train_config()
 
     def train_config(self, algorithm: Optional[str] = None) -> trainers.TrainConfig:

@@ -89,7 +89,8 @@ class TrainReport:
     """Outcome of one fit. stop_reason names the branch that ended it: for
     lm, and brnn with alpha pinned, "gradient", "objective" (F changed by
     less than OBJECTIVE_TOLERANCE, relative), "validation" (MAX_FAIL epochs
-    in a row without a lower validation SSE), "mu_overflow" or "max_epochs";
+    in a row without a lower validation SSE; it wins over "objective" on the
+    same epoch), "mu_overflow" or "max_epochs";
     for brnn re-estimating alpha "gradient", "e_d_and_gamma" (E_D changed by
     less than E_D_TOLERANCE, relative, and gamma by at most
     GAMMA_TOLERANCE * max(1, gamma)), "mu_overflow" or "max_epochs"; for scg
@@ -144,22 +145,22 @@ def _as_xy(patterns):
 
 
 def lm_least_squares(
-    resid_normal_eqs: Callable,
+    resid: Callable,
+    normal_eqs: Callable,
     theta0: np.ndarray,
     config: TrainConfig,
-    resid: Optional[Callable] = None,
     validation: Optional[Callable] = None,
 ):
     """Damped Gauss-Newton engine of the lm and brnn fits: BRNN when
     config.algorithm is "brnn", plain LM when it is "lm". A ValueError
     names any other algorithm.
 
-    resid_normal_eqs(theta) -> (residuals, J'J, J'r), J = d(res)/d(theta)
-    the Jacobian, is called at theta0 and after each accepted step only. The
-    engine reads J only through these products, so the caller may build them
-    from J in row blocks and never hold it whole (mlp.residual_fns does).
-    Trial steps evaluate resid(theta) -> residuals (default: the residuals of
-    resid_normal_eqs).
+    resid(theta) -> residuals evaluates theta0 and each trial step;
+    normal_eqs(theta) -> (J'J, J'r), J = d(res)/d(theta) the Jacobian, is
+    called at theta0 and after each accepted step only, always at the point
+    resid evaluated last, so mlp.residual_fns reuses resid's activations.
+    The engine reads J only through these products, so the caller may build
+    them from J in row blocks and never hold it whole.
 
     One eigendecomposition J'J = V diag(lam) V' per evaluation serves every
     damping retry, as the diagonal solve
@@ -180,21 +181,18 @@ def lm_least_squares(
     each accepted step. The fit then also stops after MAX_FAIL epochs in a
     row that do not lower the best validation SSE so far, and whatever the
     stop it returns the point of that best SSE. The report's e_d is the SSE
-    at the returned point over the rows of resid_normal_eqs and, given
-    validation, the held-out block.
+    at the returned point over the rows of resid and, given validation, the
+    held-out block.
     """
     if config.algorithm not in ("lm", "brnn"):
         raise ValueError(f"lm_least_squares runs lm and brnn, not {config.algorithm}")
-    if resid is None:
-        def resid(theta):
-            return resid_normal_eqs(theta)[0]
 
     def sse(r):
         return float(r @ r)
 
     theta = np.asarray(theta0, dtype=float).copy()
     n_w = theta.size
-    r, jtj, jtr = resid_normal_eqs(theta)
+    r = resid(theta)
     n_d = r.size
     if n_d == 0:
         raise TrainingError("no training patterns")
@@ -208,6 +206,7 @@ def lm_least_squares(
     objective = beta * e_d + alpha * e_w
     if not np.isfinite(objective):
         raise TrainingError("non-finite objective at the initial point")
+    jtj, jtr = normal_eqs(theta)
     lam, vecs = np.linalg.eigh(jtj)
     mu = config.mu_init
     trace = [objective]
@@ -257,7 +256,7 @@ def lm_least_squares(
         if validation is not None and fails == MAX_FAIL:
             stop_reason = "validation"  # J at this point would go unused
         else:
-            _, jtj, jtr = resid_normal_eqs(theta)
+            jtj, jtr = normal_eqs(theta)
             lam, vecs = np.linalg.eigh(jtj)
         if reestimate:
             # each term lies in [0, 1]; eigh's rounding can make a zero
@@ -274,7 +273,7 @@ def lm_least_squares(
             if (e_d_change < E_D_TOLERANCE
                     and abs(gamma - old_gamma) <= GAMMA_TOLERANCE * max(1.0, gamma)):
                 stop_reason = "e_d_and_gamma"
-        elif rel_change < OBJECTIVE_TOLERANCE:
+        elif not stop_reason and rel_change < OBJECTIVE_TOLERANCE:
             stop_reason = "objective"
         history.append((e_d, gamma, alpha, beta, mu_used))
         objective = beta * e_d + alpha * e_w
@@ -415,12 +414,12 @@ def train(model, patterns, config: TrainConfig):
     else:
         n_val = 0 if config.reestimates_alpha else int(VALIDATION_FRACTION * targets.size)
         n_fit = targets.size - n_val
-        resid, resid_normal_eqs, _ = mlp.residual_fns(model, inputs[:n_fit], targets[:n_fit])
+        resid, normal_eqs, _ = mlp.residual_fns(model, inputs[:n_fit], targets[:n_fit])
         validation = None
         if n_val:
             validation = mlp.residual_fns(model, inputs[n_fit:], targets[n_fit:])[0]
-        theta, report = lm_least_squares(resid_normal_eqs, mlp.flatten(model), config,
-                                         resid=resid, validation=validation)
+        theta, report = lm_least_squares(resid, normal_eqs, mlp.flatten(model), config,
+                                         validation=validation)
     return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
 
 

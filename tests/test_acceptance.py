@@ -69,7 +69,8 @@ def test_criterion_01_jacobian_correctness():
         model = init(p, h, int(rng.integers(0, 10_000)))
         inputs = rng.uniform(-1, 1, (n, p))
         targets = rng.normal(size=n)
-        _, jac = kernels.residuals_and_jacobian(inputs, targets, model.w1, model.b1,
+        _, jac = kernels.residuals_and_jacobian(inputs, targets,
+                                                kernels._hidden(inputs, model.w1, model.b1),
                                                 model.w2, model.b2)
         fd = _fd_jacobian(model, inputs, targets)
         tol = np.maximum(1e-6 * np.abs(fd), 1e-9)
@@ -180,12 +181,14 @@ def test_criterion_07_trainer_convergence():
     theta_star = rng.normal(size=5)
     targets = design @ theta_star
 
+    def resid(theta):
+        return targets - design @ theta
+
     def normal_eqs(theta):
-        r = targets - design @ theta
-        return r, design.T @ design, -design.T @ r
+        return design.T @ design, -design.T @ resid(theta)
 
     _, report = lm_least_squares(
-        normal_eqs, np.zeros(5), TrainConfig(algorithm="lm", mu_init=1e-12)
+        resid, normal_eqs, np.zeros(5), TrainConfig(algorithm="lm", mu_init=1e-12)
     )
     ok = len(report.epoch_trace) >= 2 and report.epoch_trace[1] < 1e-10
 

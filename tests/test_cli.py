@@ -412,7 +412,8 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("setting, value", [
-        ("max_epochs", -5), ("max_epochs", 0), ("algorithm", "foo")])
+        ("max_epochs", -5), ("max_epochs", 0), ("algorithm", "foo"), ("train_fraction", 0),
+        ("train_fraction", math.nan), ("train_fraction", 1.5), ("seed", -1)])
     def test_bad_training_setting_fails_before_load(self, series_csv, tmp_path, capsys,
                                                     caplog, setting, value):
         cfg = tmp_path / "cfg.json"
@@ -423,6 +424,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and setting in err
         assert "loaded" not in caplog.text
+
+    def test_lags_rejects_a_train_fraction_before_load(self, series_csv, tmp_path, capsys,
+                                                       caplog):
+        # lags profiles the training prefix of the residuals; a fraction
+        # above 1 would profile the test block too
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input_path": str(series_csv), "train_fraction": 1.5}))
+        capsys.readouterr()
+        with caplog.at_level(logging.INFO):
+            assert run_cli("lags", "--config", cfg) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: train_fraction must be in (0, 1), not 1.5\n"
+        assert out == "" and "loaded" not in caplog.text
 
     def test_config_h_range_is_unknown(self, series_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -11,10 +11,17 @@ def random_case(rng, n=40, p=5, h=7):
     return model, inputs, targets
 
 
+def activations(model, inputs):
+    """The activations (h, n) of one forward pass."""
+    a = np.empty((model.hidden_dim, len(inputs)))
+    kernels.forward_batch(inputs, model.w1, model.b1, model.w2, model.b2, hidden_out=a)
+    return a
+
+
 def test_out_buffer_matches_allocating_kernel(rng):
     for _ in range(10):
         model, inputs, targets = random_case(rng)
-        args = (model.w1, model.b1, model.w2, model.b2)
+        args = (activations(model, inputs), model.w2, model.b2)
         res, jac = kernels.residuals_and_jacobian(inputs, targets, *args)
         assert jac.flags.f_contiguous
         buffer = np.full(jac.shape, np.nan, order="F")
@@ -23,7 +30,7 @@ def test_out_buffer_matches_allocating_kernel(rng):
         np.testing.assert_array_equal(res_out, res)
         np.testing.assert_array_equal(jac_out, jac)
         np.testing.assert_array_equal(
-            res, targets - kernels.forward_batch(inputs, *args)
+            res, targets - kernels.forward_batch(inputs, model.w1, model.b1, *args[1:])
         )
     with pytest.raises(ValueError):
         kernels.residuals_and_jacobian(inputs, targets, *args, out=np.empty(jac.shape))
@@ -32,10 +39,11 @@ def test_out_buffer_matches_allocating_kernel(rng):
 @pytest.mark.parametrize("p, h", [(1, 1), (1, 6), (1, 13), (4, 2), (6, 9), (12, 25)])
 def test_gradient_matches_jacobian_transpose_residuals(rng, p, h):
     model, inputs, targets = random_case(rng, n=300, p=p, h=h)
-    args = (model.w1, model.b1, model.w2, model.b2)
+    args = (activations(model, inputs), model.w2, model.b2)
     res_jac, jac = kernels.residuals_and_jacobian(inputs, targets, *args)
     res, grad = kernels.residuals_and_gradient(inputs, targets, *args)
-    np.testing.assert_array_equal(res, targets - kernels.forward_batch(inputs, *args))
+    np.testing.assert_array_equal(
+        res, targets - kernels.forward_batch(inputs, model.w1, model.b1, *args[1:]))
     np.testing.assert_array_equal(res, res_jac)
     expected = jac.T @ res
     assert grad.shape == (model.n_params,)
@@ -45,43 +53,38 @@ def test_gradient_matches_jacobian_transpose_residuals(rng, p, h):
 @pytest.mark.parametrize("p, h", [(1, 6), (1, 13), (6, 9), (12, 25)])
 @pytest.mark.parametrize("n", [300, 1598, 5000])
 def test_activation_buffers_match_allocating_kernels(rng, n, p, h):
+    # the kernels read the activations and never write them
     model, inputs, targets = random_case(rng, n=n, p=p, h=h)
     args = (model.w1, model.b1, model.w2, model.b2)
-    # the expression the kernels shared before the buffers existed
-    expected_a = np.tanh(model.w1 @ inputs.T + model.b1[:, None])
-    res, jac = kernels.residuals_and_jacobian(inputs, targets, *args)
-    res_g, grad = kernels.residuals_and_gradient(inputs, targets, *args)
-
     act = np.full((h, n), np.nan)
     out = kernels.forward_batch(inputs, *args, hidden_out=act)
-    np.testing.assert_array_equal(act, expected_a)
+    # the expression the kernels shared before the buffers existed
+    np.testing.assert_array_equal(act, np.tanh(model.w1 @ inputs.T + model.b1[:, None]))
     np.testing.assert_array_equal(out, kernels.forward_batch(inputs, *args))
-    np.testing.assert_array_equal(targets - out, res)
 
     kept = act.copy()
+    act.flags.writeable = False     # a write would raise
+    res, jac = kernels.residuals_and_jacobian(inputs, targets, act, model.w2, model.b2)
+    res_g, _ = kernels.residuals_and_gradient(inputs, targets, act, model.w2, model.b2)
+    np.testing.assert_array_equal(act, kept)
+    np.testing.assert_array_equal(res, targets - out)
+    np.testing.assert_array_equal(res_g, res)
+    np.testing.assert_array_equal(jac[:, h * p + h: h * p + 2 * h], -kept.T)  # the w2 columns
     buffer = np.full(jac.shape, np.nan, order="F")
-    res_b, jac_b = kernels.residuals_and_jacobian(inputs, targets, *args,
-                                                  out=buffer, hidden=act)
-    res_gb, grad_b = kernels.residuals_and_gradient(inputs, targets, *args, hidden=act)
-    np.testing.assert_array_equal(act, kept)       # read, never written
+    res_b, jac_b = kernels.residuals_and_jacobian(inputs, targets, act, model.w2, model.b2,
+                                                  out=buffer)
     assert jac_b is buffer
     np.testing.assert_array_equal(res_b, res)
     np.testing.assert_array_equal(jac_b, jac)
-    np.testing.assert_array_equal(res_gb, res_g)
-    np.testing.assert_array_equal(grad_b, grad)
 
 
 @pytest.mark.parametrize("p, h", [(1, 6), (6, 9), (12, 25)])
 @pytest.mark.parametrize("n", [300, 5000])
 def test_gradient_scratch_matches_allocating_kernel(rng, n, p, h):
     model, inputs, targets = random_case(rng, n=n, p=p, h=h)
-    args = (model.w1, model.b1, model.w2, model.b2)
+    args = (activations(model, inputs), model.w2, model.b2)
     res, grad = kernels.residuals_and_gradient(inputs, targets, *args)
-    act = np.empty((h, n))
-    kernels.forward_batch(inputs, *args, hidden_out=act)
     scratch = np.full((h, n), np.nan)
-    for hidden in (None, act):
-        res_s, grad_s = kernels.residuals_and_gradient(inputs, targets, *args,
-                                                       hidden=hidden, scratch=scratch)
-        np.testing.assert_array_equal(res_s, res)
-        np.testing.assert_array_equal(grad_s, grad)
+    res_s, grad_s = kernels.residuals_and_gradient(inputs, targets, *args, scratch=scratch)
+    np.testing.assert_array_equal(res_s, res)
+    np.testing.assert_array_equal(grad_s, grad)

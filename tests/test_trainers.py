@@ -34,11 +34,13 @@ def linear_problem(rng, n=30, k=5):
     theta_star = rng.normal(size=k)
     targets = design @ theta_star
 
-    def normal_eqs(theta):
-        r = targets - design @ theta
-        return r, design.T @ design, -design.T @ r
+    def resid(theta):
+        return targets - design @ theta
 
-    return normal_eqs, k
+    def normal_eqs(theta):
+        return design.T @ design, -design.T @ resid(theta)
+
+    return resid, normal_eqs, k
 
 
 @pytest.mark.parametrize("max_epochs", [0, -5])
@@ -57,20 +59,20 @@ class TestEngineSelector:
     """lm_least_squares runs BRNN only under a brnn config."""
 
     def test_scg_config_is_rejected(self, rng):
-        normal_eqs, k = linear_problem(rng)
+        resid, normal_eqs, k = linear_problem(rng)
         with pytest.raises(ValueError, match="not scg"):
-            lm_least_squares(normal_eqs, np.zeros(k), TrainConfig(algorithm="scg"))
+            lm_least_squares(resid, normal_eqs, np.zeros(k), TrainConfig(algorithm="scg"))
 
     def test_lm_config_has_no_bayes_trace(self, rng):
-        normal_eqs, k = linear_problem(rng)
-        _, report = lm_least_squares(normal_eqs, np.zeros(k),
+        resid, normal_eqs, k = linear_problem(rng)
+        _, report = lm_least_squares(resid, normal_eqs, np.zeros(k),
                                      TrainConfig(algorithm="lm", max_epochs=5))
         assert report.bayes_trace is None
         assert (report.alpha, report.beta, report.gamma_effective) == (None, None, None)
 
     def test_pinned_brnn_has_a_constant_bayes_trace(self, rng):
-        normal_eqs, k = linear_problem(rng)
-        _, report = lm_least_squares(normal_eqs, np.zeros(k),
+        resid, normal_eqs, k = linear_problem(rng)
+        _, report = lm_least_squares(resid, normal_eqs, np.zeros(k),
                                      TrainConfig(algorithm="brnn", max_epochs=5,
                                                  fixed_alpha=0.25))
         trace = report.bayes_trace
@@ -82,9 +84,9 @@ class TestEngineSelector:
 
 class TestLm:
     def test_linear_exact_in_one_accepted_step(self, rng):
-        normal_eqs, k = linear_problem(rng)
+        resid, normal_eqs, k = linear_problem(rng)
         cfg = TrainConfig(algorithm="lm", mu_init=1e-12)
-        _, report = lm_least_squares(normal_eqs, np.zeros(k), cfg)
+        _, report = lm_least_squares(resid, normal_eqs, np.zeros(k), cfg)
         assert report.epoch_trace[1] < 1e-10
 
     def test_sin_fit(self):
@@ -121,6 +123,28 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_scg_gradients(monkeypatch):
+    """Make trainers.scg_minimize count its gradient calls in the returned list."""
+    gradients = []
+    scg = trainers.scg_minimize
+
+    def counting_scg(f, grad, x0, **kwargs):
+        def counted_grad(theta):
+            gradients.append(1)
+            return grad(theta)
+        return scg(f, counted_grad, x0, **kwargs)
+
+    monkeypatch.setattr(trainers, "scg_minimize", counting_scg)
+    return gradients
+
+
+def activations_and_output_layer(inputs, theta, p, h):
+    """(a, w2, b2) of the flat vector theta, the residual kernels' arguments
+    after the data, computed apart from mlp.residual_fns."""
+    w1, b1, w2, b2 = mlp._layers(theta, p, h)
+    return kernels._hidden(inputs, w1, b1), w2, b2
 
 
 class TestEngine:
@@ -160,16 +184,18 @@ class TestEngine:
         design = rng.normal(size=(n, k))
         targets = rng.normal(size=n)
 
+        def resid(theta):
+            return targets - design @ theta
+
         def normal_eqs(theta):
-            r = targets - design @ theta
-            return r, design.T @ design, -design.T @ r
+            return design.T @ design, -design.T @ resid(theta)
 
         theta0 = rng.normal(size=k)
         alpha, mu = 0.3, 0.05
         cfg = TrainConfig(algorithm="brnn", max_epochs=1, mu_init=mu, fixed_alpha=alpha)
-        theta, report = lm_least_squares(normal_eqs, theta0, cfg)
+        theta, report = lm_least_squares(resid, normal_eqs, theta0, cfg)
         assert len(report.epoch_trace) == 2  # the step was accepted
-        r, jtj, jtr = normal_eqs(theta0)
+        jtj, jtr = normal_eqs(theta0)
         lhs = jtj + (mu + alpha) * np.eye(k)       # beta = 1
         step = np.linalg.solve(lhs, -(jtr + alpha * theta0))
         np.testing.assert_allclose(theta, theta0 + step, rtol=0, atol=1e-10)
@@ -177,13 +203,39 @@ class TestEngine:
     def test_non_finite_trial_is_rejected(self):
         # J'J = 0 and alpha = -mu_init: the first trial divides by zero and
         # must count as a rejected step; the retry at mu = 10 is accepted
+        def resid(theta):
+            return np.ones(1)
+
         def normal_eqs(theta):
-            return np.ones(1), np.zeros((1, 1)), np.zeros(1)
+            return np.zeros((1, 1)), np.zeros(1)
 
         cfg = TrainConfig(algorithm="brnn", max_epochs=1, mu_init=1.0, fixed_alpha=-1.0)
-        theta, report = lm_least_squares(normal_eqs, np.ones(1), cfg)
+        theta, report = lm_least_squares(resid, normal_eqs, np.ones(1), cfg)
         assert len(report.epoch_trace) == 2
         np.testing.assert_allclose(theta, [1.0 + 1.0 / 9.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("algorithm", ["lm", "brnn"])
+    def test_normal_eqs_come_where_resid_evaluated_last(self, algorithm):
+        x, y = sin_task(100)
+        model = init(1, 6, 4)
+        resid, normal_eqs, _ = mlp.residual_fns(model, x, y)
+        calls = []      # ("resid" or "normal_eqs", bytes of theta)
+
+        def recording(name, fn):
+            def call(theta):
+                calls.append((name, theta.tobytes()))
+                return fn(theta)
+            return call
+
+        _, report = lm_least_squares(recording("resid", resid),
+                                     recording("normal_eqs", normal_eqs),
+                                     mlp.flatten(model),
+                                     TrainConfig(algorithm=algorithm, max_epochs=40))
+        jacobians = [i for i, (name, _) in enumerate(calls) if name == "normal_eqs"]
+        assert len(jacobians) == len(report.epoch_trace) > 5
+        assert len(calls) > 2 * len(jacobians)     # rejected trials came between
+        for i in jacobians:
+            assert calls[i - 1] == ("resid", calls[i][1])
 
     @pytest.mark.parametrize("algorithm", ["lm", "brnn", "scg"])
     def test_one_model_built_per_fit(self, monkeypatch, algorithm):
@@ -196,43 +248,69 @@ class TestEngine:
 
     @pytest.mark.parametrize("algorithm", ["lm", "brnn", "scg"])
     def test_one_tanh_per_evaluated_point(self, monkeypatch, algorithm):
-        # lm/brnn: the Jacobian at an accepted step reuses its trial's
-        # activations, so only the start point and the trials evaluate tanh.
-        # scg: f(x0) serves grad(x0) and each accepted f(x + alpha p) serves
-        # grad(x), so only objective calls and the finite-difference
-        # gradients at x + sigma p evaluate it.
+        # every tanh is a forward pass's: the residual kernels take the
+        # activations and only differentiate
         x, y = sin_task(100)
         hidden = count_calls(monkeypatch, kernels, "_hidden")
-        trials = count_calls(monkeypatch, kernels, "forward_batch")
-        gradients = []
-        scg = trainers.scg_minimize
-
-        def counting_scg(f, grad, x0, **kwargs):
-            def counted_grad(theta):
-                gradients.append(1)
-                return grad(theta)
-            return scg(f, counted_grad, x0, **kwargs)
-
-        monkeypatch.setattr(trainers, "scg_minimize", counting_scg)
+        passes = count_calls(monkeypatch, kernels, "forward_batch")
         _, report = trainers.train(init(1, 6, 4), (x, y),
+                                   TrainConfig(algorithm=algorithm, max_epochs=40))
+        assert report.epochs_used > 5
+        assert len(hidden) == len(passes) > len(report.epoch_trace)
+
+    @pytest.mark.parametrize("algorithm", ["lm", "brnn", "scg"])
+    def test_derivatives_reuse_the_last_forward_pass(self, monkeypatch, algorithm):
+        # lm/brnn: the Jacobian at an accepted step reads its trial's
+        # activations, so normal_eqs runs no forward pass. scg: f(x0) serves
+        # grad(x0) and each accepted f(x + alpha p) serves grad(x), so only
+        # the finite-difference gradients at x + sigma p run one.
+        inside, passes_inside = [False], []
+        real_fns, real_forward = mlp.residual_fns, kernels.forward_batch
+
+        def derivative(fn):
+            def call(theta):
+                inside[0] = True
+                try:
+                    return fn(theta)
+                finally:
+                    inside[0] = False
+            return call
+
+        def recording_fns(model, inputs, targets):
+            resid, normal_eqs, resid_grad = real_fns(model, inputs, targets)
+            return resid, derivative(normal_eqs), derivative(resid_grad)
+
+        def forward(*args, **kwargs):
+            if inside[0]:
+                passes_inside.append(1)
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(mlp, "residual_fns", recording_fns)
+        monkeypatch.setattr(kernels, "forward_batch", forward)
+        gradients = count_scg_gradients(monkeypatch)
+        _, report = trainers.train(init(1, 6, 4), sin_task(100),
                                    TrainConfig(algorithm=algorithm, max_epochs=40))
         assert report.epochs_used > 5
         if algorithm == "scg":
             finite_difference = len(gradients) - len(report.epoch_trace)
-            assert finite_difference > 0
-            assert len(hidden) == len(trials) + finite_difference
+            assert len(passes_inside) == finite_difference > 0
         else:
-            assert len(hidden) == len(trials) + 1
+            assert passes_inside == []
 
     @pytest.mark.parametrize("algorithm", ["lm", "brnn", "scg"])
     def test_reused_activations_give_the_recomputing_fit(self, monkeypatch, algorithm):
         x, y = sin_task(100)
         config = TrainConfig(algorithm=algorithm, max_epochs=40)
         model, report = trainers.train(init(1, 6, 4), (x, y), config)
-        for name in ("residuals_and_jacobian", "residuals_and_gradient"):
-            fn = getattr(kernels, name)
-            monkeypatch.setattr(kernels, name,
-                                lambda *a, fn=fn, hidden=None, **kw: fn(*a, **kw))
+        real = mlp.residual_fns
+
+        def recomputing(model, inputs, targets):
+            # each derivative call runs the forward pass at its theta first
+            resid, normal_eqs, resid_grad = real(model, inputs, targets)
+            return (resid, lambda theta: (resid(theta), normal_eqs(theta))[1],
+                    lambda theta: (resid(theta), resid_grad(theta))[1])
+
+        monkeypatch.setattr(mlp, "residual_fns", recomputing)
         recomputed, report_recomputed = trainers.train(init(1, 6, 4), (x, y), config)
         assert report.e_d == report_recomputed.e_d
         assert report.epoch_trace == report_recomputed.epoch_trace
@@ -246,9 +324,8 @@ class TestEngine:
         targets = rng.normal(size=n)
         resid, normal_eqs, _ = mlp.residual_fns(model, inputs, targets)
         expected_r, expected_jac = kernels.residuals_and_jacobian(
-            inputs, targets, model.w1, model.b1, model.w2, model.b2)
-        r, jtj, jtr = normal_eqs(theta)
-        np.testing.assert_array_equal(r, expected_r)
+            inputs, targets, kernels._hidden(inputs, model.w1, model.b1), model.w2, model.b2)
+        jtj, jtr = normal_eqs(theta)
         np.testing.assert_array_equal(jtj, expected_jac.T @ expected_jac)
         np.testing.assert_array_equal(jtr, expected_jac.T @ expected_r)
         np.testing.assert_array_equal(resid(theta), targets - mlp.forward_batch(model, inputs))
@@ -267,14 +344,13 @@ class TestResidualFnsReuse:
         return model, inputs, targets, mlp.residual_fns(model, inputs, targets)
 
     def expected(self, inputs, targets, theta):
-        layers = mlp._layers(theta, self.P, self.H)
-        return (kernels.residuals_and_jacobian(inputs, targets, *layers),
-                kernels.residuals_and_gradient(inputs, targets, *layers))
+        args = activations_and_output_layer(inputs, theta, self.P, self.H)
+        return (kernels.residuals_and_jacobian(inputs, targets, *args),
+                kernels.residuals_and_gradient(inputs, targets, *args))
 
     def assert_matches(self, normal_eqs, resid_grad, inputs, targets, theta):
         (r_exp, jac_exp), (rg_exp, grad_exp) = self.expected(inputs, targets, theta.copy())
-        r, jtj, jtr = normal_eqs(theta)
-        np.testing.assert_array_equal(r, r_exp)
+        jtj, jtr = normal_eqs(theta)
         np.testing.assert_array_equal(jtj, jac_exp.T @ jac_exp)
         np.testing.assert_array_equal(jtr, jac_exp.T @ r_exp)
         r, grad = resid_grad(theta)
@@ -296,17 +372,16 @@ class TestResidualFnsReuse:
         theta[-2] -= 0.25
         self.assert_matches(normal_eqs, resid_grad, inputs, targets, theta)
 
-    def test_fresh_evaluation_keeps_the_buffer(self, monkeypatch, rng):
+    def test_fresh_evaluation_takes_the_buffer(self, monkeypatch, rng):
         model, inputs, targets, (resid, normal_eqs, resid_grad) = self.fit_fns(rng)
         t1 = mlp.flatten(model)
         t2 = t1 + 0.1 * rng.normal(size=t1.size)
         resid(t1)
+        hidden = count_calls(monkeypatch, kernels, "_hidden")
         normal_eqs(t2)
         resid_grad(t2)
-        hidden = count_calls(monkeypatch, kernels, "_hidden")
-        self.assert_matches(normal_eqs, resid_grad, inputs, targets, t1.copy())
-        assert len(hidden) == 2     # the two reference evaluations only
-
+        assert len(hidden) == 1     # normal_eqs's forward pass serves resid_grad
+        self.assert_matches(normal_eqs, resid_grad, inputs, targets, t2.copy())
 
     def test_gradient_scratch_is_reused(self, monkeypatch, rng):
         model, inputs, targets, (resid, _, resid_grad) = self.fit_fns(rng)
@@ -323,7 +398,8 @@ class TestResidualFnsReuse:
         resid(t1)
         for theta in (t1, t2, t1):
             r, grad = resid_grad(theta)
-            r_exp, grad_exp = real(inputs, targets, *mlp._layers(theta, self.P, self.H))
+            r_exp, grad_exp = real(inputs, targets,
+                                   *activations_and_output_layer(inputs, theta, self.P, self.H))
             np.testing.assert_array_equal(r, r_exp)
             np.testing.assert_array_equal(grad, grad_exp)
         assert scratches[0].shape == (self.H, self.N)
@@ -363,10 +439,9 @@ class TestBlocks:
     @pytest.mark.parametrize("cached", [False, True])
     def test_one_block_is_the_whole_jacobian(self, rng, cached):
         model, inputs, targets, theta = self.problem(rng, mlp.BLOCK_ROWS)
-        r, jtj, jtr = self.evaluate(model, inputs, targets, theta, cached)
+        jtj, jtr = self.evaluate(model, inputs, targets, theta, cached)
         expected_r, jac = kernels.residuals_and_jacobian(
-            inputs, targets, *mlp._layers(theta, self.P, self.H))
-        np.testing.assert_array_equal(r, expected_r)
+            inputs, targets, *activations_and_output_layer(inputs, theta, self.P, self.H))
         np.testing.assert_array_equal(jtj, jac.T @ jac)
         np.testing.assert_array_equal(jtr, jac.T @ expected_r)
 
@@ -392,8 +467,8 @@ class TestStopReason:
     """TrainReport.stop_reason names the branch that ended the fit."""
 
     def test_lm_gradient(self, rng):
-        normal_eqs, k = linear_problem(rng)
-        _, report = lm_least_squares(normal_eqs, np.zeros(k), TrainConfig(algorithm="lm"))
+        resid, normal_eqs, k = linear_problem(rng)
+        _, report = lm_least_squares(resid, normal_eqs, np.zeros(k), TrainConfig(algorithm="lm"))
         assert (report.stop_reason, report.converged) == ("gradient", True)
 
     def test_lm_objective(self):
@@ -402,19 +477,33 @@ class TestStopReason:
         x, y = rng.uniform(0, 1, (50, 3)), rng.normal(size=50)
         model = init(3, 4, 1)
         resid, normal_eqs, _ = mlp.residual_fns(model, x, y)
-        _, report = lm_least_squares(normal_eqs, mlp.flatten(model),
-                                     TrainConfig(algorithm="lm"), resid=resid)
+        _, report = lm_least_squares(resid, normal_eqs, mlp.flatten(model),
+                                     TrainConfig(algorithm="lm"))
         assert (report.stop_reason, report.converged) == ("objective", True)
         assert report.epochs_used < 1000
 
     def test_lm_mu_overflow(self):
         # every trial is worse than the start point
-        _, report = lm_least_squares(lambda th: (np.ones(3), np.full((1, 1), 3.0), np.full(1, 3.0)),
+        _, report = lm_least_squares(lambda th: np.full(3, 2.0 if th.any() else 1.0),
+                                     lambda th: (np.full((1, 1), 3.0), np.full(1, 3.0)),
                                      np.zeros(1),
-                                     TrainConfig(algorithm="lm"),
-                                     resid=lambda th: np.full(3, 2.0))
+                                     TrainConfig(algorithm="lm"))
         assert (report.stop_reason, report.converged, report.epochs_used) == (
             "mu_overflow", False, 1)
+
+    def test_validation_wins_over_objective_on_the_same_epoch(self):
+        # the sixth epoch without a lower validation SSE also changes F by
+        # less than OBJECTIVE_TOLERANCE, relative
+        theta, report = lm_least_squares(lambda th: np.array([np.sqrt(1.0 + 10.0 ** th[0])]),
+                                         lambda th: (np.ones((1, 1)), np.ones(1)),
+                                         np.zeros(1), TrainConfig(algorithm="lm"),
+                                         validation=lambda th: np.array([th[0] + 2.0]))
+        trace = report.epoch_trace
+        assert abs(trace[-1] - trace[-2]) < trainers.OBJECTIVE_TOLERANCE * trace[-2]
+        assert (report.stop_reason, report.converged, report.epochs_used) == (
+            "validation", True, 8)
+        assert np.argmin(report.validation_trace) == 8 - trainers.MAX_FAIL
+        assert theta[0] == pytest.approx(-1.9989, abs=1e-4)
 
     @pytest.mark.parametrize("algorithm", ["lm", "brnn", "scg"])
     def test_max_epochs(self, algorithm):
@@ -533,7 +622,7 @@ class TestBrnn:
         model, report = train(init(1, 9, 9), bursts, TrainConfig())
         _, jac = kernels.residuals_and_jacobian(
             bursts.train_inputs, bursts.train_targets,
-            model.w1, model.b1, model.w2, model.b2)
+            kernels._hidden(bursts.train_inputs, model.w1, model.b1), model.w2, model.b2)
         lam = np.clip(np.linalg.eigvalsh(jac.T @ jac), 0.0, None)
         # the last re-estimate took gamma from the alpha and beta before it
         alpha, beta = report.bayes_trace.alpha[-2], report.bayes_trace.beta[-2]
@@ -785,19 +874,21 @@ class TestValidationStop:
         theta0 = rng.normal(size=4)
         held_targets = held_out @ theta0 + rng.normal(0, 0.1, 10)
 
+        def resid(theta):
+            return targets - design @ theta
+
         def normal_eqs(theta):
-            r = targets - design @ theta
-            return r, design.T @ design, -design.T @ r
+            return design.T @ design, -design.T @ resid(theta)
 
         def validation(theta):
             return held_targets - held_out @ theta
 
-        theta, report = lm_least_squares(normal_eqs, theta0, TrainConfig(algorithm="lm"),
+        theta, report = lm_least_squares(resid, normal_eqs, theta0, TrainConfig(algorithm="lm"),
                                          validation=validation)
         # the start is the best validation point, so the fit returns it
         assert np.argmin(report.validation_trace) == 0 and report.epochs_used >= 1
         np.testing.assert_array_equal(theta, theta0)
-        r, v = normal_eqs(theta)[0], validation(theta)
+        r, v = resid(theta), validation(theta)
         assert float(v @ v) == min(report.validation_trace) > 0.0
         assert report.e_d == float(r @ r) + float(v @ v)
 
