@@ -26,7 +26,9 @@ class PipelineConfig:
     """One experiment. hidden is the hidden size to train, or (lo, hi), a
     grid search over the sizes lo..hi, inclusive, that keeps the fit of the
     size it selects; from_dict takes [lo, hi]. Building it checks the
-    training settings, train_fraction in (0, 1) and seed >= 0 (ValueError)."""
+    training settings, train_fraction in (0, 1), seed >= 0, lag (when set),
+    max_lag and each hidden size >= 1, and bins >= 2 (ValueError), so a bad
+    size fails before any series is read."""
 
     input_path: Optional[str] = None
     mode: str = "power"
@@ -45,6 +47,14 @@ class PipelineConfig:
             raise ValueError(f"train_fraction must be in (0, 1), not {self.train_fraction}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, not {self.seed}")
+        if self.lag is not None and self.lag < 1:
+            raise ValueError(f"lag must be at least 1, not {self.lag}")
+        if min(self.hidden if isinstance(self.hidden, tuple) else (self.hidden,)) < 1:
+            raise ValueError(f"hidden sizes must be at least 1, not {self.hidden}")
+        if self.max_lag < 1:
+            raise ValueError(f"max_lag must be at least 1, not {self.max_lag}")
+        if self.bins < 2:
+            raise ValueError(f"bins must be at least 2, not {self.bins}")
         self.train_config()
 
     def train_config(self, algorithm: Optional[str] = None) -> trainers.TrainConfig:

@@ -5,7 +5,9 @@ grid search.
 The LM family minimizes F = beta*E_D + alpha*E_w where E_D is the sum of
 squared residuals and E_w the sum of squared parameters. Plain LM is the
 alpha = 0, beta = 1 case of the same engine, so pinning alpha to 0 in the
-Bayesian variant reproduces LM's iterates exactly.
+Bayesian variant reproduces LM's iterates exactly. Each damping trial is one
+linear solve of the damped normal equations, as in MATLAB's trainlm and
+trainbr; only the Bayesian variant's gamma takes J'J's eigenvalues.
 
 Fits run on the flat parameter vector (mlp.residual_fns) and build one model,
 from the result. Fixed constants: MU_FACTOR, MU_FLOOR, MU_MAX (damping,
@@ -91,9 +93,10 @@ class TrainReport:
     less than OBJECTIVE_TOLERANCE, relative), "validation" (MAX_FAIL epochs
     in a row without a lower validation SSE; it wins over "objective" on the
     same epoch), "mu_overflow" or "max_epochs";
-    for brnn re-estimating alpha "gradient", "e_d_and_gamma" (E_D changed by
-    less than E_D_TOLERANCE, relative, and gamma by at most
-    GAMMA_TOLERANCE * max(1, gamma)), "mu_overflow" or "max_epochs"; for scg
+    for brnn re-estimating alpha "gradient", "e_d_and_gamma" (E_D and gamma
+    are within E_D_TOLERANCE, relative, and GAMMA_TOLERANCE * max(1, gamma)
+    of their values one or two accepted steps back; two steps back ends a
+    fit that swaps between two states), "mu_overflow" or "max_epochs"; for scg
     "gradient", "objective_stall", "lambda_overflow", "zero_direction" or
     "max_epochs". converged is True for "gradient", "objective",
     "validation" and "e_d_and_gamma".
@@ -162,19 +165,21 @@ def lm_least_squares(
     The engine reads J only through these products, so the caller may build
     them from J in row blocks and never hold it whole.
 
-    One eigendecomposition J'J = V diag(lam) V' per evaluation serves every
-    damping retry, as the diagonal solve
-    step = -V (V'g) / (beta*(lam + mu) + alpha) with g = beta*J'r + alpha*theta,
-    and BRNN's gamma. A trial step that is not finite is rejected.
+    Each damping trial is one linear solve: theta - s, where
+    (beta*J'J + (beta*mu + alpha)*I) s = g and g = beta*J'r + alpha*theta.
+    A trial whose system is singular or whose step is not finite is
+    rejected, and mu grows as for a step that raises F. Nothing is
+    decomposed, except for BRNN's gamma.
     A brnn fit pins alpha at config.fixed_alpha when that is set; otherwise
     (config.reestimates_alpha) alpha/beta are reestimated after each
     accepted step from the undamped Gauss-Newton Hessian
     2*beta*J'J + 2*alpha*I: gamma = sum of beta*lam/(beta*lam + alpha)
-    over the new J'J's eigenvalues, a 0/0 term counted as 0, then
+    over the eigenvalues lam of the new J'J (np.linalg.eigvalsh, once per
+    accepted step), a 0/0 term counted as 0, then
     alpha = gamma/(2*E_w) and beta = (N_D - gamma)/(2*E_D), from alpha = 0
     and beta = 1 at the start (Foresee & Hagan 1997). Such a fit stops
-    when E_D and gamma have both settled (TrainReport, "e_d_and_gamma"); any
-    other stops when F has.
+    when E_D and gamma have both settled, or repeat their values of two
+    steps back (TrainReport, "e_d_and_gamma"); any other stops when F has.
 
     validation(theta) -> residuals on a held-out block, given only for a fit
     that does not re-estimate alpha, is evaluated at the start and after
@@ -207,7 +212,7 @@ def lm_least_squares(
     if not np.isfinite(objective):
         raise TrainingError("non-finite objective at the initial point")
     jtj, jtr = normal_eqs(theta)
-    lam, vecs = np.linalg.eigh(jtj)
+    eye = np.eye(n_w)
     mu = config.mu_init
     trace = [objective]
     history = [(e_d, gamma, alpha, beta, mu)]
@@ -220,18 +225,22 @@ def lm_least_squares(
     epochs = 0
     for _ in range(config.max_epochs):
         g = beta * jtr + alpha * theta
-        if np.max(np.abs(2.0 * g)) < GRADIENT_TOLERANCE:
+        if 2.0 * abs(g).max() < GRADIENT_TOLERANCE:
             stop_reason = "gradient"
             break
         epochs += 1
-        g_eig = vecs.T @ g
+        beta_jtj = beta * jtj
         accepted = False
         while mu <= MU_MAX:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                theta_new = theta - vecs @ (g_eig / (beta * (lam + mu) + alpha))
-            if np.all(np.isfinite(theta_new)):
+            try:
+                # a step so large that E_w overflows reads inf and is rejected
+                with np.errstate(over="ignore"):
+                    theta_new = theta - np.linalg.solve(beta_jtj + (beta * mu + alpha) * eye, g)
+                    e_w_new = float(theta_new @ theta_new)
+            except np.linalg.LinAlgError:
+                e_w_new = np.nan    # a singular system, rejected as a non-finite step is
+            if np.isfinite(e_w_new):
                 e_d_new = sse(resid(theta_new))
-                e_w_new = float(theta_new @ theta_new)
                 obj_new = beta * e_d_new + alpha * e_w_new
                 if np.isfinite(obj_new) and obj_new <= objective:
                     accepted = True
@@ -243,8 +252,6 @@ def lm_least_squares(
         mu_used = mu
         mu = max(mu / MU_FACTOR, MU_FLOOR)
         rel_change = abs(objective - obj_new) / max(abs(objective), 1e-300)
-        e_d_change = abs(e_d - e_d_new) / max(e_d, 1e-300)
-        old_gamma = gamma
         theta, e_d, e_w = theta_new, e_d_new, e_w_new
         trace.append(obj_new)
         if validation is not None:
@@ -257,21 +264,22 @@ def lm_least_squares(
             stop_reason = "validation"  # J at this point would go unused
         else:
             jtj, jtr = normal_eqs(theta)
-            lam, vecs = np.linalg.eigh(jtj)
         if reestimate:
-            # each term lies in [0, 1]; eigh's rounding can make a zero
-            # eigenvalue slightly negative
-            d = beta * np.clip(lam, 0.0, None)
-            gamma = float(np.sum(np.divide(d, d + alpha, out=np.zeros_like(d),
-                                           where=d + alpha > 0.0)))
+            # positive beta*lam only: eigvalsh's rounding can make a zero
+            # eigenvalue slightly negative, and a 0/0 term counts as 0
+            d = beta * np.linalg.eigvalsh(jtj)
+            d = d[d > 0.0]
+            gamma = float(np.sum(d / (d + alpha)))
             if e_w > 0.0:
                 alpha = gamma / (2.0 * e_w)
             if gamma <= n_d - 1 and e_d > 0.0:
                 beta = (n_d - gamma) / (2.0 * e_d)
             if not (np.isfinite(alpha) and np.isfinite(beta)):
                 raise TrainingError("non-finite alpha/beta reestimate")
-            if (e_d_change < E_D_TOLERANCE
-                    and abs(gamma - old_gamma) <= GAMMA_TOLERANCE * max(1.0, gamma)):
+            # settled, or swapping between two states: one and two steps back
+            if any(abs(e_d - e_d_then) / max(e_d_then, 1e-300) < E_D_TOLERANCE
+                   and abs(gamma - gamma_then) <= GAMMA_TOLERANCE * max(1.0, gamma)
+                   for e_d_then, gamma_then, *_ in history[-2:]):
                 stop_reason = "e_d_and_gamma"
         elif not stop_reason and rel_change < OBJECTIVE_TOLERANCE:
             stop_reason = "objective"

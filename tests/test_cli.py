@@ -476,10 +476,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, n, flags, stage", [
         ("train", 15, ["--hidden", 2], "kpss-raw"),
         ("train", 60, ["--hidden", 2], "lag-selection"),
-        ("train", 300, ["--lag", 0, "--hidden", 2], "extract-patterns"),
-        ("train", 300, ["--lag", 2, "--hidden", 0], "train"),
+        # 300 points leave 299 residuals; a lag-p window needs more than p + 1
+        ("train", 300, ["--lag", 400, "--hidden", 2], "extract-patterns"),
+        ("train", 300, ["--lag", 298, "--hidden", 2], "extract-patterns"),
         ("train", 300, ["--lag", 2, "--hidden", "5:2"], "grid-search"),
-        ("compare", 300, ["--lag", 2, "--hidden", 0], "train"),
+        ("compare", 300, ["--lag", 400, "--hidden", 2], "extract-patterns"),
         ("train", 100, ["--hidden", 3], "evaluate"),
         ("compare", 100, ["--lag", 2, "--hidden", 3], "evaluate"),
     ])
@@ -491,6 +492,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: [{stage}] ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ["--lag", 0, "--hidden", 2], "lag must be at least 1, not 0"),
+        ("train", ["--lag", 2, "--hidden", 0], "hidden sizes must be at least 1, not 0"),
+        ("compare", ["--lag", 2, "--hidden", 0], "hidden sizes must be at least 1, not 0"),
+        ("train", ["--hidden", "0:4"], "hidden sizes must be at least 1, not (0, 4)"),
+        ("lags", ["--max-lag", 0], "max_lag must be at least 1, not 0"),
+        ("lags", ["--bins", 1], "bins must be at least 2, not 1"),
+    ], ids=["train-lag", "train-hidden", "compare-hidden", "train-hidden-range",
+            "lags-max-lag", "lags-bins"])
+    def test_bad_size_fails_before_load(self, tmp_path, capsys, command, flags, message):
+        # the input does not exist: the config rejects the size before any read
+        capsys.readouterr()
+        assert run_cli(command, "--input", tmp_path / "missing.csv", *flags) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("command, rows, message", [
         ("evaluate", None, "[evaluate] the test block has 19 one-step forecasts; "
