@@ -11,7 +11,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import lag_select, mlp, series_ops, stat_tests, trainers
+from . import data_ingest, lag_select, mlp, series_ops, stat_tests, trainers
 from .data_ingest import TimeSeries, check_json, load_csv, save_csv, write_csv, write_json
 from .errors import (DataFormatError, DegenerateDataError, PipelineStageError, TrainingError,
                      VrpcastError)
@@ -23,12 +23,11 @@ ACF_MAX_LAG = 20
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """One experiment. hidden is the hidden size to train, or (lo, hi), a
-    grid search over the sizes lo..hi, inclusive, that keeps the fit of the
-    size it selects; from_dict takes [lo, hi]. Building it checks the
-    training settings, train_fraction in (0, 1), seed >= 0, lag (when set),
-    max_lag and each hidden size >= 1, and bins >= 2 (ValueError), so a bad
-    size fails before any series is read."""
+    """One experiment. hidden is one hidden size or a pair (lo, hi), from
+    from_dict [lo, hi]; hidden_sizes reads it. Building it checks the
+    training settings, train_fraction in (0, 1), seed >= 0, lag (when set)
+    and max_lag >= 1, bins >= 2 and hidden_sizes (ValueError), so a bad
+    setting fails before any series is read."""
 
     input_path: Optional[str] = None
     mode: str = "power"
@@ -49,19 +48,30 @@ class PipelineConfig:
             raise ValueError(f"seed must be non-negative, not {self.seed}")
         if self.lag is not None and self.lag < 1:
             raise ValueError(f"lag must be at least 1, not {self.lag}")
-        if min(self.hidden if isinstance(self.hidden, tuple) else (self.hidden,)) < 1:
-            raise ValueError(f"hidden sizes must be at least 1, not {self.hidden}")
+        self.hidden_sizes
         if self.max_lag < 1:
             raise ValueError(f"max_lag must be at least 1, not {self.max_lag}")
         if self.bins < 2:
             raise ValueError(f"bins must be at least 2, not {self.bins}")
         self.train_config()
 
+    @property
+    def hidden_sizes(self) -> range:
+        """The sizes hidden names: h alone, or lo..hi inclusive. ValueError
+        unless hidden is an int or a pair of ints naming sizes >= 1."""
+        what, accepts = data_ingest.JSON_TYPES[Union[int, tuple]]
+        if not accepts(self.hidden):
+            raise ValueError(f"hidden must be {what}, not {self.hidden!r}")
+        lo, hi = (self.hidden, self.hidden) if isinstance(self.hidden, int) else self.hidden
+        if hi < lo:
+            raise ValueError(f"hidden {lo}:{hi} is an empty range")
+        if lo < 1:
+            raise ValueError(f"hidden sizes must be at least 1, not {self.hidden}")
+        return range(lo, hi + 1)
+
     def train_config(self, algorithm: Optional[str] = None) -> trainers.TrainConfig:
-        return trainers.TrainConfig(
-            algorithm=algorithm or self.algorithm,
-            max_epochs=self.max_epochs,
-        )
+        return trainers.TrainConfig(algorithm=algorithm or self.algorithm,
+                                    max_epochs=self.max_epochs)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
@@ -69,8 +79,6 @@ class PipelineConfig:
         unknown key or a value of the wrong type."""
         check_json("config", payload, {f.name: f.type for f in fields(cls)}, (),
                    closed=True)
-        if isinstance(payload.get("hidden"), list):
-            payload = dict(payload, hidden=tuple(payload["hidden"]))
         return cls(**payload)
 
 
@@ -87,12 +95,12 @@ class EvalReport:
 
 
 def _stage(stage, fn, *args, **kwargs):
-    """fn(*args, **kwargs), a VrpcastError or ValueError from it raised again
-    as a PipelineStageError naming the stage."""
+    """fn(*args, **kwargs), a VrpcastError, ValueError or MemoryError from it
+    raised again as a PipelineStageError naming the stage."""
     try:
         return fn(*args, **kwargs)
-    except (VrpcastError, ValueError) as exc:
-        raise PipelineStageError(stage, str(exc)) from exc
+    except (VrpcastError, ValueError, MemoryError) as exc:
+        raise PipelineStageError(stage, str(exc) or type(exc).__name__) from exc
 
 
 def one_step_predictions_watts(model, patterns, values):
@@ -128,8 +136,13 @@ def forecast_multi_step(model, last_window, horizon, norm, last_observed_value):
     return series_ops.undifference(preds_resid, last_observed_value)
 
 
-def _check_test_block(patterns) -> None:
-    """DegenerateDataError when the test block is too short for evaluate()."""
+def _check_blocks(patterns) -> None:
+    """DegenerateDataError when the training block is too short for a fit
+    and the two-sample t-test, or the test block for evaluate()'s ACF."""
+    if patterns.split_index < 2:
+        raise DegenerateDataError(
+            f"the training block has {patterns.split_index} of the {patterns.n_patterns} "
+            "patterns; the fit and the two-sample t-test need at least 2")
     n_test = patterns.n_patterns - patterns.split_index
     if n_test <= ACF_MAX_LAG:
         raise DegenerateDataError(
@@ -139,7 +152,7 @@ def _check_test_block(patterns) -> None:
 
 def evaluate(model, patterns, values, provenance=None) -> EvalReport:
     """Error statistics, ACF comparison and hypothesis tests in watt units."""
-    _check_test_block(patterns)
+    _check_blocks(patterns)
     actual, predicted = one_step_predictions_watts(model, patterns, values)
     split = patterns.split_index
     train_stats = stat_tests.error_stats(actual[:split], predicted[:split])
@@ -203,7 +216,7 @@ def select_lag(diff: series_ops.DifferencedSeries,
 def _prepare(series: Optional[TimeSeries], config: PipelineConfig) -> Prepared:
     """Front half of the training paths: load (unless a series is given),
     difference + KPSS, lag, patterns. Aborts when the first differences are
-    still non-stationary or, before any fit, when the test block is too short."""
+    still non-stationary or, before any fit, when a block is too short."""
     if series is None:
         series = load_series(config)
     diff, kpss_raw, kpss_resid = stationarity(series)
@@ -217,7 +230,7 @@ def _prepare(series: Optional[TimeSeries], config: PipelineConfig) -> Prepared:
     lag = config.lag if profile is None else profile.selected_lag
     patterns = _stage("extract-patterns", series_ops.extract_patterns,
                       diff.residuals, lag, config.train_fraction)
-    _stage("evaluate", _check_test_block, patterns)
+    _stage("evaluate", _check_blocks, patterns)
     return Prepared(series, diff, kpss_raw, kpss_resid, profile, patterns)
 
 
@@ -254,13 +267,10 @@ def forecast_saved(model_path, horizon, series: Optional[TimeSeries] = None):
     return _stage("forecast", forecast_multi_step, model, window, horizon, norm, last_value)
 
 
-def _grid_search(patterns, config: PipelineConfig):
-    """Stage `grid-search` over config.hidden = (lo, hi): grid_search_fit's
-    (best h, table, model, report)."""
-    lo, hi = config.hidden
-    if hi < lo:
-        raise PipelineStageError("grid-search", f"hidden {lo}:{hi} is an empty range")
-    return _stage("grid-search", trainers.grid_search_fit, patterns, range(lo, hi + 1),
+def _fit(patterns, config: PipelineConfig):
+    """Stage `train`: grid_search_fit's (selected h, table, model, report)
+    over config.hidden_sizes, one size or many."""
+    return _stage("train", trainers.grid_search_fit, patterns, config.hidden_sizes,
                   config.train_config(), config.seed)
 
 
@@ -335,13 +345,7 @@ def run_pipeline(config: PipelineConfig, series: Optional[TimeSeries] = None):
     prep = _prepare(series, config)
     if not prep.kpss_raw.reject_at_5pct:
         log.info("raw series already level-stationary by KPSS; differencing anyway")
-    if isinstance(config.hidden, int):
-        hidden, grid_table = config.hidden, None
-        model0 = _stage("train", mlp.init, prep.patterns.lag, hidden, config.seed)
-        model, report = _stage("train", trainers.train, model0, prep.patterns,
-                               config.train_config())
-    else:
-        hidden, grid_table, model, report = _grid_search(prep.patterns, config)
+    hidden, grid_table, model, report = _fit(prep.patterns, config)
     provenance = _model_provenance(config, hidden, report, prep)
     eval_report = _stage("evaluate", evaluate, model, prep.patterns, prep.series.values,
                          provenance)
@@ -395,44 +399,34 @@ def _write_artifacts(out_dir, prep: Prepared, grid_table, model, report, eval_re
     write_kpss(out_dir, prep.kpss_raw, prep.kpss_resid)
     if prep.profile is not None:
         write_entropy_profile(out_dir, prep.profile)
-    if grid_table is not None:
-        write_json(_artifact_path(out_dir, "grid_search.json"), list(map(asdict, grid_table)))
+    write_json(_artifact_path(out_dir, "grid_search.json"), list(map(asdict, grid_table)))
     mlp.save(model, _artifact_path(out_dir, "model.json"), eval_report.provenance)
     write_json(_artifact_path(out_dir, "train_report.json"), asdict(report))
     write_eval_report(out_dir, eval_report)
 
 
 def compare_algorithms(config: PipelineConfig, series: Optional[TimeSeries] = None):
-    """Run the identical pipeline once per training algorithm (same seed,
-    hidden size and patterns) and emit a per-algorithm error table."""
+    """run_pipeline's fit of config.algorithm and, at the size it selects, a
+    fit of each other algorithm from the same start on the same patterns:
+    a per-algorithm error table, whose entry for a failed fit is its error
+    (a VrpcastError or MemoryError message)."""
     prep = _prepare(series, config)
-    hidden = config.hidden
-    if not isinstance(hidden, int):
-        hidden = _grid_search(prep.patterns, config)[0]
-    model0 = _stage("train", mlp.init, prep.patterns.lag, hidden, config.seed)
+    hidden, _, *fit = _fit(prep.patterns, config)
+    start = trainers.initial_model(prep.patterns.lag, hidden, config.seed)
     table = {}
     for algorithm in trainers.ALGORITHMS:
         try:
-            model, report = trainers.train(
-                model0, prep.patterns, config.train_config(algorithm)
-            )
-        except VrpcastError as exc:
-            table[algorithm] = {"error": str(exc)}
+            model, report = fit if algorithm == config.algorithm else trainers.train(
+                start, prep.patterns, config.train_config(algorithm))
+        except (VrpcastError, MemoryError) as exc:
+            table[algorithm] = {"error": str(exc) or type(exc).__name__}
             continue
         eval_report = _stage("evaluate", evaluate, model, prep.patterns, prep.series.values)
-        table[algorithm] = {
-            "train_stats": asdict(eval_report.train_stats),
-            "test_stats": asdict(eval_report.test_stats),
-            "converged": report.converged,
-            "stop_reason": report.stop_reason,
-            "epochs_used": report.epochs_used,
-        }
-    result = {
-        "lag": prep.patterns.lag,
-        "hidden": hidden,
-        "seed": config.seed,
-        "algorithms": table,
-    }
+        table[algorithm] = {"train_stats": asdict(eval_report.train_stats),
+                            "test_stats": asdict(eval_report.test_stats),
+                            "converged": report.converged, "stop_reason": report.stop_reason,
+                            "epochs_used": report.epochs_used}
+    result = {"lag": prep.patterns.lag, "hidden": hidden, "seed": config.seed, "algorithms": table}
     if config.out_dir:
         write_json(_artifact_path(config.out_dir, "comparison.json"), result)
     return result

@@ -1,6 +1,6 @@
 """Training algorithms: Levenberg-Marquardt, Moller's scaled conjugate
 gradient, and the Bayesian-regularized LM variant, plus the hidden-node
-grid search.
+grid search, which the pipeline runs for one hidden size as for many.
 
 The LM family minimizes F = beta*E_D + alpha*E_w where E_D is the sum of
 squared residuals and E_w the sum of squared parameters. Plain LM is the
@@ -431,9 +431,14 @@ def train(model, patterns, config: TrainConfig):
     return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
 
 
+def initial_model(p, h, seed):
+    """The start of every fit of size h, alone or in a grid: init(p, h, seed + h)."""
+    return mlp.init(p, h, seed + h)
+
+
 def grid_search_fit(patterns, h_range, config: TrainConfig, seed: int = 0):
     """Train one model per hidden size of h_range, which must ascend, from
-    mlp.init(p, h, seed + h), and pick the trained size with the lowest final
+    initial_model(p, h, seed), and pick the trained size with the lowest final
     training MSE, the report's e_d over the number of training rows; a tie
     stays with the smaller h. Sizes whose training aborts are excluded.
     Only the best fit so far is kept.
@@ -445,7 +450,8 @@ def grid_search_fit(patterns, h_range, config: TrainConfig, seed: int = 0):
     growing in skipped. lm, scg and pinned-alpha grids train every size.
 
     Returns (best_h, table of one GridRow per size of h_range, model,
-    report), the last two from best_h's fit."""
+    report), the last two from best_h's fit. TrainingError, ending with the
+    last size's message, when every size aborts."""
     if not h_range:
         raise ValueError("h_range must be non-empty")
     inputs, targets = _as_xy(patterns)
@@ -456,9 +462,8 @@ def grid_search_fit(patterns, h_range, config: TrainConfig, seed: int = 0):
         if skipped is not None:
             rows.append(GridRow(h, skipped=skipped))
             continue
-        model0 = mlp.init(inputs.shape[1], h, seed + h)
         try:
-            trained, report = train(model0, patterns, config)
+            trained, report = train(initial_model(inputs.shape[1], h, seed), patterns, config)
         except TrainingError as exc:
             log.warning("hidden size %d aborted: %s", h, exc)
             rows.append(GridRow(h, error=str(exc)))
@@ -477,6 +482,6 @@ def grid_search_fit(patterns, h_range, config: TrainConfig, seed: int = 0):
             log.info("gamma stopped growing at h = %d (gamma %.4g; %.4g at h = %d); "
                      "sizes above %d are not trained", start.hidden, start.gamma, row.gamma, h, h)
     if best is None:
-        raise TrainingError("every hidden size aborted during grid search")
+        raise TrainingError(f"every hidden size aborted; h = {h}: {rows[-1].error}")
     return best[0].hidden, rows, *best[1:]
 

@@ -101,6 +101,14 @@ class TestTrainForecastEvaluate:
         table = json.loads((out / "grid_search.json").read_text())
         assert [row["hidden"] for row in table] == [2, 3, 4]
 
+    def test_single_size_writes_a_one_row_grid_table(self, series_csv, tmp_path):
+        out = tmp_path / "run"
+        assert self.train(series_csv, out) == 0
+        (row,) = json.loads((out / "grid_search.json").read_text())
+        report = json.loads((out / "train_report.json").read_text())
+        assert (row["hidden"], row["epochs_used"], row["error"]) == (4, report["epochs_used"],
+                                                                     None)
+
     def test_brnn_grid_writes_skipped_rows(self, series_csv, tmp_path):
         out = tmp_path / "grid"
         assert run_cli("train", "--input", series_csv, "--lag", 3,
@@ -216,18 +224,48 @@ class TestCompare:
         payload = json.loads((tmp_path / "c" / "comparison.json").read_text())
         assert payload["algorithms"]["lm"] == {"error": "abort lm h = 4"}
 
-    @pytest.mark.parametrize("algo, hidden", [("brnn", 4), ("lm", 5)])
-    def test_hidden_range_picks_the_size_train_picks(self, tmp_path, algo, hidden):
+    @staticmethod
+    def compare_and_train(tmp_path, algo, hidden):
+        """compare's entry for algo, and train's model, eval and train reports,
+        on the same 600-point series at 30 epochs."""
         series, cfg = tmp_path / "series.csv", tmp_path / "cfg.json"
         assert run_cli("synth", "--n", 600, "--seed", 3, "--out", series) == 0
         cfg.write_text(json.dumps({"max_epochs": 30}))
-        common = ["--input", series, "--config", cfg, "--lag", 3, "--hidden", "2:5",
+        common = ["--input", series, "--config", cfg, "--lag", 3, "--hidden", hidden,
                   "--algo", algo]
         assert run_cli("compare", *common, "--out", tmp_path / "c") == 0
         assert run_cli("train", *common, "--out", tmp_path / "t") == 0
-        compared = json.loads((tmp_path / "c" / "comparison.json").read_text())["hidden"]
-        trained = json.loads((tmp_path / "t" / "model.json").read_text())["hidden_dim"]
-        assert compared == trained == hidden
+        compared = json.loads((tmp_path / "c" / "comparison.json").read_text())
+        entry = compared["algorithms"][algo]
+        trained = json.loads((tmp_path / "t" / "train_report.json").read_text())
+        assert entry["test_stats"] == json.loads(
+            (tmp_path / "t" / "eval_report.json").read_text())["test_stats"]
+        assert (entry["stop_reason"], entry["epochs_used"]) == (trained["stop_reason"],
+                                                                trained["epochs_used"])
+        return compared["hidden"], json.loads((tmp_path / "t" / "model.json").read_text())
+
+    @pytest.mark.parametrize("algo, hidden", [("brnn", 4), ("lm", 5)])
+    def test_hidden_range_picks_the_size_train_picks(self, tmp_path, algo, hidden):
+        compared, model = self.compare_and_train(tmp_path, algo, "2:5")
+        assert compared == model["hidden_dim"] == hidden
+
+    def test_single_size_entry_is_the_fit_train_reports(self, tmp_path):
+        compared, model = self.compare_and_train(tmp_path, "brnn", "4")
+        assert compared == model["hidden_dim"] == 4
+
+    def test_grid_fit_is_not_refitted(self, series_csv, tmp_path, monkeypatch):
+        calls = []
+        real = trainers.train
+
+        def train(model, patterns, config):
+            calls.append((config.algorithm, model.hidden_dim))
+            return real(model, patterns, config)
+
+        monkeypatch.setattr(trainers, "train", train)
+        assert run_cli("compare", "--input", series_csv, "--lag", 3, "--hidden", "2:4",
+                       "--algo", "lm", "--out", tmp_path / "c") == 0
+        hidden = json.loads((tmp_path / "c" / "comparison.json").read_text())["hidden"]
+        assert calls == [("lm", 2), ("lm", 3), ("lm", 4), ("scg", hidden), ("brnn", hidden)]
 
     def test_undefined_r_squared_prints_undefined(self):
         stats = stat_tests.ErrorStats(mean_error=0.5, mean_squared_error=2.0, r_squared=None)
@@ -445,20 +483,6 @@ class TestExitCodes:
         assert run_cli("train", "--config", cfg) == 2
         assert "error: config key 'h_range' is unknown" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_empty_hidden_range_names_hidden(self, series_csv, tmp_path, capsys, source):
-        if source == "flag":
-            argv = ["--input", series_csv, "--lag", 2, "--hidden", "5:2"]
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"input_path": str(series_csv), "lag": 2,
-                                       "hidden": [5, 2]}))
-            argv = ["--config", cfg]
-        capsys.readouterr()
-        assert run_cli("train", *argv) == 2
-        err = capsys.readouterr().err
-        assert err == "error: [grid-search] hidden 5:2 is an empty range\n"
-
     def test_config_hidden_range_equals_flag(self, series_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         common = {"input_path": str(series_csv), "lag": 3, "algorithm": "lm",
@@ -479,7 +503,7 @@ class TestExitCodes:
         # 300 points leave 299 residuals; a lag-p window needs more than p + 1
         ("train", 300, ["--lag", 400, "--hidden", 2], "extract-patterns"),
         ("train", 300, ["--lag", 298, "--hidden", 2], "extract-patterns"),
-        ("train", 300, ["--lag", 2, "--hidden", "5:2"], "grid-search"),
+        ("train", 300, ["--lag", 2, "--hidden", 3, "--train-fraction", 0.001], "evaluate"),
         ("compare", 300, ["--lag", 400, "--hidden", 2], "extract-patterns"),
         ("train", 100, ["--hidden", 3], "evaluate"),
         ("compare", 100, ["--lag", 2, "--hidden", 3], "evaluate"),
@@ -500,10 +524,17 @@ class TestExitCodes:
         ("train", ["--hidden", "0:4"], "hidden sizes must be at least 1, not (0, 4)"),
         ("lags", ["--max-lag", 0], "max_lag must be at least 1, not 0"),
         ("lags", ["--bins", 1], "bins must be at least 2, not 1"),
+        ("train", ["--lag", 2, "--hidden", "5:2"], "hidden 5:2 is an empty range"),
+        ("train", ["--lag", 2, "--config", "hidden_5_2.json"], "hidden 5:2 is an empty range"),
+        ("compare", ["--lag", 2, "--hidden", "5:2"], "hidden 5:2 is an empty range"),
     ], ids=["train-lag", "train-hidden", "compare-hidden", "train-hidden-range",
-            "lags-max-lag", "lags-bins"])
-    def test_bad_size_fails_before_load(self, tmp_path, capsys, command, flags, message):
+            "lags-max-lag", "lags-bins", "train-hidden-empty", "train-hidden-empty-config",
+            "compare-hidden-empty"])
+    def test_bad_size_fails_before_load(self, tmp_path, capsys, monkeypatch, command, flags,
+                                        message):
         # the input does not exist: the config rejects the size before any read
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "hidden_5_2.json").write_text(json.dumps({"hidden": [5, 2]}))
         capsys.readouterr()
         assert run_cli(command, "--input", tmp_path / "missing.csv", *flags) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -546,6 +577,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: [evaluate] the test block has ")
         assert err.endswith(" one-step forecasts; their ACF to lag 20 needs at least 21\n")
+
+    def test_short_training_block_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        def train(*args):
+            raise AssertionError("trainers.train was called")
+
+        monkeypatch.setattr(trainers, "train", train)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("synth", "--n", 600, "--seed", 3, "--out", "series.csv") == 0
+        capsys.readouterr()
+        assert run_cli("train", "--input", "series.csv", "--lag", 3, "--hidden", 3,
+                       "--train-fraction", 0.001) == 2
+        assert capsys.readouterr().err == (
+            "error: [evaluate] the training block has 1 of the 596 patterns; "
+            "the fit and the two-sample t-test need at least 2\n")
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_single_size_abort_names_the_cause(self, series_csv, capsys, abort_training,
+                                               command):
+        abort_training({"brnn"}, {4})
+        capsys.readouterr()
+        assert run_cli(command, "--input", series_csv, "--lag", 3, "--hidden", 4) == 2
+        assert capsys.readouterr().err == (
+            "error: [train] every hidden size aborted; h = 4: abort brnn h = 4\n")
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 2.00 GiB for an array", "Unable to allocate 2.00 GiB for an array"),
+        ("", "MemoryError")], ids=["numpy", "bare"])
+    def test_memory_error_names_the_stage(self, series_csv, capsys, monkeypatch, message,
+                                          shown):
+        def train(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(trainers, "train", train)
+        capsys.readouterr()
+        assert run_cli("train", "--input", series_csv, "--lag", 3, "--hidden", 4) == 2
+        assert capsys.readouterr().err == f"error: [train] {shown}\n"
 
     def test_config_file_supplies_input(self, series_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -87,6 +87,24 @@ class TestRunPipeline:
                      "kpss.json", "series.csv", "residuals.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_a_single_size_is_a_one_size_grid(self, tmp_path):
+        series = generate_synthetic(BURSTY, 5)
+        p, h, seed = FAST["lag"], FAST["hidden"], FAST["seed"]
+        for name, hidden in (("alone", h), ("grid", (h, h))):
+            run_pipeline(PipelineConfig(out_dir=str(tmp_path / name), **dict(FAST, hidden=hidden)),
+                         series)
+        names = sorted(path.name for path in (tmp_path / "alone").iterdir())
+        assert "grid_search.json" in names
+        assert names == sorted(path.name for path in (tmp_path / "grid").iterdir())
+        for name in names:
+            assert ((tmp_path / "alone" / name).read_bytes()
+                    == (tmp_path / "grid" / name).read_bytes())
+        patterns = extract_patterns(difference(series).residuals, p, 0.8)
+        expected, _ = trainers.train(init(p, h, seed + h), patterns,
+                                     trainers.TrainConfig(max_epochs=FAST["max_epochs"]))
+        model, _ = mlp.load(tmp_path / "alone" / "model.json")
+        np.testing.assert_array_equal(mlp.flatten(model), mlp.flatten(expected))
+
     def test_eval_report_fields(self):
         series = generate_synthetic(BURSTY, 6)
         _, report, _ = run_pipeline(PipelineConfig(**FAST), series)
@@ -134,6 +152,30 @@ class TestRunPipeline:
         np.testing.assert_array_equal(mlp.flatten(old_model), mlp.flatten(model))
         assert (pipeline.evaluate_saved(tmp_path / "old_model.json", series).test_stats
                 == pipeline.evaluate_saved(tmp_path / "model.json", series).test_stats)
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("hidden, sizes", [(9, range(9, 10)), ((2, 5), range(2, 6)),
+                                               ([2, 5], range(2, 6)), ((4, 4), range(4, 5))],
+                             ids=["int", "tuple", "list", "one-size-pair"])
+    def test_hidden_sizes(self, hidden, sizes):
+        assert PipelineConfig(hidden=hidden).hidden_sizes == sizes
+
+    @pytest.mark.parametrize("hidden, message", [
+        ((5, 2), "hidden 5:2 is an empty range"),
+        ((0, 4), "hidden sizes must be at least 1, not (0, 4)"),
+        (0, "hidden sizes must be at least 1, not 0"),
+        ((2.5, 4), "hidden must be an int or two ints, not (2.5, 4)"),
+        (9.0, "hidden must be an int or two ints, not 9.0"),
+        ("9", "hidden must be an int or two ints, not '9'"),
+        ((2, 3, 4), "hidden must be an int or two ints, not (2, 3, 4)"),
+        (None, "hidden must be an int or two ints, not None"),
+    ], ids=["empty-range", "range-below-1", "size-below-1", "float-bound", "float", "str",
+            "three-ints", "none"])
+    def test_bad_hidden_fails_when_built(self, hidden, message):
+        with pytest.raises(ValueError) as info:
+            PipelineConfig(hidden=hidden)
+        assert str(info.value) == message
 
 
 class TestSavedModelReaders:
@@ -233,6 +275,20 @@ class TestCompareAlgorithms:
         result = compare_algorithms(PipelineConfig(**FAST), generate_synthetic(BURSTY, 4))
         assert result["algorithms"]["scg"] == {"error": "abort scg h = 4"}
         assert all("test_stats" in result["algorithms"][a] for a in ("lm", "brnn"))
+
+    def test_allocation_failure_gets_an_error_entry(self, monkeypatch):
+        real = trainers.train
+
+        def train(model, patterns, config):
+            if config.algorithm == "lm":
+                raise MemoryError("Unable to allocate 1.82 TiB for an array")
+            return real(model, patterns, config)
+
+        monkeypatch.setattr(trainers, "train", train)
+        result = compare_algorithms(PipelineConfig(**dict(FAST, algorithm="scg")),
+                                    generate_synthetic(BURSTY, 4))
+        assert result["algorithms"]["lm"] == {"error": "Unable to allocate 1.82 TiB for an array"}
+        assert all("test_stats" in result["algorithms"][a] for a in ("scg", "brnn"))
 
     def test_zero_noise_teacher_all_algorithms_fit(self):
         # representable target: every trainer should explain > 99% variance
