@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import pipeline, trainers
-from .data_ingest import (SYNTHETIC_KINDS, SYNTHETIC_SPEC_TYPES, check_json,
+from .data_ingest import (MODES, SYNTHETIC_KINDS, SYNTHETIC_SPEC_TYPES, check_json,
                           generate_synthetic, read_json, save_csv)
 from .errors import VrpcastError
 from .stat_tests import ErrorStats
@@ -37,7 +37,7 @@ def _build_parser():
 
     def add_common(p, *, training=False):
         p.add_argument("--input", dest="input_path", help="input CSV path")
-        p.add_argument("--mode", choices=("power", "radiance"))
+        p.add_argument("--mode", choices=MODES)
         p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument("--config", help="JSON config file (flags take precedence)")
         if training:
@@ -67,7 +67,7 @@ def _build_parser():
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--steps", type=int, default=1)
     p.add_argument("--input", help="optional CSV to refresh the forecast window")
-    p.add_argument("--mode", choices=("power", "radiance"), default="power")
+    p.add_argument("--mode", choices=MODES, default="power")
     p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("evaluate", help="evaluate a saved model on a series")

@@ -34,6 +34,9 @@ log = logging.getLogger(__name__)
 # Regression coefficient (m^2 sr um) mapping excess MIR radiance to watts.
 MIR_TO_WATTS = 1.89e7
 
+# The input modes load_csv reads, by their CSV layouts in the module docstring.
+MODES = ("power", "radiance")
+
 # Rows load_csv reads and parses, and write_csv writes, at a time. The text
 # and columns of a whole 50 000-row file held at once peak at 16 MiB of Python
 # objects (tracemalloc) and leave the heap fragmented, so peak RSS grew over
@@ -163,8 +166,8 @@ def load_csv(path, mode: str = "power") -> TimeSeries:
     radiance_to_vrp computes them. Rows are sorted by timestamp; duplicate
     timestamps keep the last occurrence (warned).
     """
-    if mode not in ("power", "radiance"):
-        raise ValueError(f"mode must be 'power' or 'radiance', got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
     n_cols = 2 if mode == "power" else 3
     stamps, value_parts = [], [np.empty((n_cols - 1, 0))]
     try:
@@ -331,28 +334,26 @@ def generate_synthetic(spec: dict, seed: int) -> TimeSeries:
             )
         q = phi.size
         burn = 10 * q + 100
-        e = rng.normal(0.0, sigma, n + burn)
-        x = np.zeros(n + burn)
-        for t in range(n + burn):
-            acc = e[t]
+        # the recursions run on Python floats, bit for bit as on numpy scalars
+        coefs, x = phi.tolist(), []
+        for t, acc in enumerate(rng.normal(0.0, sigma, n + burn).tolist()):
             for j in range(min(q, t)):
-                acc += phi[j] * x[t - 1 - j]
-            x[t] = acc
-        values = x[burn:]
+                acc += coefs[j] * x[t - 1 - j]
+            x.append(acc)
+        values = np.array(x[burn:])
     else:  # persistence_bursts
         baseline = float(spec.get("baseline", 1e8))
         rho = float(spec.get("rho", 0.97))
         sigma = float(spec.get("sigma", 2e7))
         burst_prob = float(spec.get("burst_prob", 0.02))
         burst_scale = float(spec.get("burst_scale", 5e8))
-        e = rng.normal(0.0, sigma, n)
-        bursts = (rng.random(n) < burst_prob) * rng.exponential(burst_scale, n)
-        x = np.zeros(n)
-        prev = 0.0
-        for t in range(n):
-            prev = rho * prev + e[t] + bursts[t]
-            x[t] = prev
-        values = np.maximum(baseline + x, 0.0)
+        e = rng.normal(0.0, sigma, n).tolist()
+        bursts = ((rng.random(n) < burst_prob) * rng.exponential(burst_scale, n)).tolist()
+        x, prev = [], 0.0
+        for e_t, burst in zip(e, bursts):
+            prev = rho * prev + e_t + burst
+            x.append(prev)
+        values = np.maximum(baseline + np.array(x), 0.0)
 
     start = datetime(2000, 4, 1)
     timestamps = tuple(

@@ -9,10 +9,10 @@ unit. The Jacobian is built parameter-major, each parameter's derivatives a
 contiguous row of a (P, n) buffer, and returned as its (n, P) transpose, an
 F-contiguous view.
 
-Activations: `forward_batch(..., hidden_out=a)` is the one forward pass; it
-writes the activations into a C-contiguous (h, n) array `a` the caller owns.
-The residual kernels only differentiate: they take `a` in place of w1 and
-b1, read it and never write it.
+Forward and derivatives: `forward_batch(..., hidden_out=a)` is the one
+forward pass, into a C-contiguous (h, n) array `a` the caller owns, who forms
+the residuals r, the targets minus the output, from its result. The residual
+kernels only differentiate: they take `a` and `r`, read both and write neither.
 """
 
 import numpy as np
@@ -34,17 +34,16 @@ def forward_batch(inputs, w1, b1, w2, b2, hidden_out=None):
     return w2 @ _hidden(inputs, w1, b1, hidden_out) + b2
 
 
-def residuals_and_jacobian(inputs, targets, a, w2, b2, out=None):
-    """Residuals r_i = target_i - output_i and the analytic Jacobian
-    dr_i/dtheta_j of shape (n, h*p + 2h + 1), from the activations `a`
-    (h, n) of `inputs` (n, p), read only.
+def residuals_and_jacobian(inputs, res, a, w2, out=None):
+    """The residuals `res` (n,), returned as given, and their analytic
+    Jacobian dr_i/dtheta_j of shape (n, h*p + 2h + 1) at the activations `a`
+    (h, n) of `inputs` (n, p). The Jacobian does not depend on `res`.
 
     The Jacobian is written into `out` when given (F-contiguous, that
     shape) and returned; otherwise a new F-ordered array is allocated. No
     (h, n) array is made."""
     n, p = inputs.shape
     h = a.shape[0]
-    res = targets - (w2 @ a + b2)
     shape = (n, h * p + 2 * h + 1)
     if out is None:
         jac = np.empty(shape, order="F")
@@ -63,13 +62,12 @@ def residuals_and_jacobian(inputs, targets, a, w2, b2, out=None):
     return res, jac
 
 
-def residuals_and_gradient(inputs, targets, a, w2, b2, scratch=None):
-    """Residuals as in residuals_and_jacobian and J'r, the gradient of half
-    the sum of squared residuals, by back-propagation without the Jacobian.
-    The back-propagated (h, n) terms are written into `scratch`
-    (C-contiguous (h, n), overwritten) when given, else into one new array;
-    the results are bit-identical."""
-    res = targets - (w2 @ a + b2)
+def residuals_and_gradient(inputs, res, a, w2, scratch=None):
+    """The residuals `res` (n,), returned as given, and J'r, the gradient of
+    half their sum of squares, back-propagated from the activations `a` (h, n)
+    of `inputs` (n, p) without the Jacobian. The (h, n) terms are written into
+    `scratch` (C-contiguous (h, n), overwritten) when given, else into one new
+    array; the results are bit-identical."""
     neg_s = np.multiply(a, a, out=scratch)
     neg_s -= 1.0
     neg_s *= w2[:, None]

@@ -110,67 +110,68 @@ def residual_fns(model: MlpModel, inputs, targets):
     shape, J the residual Jacobian. The data are checked once and theta is
     read through views.
 
-    The one place that computes hidden activations: resid runs the forward
-    pass into `act`, one (h, n) buffer of the fit, and keeps the bytes of its
-    theta. normal_eqs and resid_grad differentiate at `act`; at a theta with
-    other bytes they first run resid, so a miss refreshes the buffer and an
-    accepted trial step's derivatives reuse its activations. (Comparing
-    bytes takes 0.1 us where np.array_equal took 4 us at P = 19.)
+    The one place that computes a point's activations and residuals: resid
+    runs the forward pass into `act`, one (h, n) buffer of the fit, and keeps
+    the residuals `res` it returns and the bytes of its theta. normal_eqs and
+    resid_grad hand the kernels `act` and `res`, and the kernels only
+    differentiate; at a theta with other bytes they first run resid, so a
+    miss refreshes both and an accepted trial step's derivatives reuse its
+    forward pass. (Comparing bytes takes 0.1 us where np.array_equal took
+    4 us at P = 19.)
 
     normal_eqs never holds J whole: it walks the rows in blocks of
     BLOCK_ROWS, writes each block's Jacobian into one buffer of
     min(n, BLOCK_ROWS) rows that serves the whole fit and sums the blocks'
-    J'J and J'r. With one block (n <= BLOCK_ROWS) the products are J.T @ J
-    and J.T @ r of the whole Jacobian; with more they differ from those by
-    rounding only. resid_grad back-propagates into one (h, n) scratch buffer
-    of the fit, made at its first call, where the kernel would make a new
-    array per call."""
+    J'J and J'r, from each block's slice of `res`. With one block
+    (n <= BLOCK_ROWS) the products are J.T @ J and J.T @ r of the whole
+    Jacobian; with more they differ from those by rounding only. resid_grad
+    back-propagates into one (h, n) scratch buffer of the fit, made at its
+    first call, where the kernel would make a new array per call."""
     inputs, targets = _check_xy(model, inputs, targets)
     p, h = model.input_dim, model.hidden_dim
     n, n_w = targets.size, model.n_params
     block = np.empty(min(n, BLOCK_ROWS) * n_w)
     act = np.empty((h, n))
-    act_key = None      # bytes of the theta whose activations `act` holds
+    res = act_key = None    # residuals and bytes of the theta `act` holds
     grad_scratch = None
-    # per block: its inputs, targets, activations and Jacobian view; an
-    # empty training set gets one empty block
+    # per block: its inputs, rows, activations and Jacobian view; an empty
+    # training set gets one empty block
     blocks = []
     for lo in range(0, max(n, 1), BLOCK_ROWS):
         rows = slice(lo, min(lo + BLOCK_ROWS, n))
         m = rows.stop - lo
-        blocks.append((inputs[rows], targets[rows], act[:, rows],
+        blocks.append((inputs[rows], rows, act[:, rows],
                        block[: m * n_w].reshape(n_w, m).T))
 
     def resid(theta):
-        nonlocal act_key
+        nonlocal res, act_key
         out = kernels.forward_batch(inputs, *_layers(theta, p, h), hidden_out=act)
-        act_key = theta.tobytes()
-        return targets - out
+        res, act_key = targets - out, theta.tobytes()
+        return res
 
     def output_layer(theta):
-        """w2, b2 of theta, with `act` holding theta's activations."""
+        """w2 of theta, with `act` and `res` holding theta's activations and residuals."""
         if theta.tobytes() != act_key:
             resid(theta)
-        return _layers(theta, p, h)[2:]
+        return _layers(theta, p, h)[2]
 
     def normal_eqs(theta):
-        w2, b2 = output_layer(theta)
-        for i, (x, y, a, jac) in enumerate(blocks):
-            res, _ = kernels.residuals_and_jacobian(x, y, a, w2, b2, out=jac)
+        w2 = output_layer(theta)
+        for i, (x, rows, a, jac) in enumerate(blocks):
+            r, _ = kernels.residuals_and_jacobian(x, res[rows], a, w2, out=jac)
             if i == 0:
-                jtj, jtr = jac.T @ jac, jac.T @ res
+                jtj, jtr = jac.T @ jac, jac.T @ r
             else:
                 jtj += jac.T @ jac
-                jtr += jac.T @ res
+                jtr += jac.T @ r
         return jtj, jtr
 
     def resid_grad(theta):
         nonlocal grad_scratch
         if grad_scratch is None:
             grad_scratch = np.empty((h, n))
-        w2, b2 = output_layer(theta)
-        return kernels.residuals_and_gradient(inputs, targets, act, w2, b2,
-                                              scratch=grad_scratch)
+        w2 = output_layer(theta)
+        return kernels.residuals_and_gradient(inputs, res, act, w2, scratch=grad_scratch)
 
     return resid, normal_eqs, resid_grad
 

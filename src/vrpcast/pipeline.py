@@ -25,9 +25,9 @@ ACF_MAX_LAG = 20
 class PipelineConfig:
     """One experiment. hidden is one hidden size or a pair (lo, hi), from
     from_dict [lo, hi]; hidden_sizes reads it. Building it checks the
-    training settings, train_fraction in (0, 1), seed >= 0, lag (when set)
-    and max_lag >= 1, bins >= 2 and hidden_sizes (ValueError), so a bad
-    setting fails before any series is read."""
+    training settings, mode in data_ingest.MODES, train_fraction in (0, 1),
+    seed >= 0, lag (when set) and max_lag >= 1, bins >= 2 and hidden_sizes
+    (ValueError), so a bad setting fails before any series is read."""
 
     input_path: Optional[str] = None
     mode: str = "power"
@@ -42,6 +42,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.mode not in data_ingest.MODES:
+            raise ValueError(f"mode must be one of {', '.join(data_ingest.MODES)}, "
+                             f"not {self.mode!r}")
         if not 0.0 < self.train_fraction < 1.0:     # NaN fails too
             raise ValueError(f"train_fraction must be in (0, 1), not {self.train_fraction}")
         if self.seed < 0:

@@ -69,9 +69,10 @@ def test_criterion_01_jacobian_correctness():
         model = init(p, h, int(rng.integers(0, 10_000)))
         inputs = rng.uniform(-1, 1, (n, p))
         targets = rng.normal(size=n)
-        _, jac = kernels.residuals_and_jacobian(inputs, targets,
+        res = targets - mlp.forward_batch(model, inputs)
+        _, jac = kernels.residuals_and_jacobian(inputs, res,
                                                 kernels._hidden(inputs, model.w1, model.b1),
-                                                model.w2, model.b2)
+                                                model.w2)
         fd = _fd_jacobian(model, inputs, targets)
         tol = np.maximum(1e-6 * np.abs(fd), 1e-9)
         ok = ok and bool(np.all(np.abs(jac - fd) <= tol))

@@ -548,6 +548,15 @@ class TestExitCodes:
         assert run_cli(command, "--input", tmp_path / "missing.csv", *flags) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_bad_mode_fails_before_load(self, tmp_path, capsys):
+        # --mode takes only the modes; a config file's mode is checked when built
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "foo"}))
+        capsys.readouterr()
+        assert run_cli("train", "--input", tmp_path / "missing.csv", "--config", cfg) == 2
+        assert capsys.readouterr() == ("", "error: mode must be one of power, radiance, "
+                                           "not 'foo'\n")
+
     @pytest.mark.parametrize("command, rows, message", [
         ("evaluate", None, "[evaluate] the test block has 19 one-step forecasts; "
                            "their ACF to lag 20 needs at least 21\n"),

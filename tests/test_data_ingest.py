@@ -441,3 +441,40 @@ class TestGenerateSynthetic:
     def test_requested_length(self):
         for kind in ("white_noise", "random_walk", "persistence_bursts"):
             assert len(generate_synthetic({"kind": kind, "n": 37}, 0)) == 37
+
+
+def elementwise_recursion(spec, seed):
+    """The values of generate_synthetic's ar and persistence_bursts kinds,
+    drawn as it draws them and recursed one numpy element at a time."""
+    rng = np.random.default_rng(seed)
+    n = spec["n"]
+    if spec["kind"] == "ar":
+        phi = np.asarray(spec["phi"], dtype=float)
+        burn = 10 * phi.size + 100
+        e = rng.normal(0.0, 1.0, n + burn)
+        x = np.zeros(n + burn)
+        for t in range(n + burn):
+            acc = e[t]
+            for j in range(min(phi.size, t)):
+                acc += phi[j] * x[t - 1 - j]
+            x[t] = acc
+        return x[burn:]
+    e = rng.normal(0.0, 2e7, n)
+    bursts = (rng.random(n) < 0.02) * rng.exponential(5e8, n)
+    x = np.zeros(n)
+    prev = 0.0
+    for t in range(n):
+        prev = 0.97 * prev + e[t] + bursts[t]
+        x[t] = prev
+    return np.maximum(1e8 + x, 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 1000, 31005, 97999])
+@pytest.mark.parametrize("spec", [{"kind": "persistence_bursts", "n": 2000},
+                                  {"kind": "ar", "n": 600, "phi": [0.6, -0.3, 0.2]}],
+                         ids=["persistence_bursts", "ar"])
+def test_recursions_match_the_elementwise_recursion(spec, seed):
+    # the recursions run on Python floats; the series keep every bit
+    values = generate_synthetic(spec, seed).values
+    assert values.dtype == np.float64
+    assert values.tobytes() == elementwise_recursion(spec, seed).tobytes()

@@ -103,24 +103,26 @@ class TestJacobian:
         model = init(3, 5, 0)
         x = rng.uniform(0, 1, (15, 3))
         t = mlp.forward_batch(model, x)
-        res, _ = kernels.residuals_and_jacobian(x, t, kernels._hidden(x, model.w1, model.b1),
-                                                model.w2, model.b2)
-        np.testing.assert_allclose(res, 0.0, atol=1e-14)
+        resid, normal_eqs, _ = mlp.residual_fns(model, x, t)
+        theta = mlp.flatten(model)
+        np.testing.assert_allclose(resid(theta), 0.0, atol=1e-14)
+        np.testing.assert_allclose(normal_eqs(theta)[1], 0.0, atol=1e-14)   # J'r
 
     def test_bias_column_is_minus_one(self, rng):
         model = init(4, 6, 1)
         x = rng.uniform(0, 1, (10, 4))
         _, jac = kernels.residuals_and_jacobian(x, rng.normal(size=10),
                                                 kernels._hidden(x, model.w1, model.b1),
-                                                model.w2, model.b2)
+                                                model.w2)
         np.testing.assert_array_equal(jac[:, -1], -np.ones(10))
 
     def test_matches_finite_differences(self, rng):
         model = init(5, 4, 7)
         x = rng.uniform(0, 1, (20, 5))
         t = rng.normal(size=20)
-        _, jac = kernels.residuals_and_jacobian(x, t, kernels._hidden(x, model.w1, model.b1),
-                                                model.w2, model.b2)
+        _, jac = kernels.residuals_and_jacobian(x, t - mlp.forward_batch(model, x),
+                                                kernels._hidden(x, model.w1, model.b1),
+                                                model.w2)
         fd = finite_difference_jacobian(model, x, t)
         err = np.abs(jac - fd)
         tol = np.maximum(1e-6 * np.abs(fd), 1e-9)

@@ -14,7 +14,7 @@ from vrpcast import (
     init,
     run_pipeline,
 )
-from vrpcast import mlp, pipeline, stat_tests, trainers
+from vrpcast import data_ingest, mlp, pipeline, stat_tests, trainers
 from vrpcast.errors import DataFormatError, PipelineStageError
 from vrpcast.series_ops import NormParams
 
@@ -176,6 +176,13 @@ class TestPipelineConfig:
         with pytest.raises(ValueError) as info:
             PipelineConfig(hidden=hidden)
         assert str(info.value) == message
+
+    def test_bad_mode_fails_when_built(self):
+        assert [PipelineConfig(mode=mode).mode for mode in data_ingest.MODES] == [
+            "power", "radiance"]
+        with pytest.raises(ValueError) as info:
+            PipelineConfig(mode="foo")
+        assert str(info.value) == "mode must be one of power, radiance, not 'foo'"
 
 
 class TestSavedModelReaders:

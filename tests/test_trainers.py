@@ -140,11 +140,12 @@ def count_scg_gradients(monkeypatch):
     return gradients
 
 
-def activations_and_output_layer(inputs, theta, p, h):
-    """(a, w2, b2) of the flat vector theta, the residual kernels' arguments
-    after the data, computed apart from mlp.residual_fns."""
+def kernel_args(inputs, targets, theta, p, h):
+    """(res, a, w2) of the flat vector theta, the residual kernels' arguments
+    after the inputs, computed apart from mlp.residual_fns."""
     w1, b1, w2, b2 = mlp._layers(theta, p, h)
-    return kernels._hidden(inputs, w1, b1), w2, b2
+    a = kernels._hidden(inputs, w1, b1)
+    return targets - (w2 @ a + b2), a, w2
 
 
 class TestEngine:
@@ -354,7 +355,7 @@ class TestEngine:
         targets = rng.normal(size=n)
         resid, normal_eqs, _ = mlp.residual_fns(model, inputs, targets)
         expected_r, expected_jac = kernels.residuals_and_jacobian(
-            inputs, targets, kernels._hidden(inputs, model.w1, model.b1), model.w2, model.b2)
+            inputs, *kernel_args(inputs, targets, theta, p, h))
         jtj, jtr = normal_eqs(theta)
         np.testing.assert_array_equal(jtj, expected_jac.T @ expected_jac)
         np.testing.assert_array_equal(jtr, expected_jac.T @ expected_r)
@@ -374,9 +375,9 @@ class TestResidualFnsReuse:
         return model, inputs, targets, mlp.residual_fns(model, inputs, targets)
 
     def expected(self, inputs, targets, theta):
-        args = activations_and_output_layer(inputs, theta, self.P, self.H)
-        return (kernels.residuals_and_jacobian(inputs, targets, *args),
-                kernels.residuals_and_gradient(inputs, targets, *args))
+        args = kernel_args(inputs, targets, theta, self.P, self.H)
+        return (kernels.residuals_and_jacobian(inputs, *args),
+                kernels.residuals_and_gradient(inputs, *args))
 
     def assert_matches(self, normal_eqs, resid_grad, inputs, targets, theta):
         (r_exp, jac_exp), (rg_exp, grad_exp) = self.expected(inputs, targets, theta.copy())
@@ -413,6 +414,12 @@ class TestResidualFnsReuse:
         assert len(hidden) == 1     # normal_eqs's forward pass serves resid_grad
         self.assert_matches(normal_eqs, resid_grad, inputs, targets, t2.copy())
 
+    def test_resid_grad_returns_resids_residuals(self, rng):
+        model, inputs, targets, (resid, _, resid_grad) = self.fit_fns(rng)
+        theta = mlp.flatten(model)
+        r = resid(theta)
+        assert resid_grad(theta)[0] is r
+
     def test_gradient_scratch_is_reused(self, monkeypatch, rng):
         model, inputs, targets, (resid, _, resid_grad) = self.fit_fns(rng)
         scratches = []
@@ -428,8 +435,7 @@ class TestResidualFnsReuse:
         resid(t1)
         for theta in (t1, t2, t1):
             r, grad = resid_grad(theta)
-            r_exp, grad_exp = real(inputs, targets,
-                                   *activations_and_output_layer(inputs, theta, self.P, self.H))
+            r_exp, grad_exp = real(inputs, *kernel_args(inputs, targets, theta, self.P, self.H))
             np.testing.assert_array_equal(r, r_exp)
             np.testing.assert_array_equal(grad, grad_exp)
         assert scratches[0].shape == (self.H, self.N)
@@ -466,12 +472,33 @@ class TestBlocks:
         for got, want in zip(blocked, expected):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("block_rows", [None, 64])
+    def test_blocks_take_slices_of_resids_residuals(self, monkeypatch, rng, block_rows):
+        n = 1000
+        model, inputs, targets, theta = self.problem(rng, n)
+        if block_rows:
+            monkeypatch.setattr(mlp, "BLOCK_ROWS", block_rows)
+        given = []      # the residuals normal_eqs hands the kernel, per block
+        real = kernels.residuals_and_jacobian
+
+        def recording(inputs, res, *args, **kwargs):
+            given.append(res)
+            return real(inputs, res, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "residuals_and_jacobian", recording)
+        resid, normal_eqs, _ = mlp.residual_fns(model, inputs, targets)
+        r = resid(theta)
+        normal_eqs(theta)
+        assert len(given) == -(-n // (block_rows or n))
+        assert all(np.shares_memory(g, r) for g in given)
+        np.testing.assert_array_equal(np.concatenate(given), r)
+
     @pytest.mark.parametrize("cached", [False, True])
     def test_one_block_is_the_whole_jacobian(self, rng, cached):
         model, inputs, targets, theta = self.problem(rng, mlp.BLOCK_ROWS)
         jtj, jtr = self.evaluate(model, inputs, targets, theta, cached)
         expected_r, jac = kernels.residuals_and_jacobian(
-            inputs, targets, *activations_and_output_layer(inputs, theta, self.P, self.H))
+            inputs, *kernel_args(inputs, targets, theta, self.P, self.H))
         np.testing.assert_array_equal(jtj, jac.T @ jac)
         np.testing.assert_array_equal(jtr, jac.T @ expected_r)
 
@@ -664,8 +691,9 @@ class TestBrnn:
         # the damped sum reported gamma = N_w = 28 for this fit
         model, report = train(init(1, 9, 9), bursts, TrainConfig())
         _, jac = kernels.residuals_and_jacobian(
-            bursts.train_inputs, bursts.train_targets,
-            kernels._hidden(bursts.train_inputs, model.w1, model.b1), model.w2, model.b2)
+            bursts.train_inputs, *kernel_args(bursts.train_inputs, bursts.train_targets,
+                                              mlp.flatten(model), model.input_dim,
+                                              model.hidden_dim))
         lam = np.clip(np.linalg.eigvalsh(jac.T @ jac), 0.0, None)
         # the last re-estimate took gamma from the alpha and beta before it
         alpha, beta = report.bayes_trace.alpha[-2], report.bayes_trace.beta[-2]
