@@ -162,7 +162,8 @@ def _cmd_evaluate(args):
     cfg = _pipeline_config(args)
     report = pipeline.evaluate_saved(args.model, pipeline.load_series(cfg))
     print(_test_stats_line(report.test_stats))
-    print(f"ACF fidelity (mean abs diff, lags 1-20): {report.acf_fidelity:.4f}")
+    print(f"ACF fidelity (mean abs diff, lags 1-{pipeline.ACF_MAX_LAG}): "
+          f"{report.acf_fidelity:.4f}")
     if cfg.out_dir:
         print(f"wrote {pipeline.write_eval_report(cfg.out_dir, report)}")
 

@@ -1,8 +1,9 @@
 """Hot numeric kernels for the feedforward network, in vectorized numpy.
 
-Parameter layout for the p -> h -> 1 network (tanh hidden, linear output):
-w1 (h, p), b1 (h,), w2 (h,), b2 scalar. The flat ordering used by the
-optimizers is w1 row-major, then b1, then w2, then b2.
+The p -> h -> 1 network (tanh hidden, linear output) is one flat vector of
+n_params(p, h) parameters: w1 (h, p) row-major, then b1 (h,), w2 (h,) and
+b2. `layers` is the one statement of that order; it splits the first axis
+of a parameter vector, a gradient or the Jacobian's (P, n) rows alike.
 
 Memory layout: hidden activations are (h, n), one contiguous row per hidden
 unit. The Jacobian is built parameter-major, each parameter's derivatives a
@@ -17,7 +18,20 @@ kernels only differentiate: they take `a` and `r`, read both and write neither.
 
 import numpy as np
 
-__all__ = ["forward_batch", "residuals_and_jacobian", "residuals_and_gradient"]
+__all__ = ["n_params", "layers", "forward_batch", "residuals_and_jacobian",
+           "residuals_and_gradient"]
+
+
+def n_params(p, h):
+    """Length of the flat parameter vector of a p -> h -> 1 network."""
+    return h * p + 2 * h + 1
+
+
+def layers(x, p, h):
+    """w1 (h, p, ...), b1 (h, ...), w2 (h, ...) and b2 (1, ...): views along
+    the first axis of `x`, n_params(p, h) long."""
+    return (x[: h * p].reshape(h, p, *x.shape[1:]), x[h * p : h * p + h],
+            x[h * p + h : h * p + 2 * h], x[h * p + 2 * h :])
 
 
 def _hidden(inputs, w1, b1, out=None):
@@ -36,29 +50,29 @@ def forward_batch(inputs, w1, b1, w2, b2, hidden_out=None):
 
 def residuals_and_jacobian(inputs, res, a, w2, out=None):
     """The residuals `res` (n,), returned as given, and their analytic
-    Jacobian dr_i/dtheta_j of shape (n, h*p + 2h + 1) at the activations `a`
-    (h, n) of `inputs` (n, p). The Jacobian does not depend on `res`.
+    Jacobian dr_i/dtheta_j of shape (n, n_params(p, h)) at the activations
+    `a` (h, n) of `inputs` (n, p). The Jacobian does not depend on `res`.
 
     The Jacobian is written into `out` when given (F-contiguous, that
     shape) and returned; otherwise a new F-ordered array is allocated. No
     (h, n) array is made."""
     n, p = inputs.shape
     h = a.shape[0]
-    shape = (n, h * p + 2 * h + 1)
+    shape = (n, n_params(p, h))
     if out is None:
         jac = np.empty(shape, order="F")
     elif out.shape != shape or not out.flags.f_contiguous:
         raise ValueError(f"out must be an F-contiguous {shape} array")
     else:
         jac = out
-    rows = jac.T                               # (P, n), C-contiguous
-    neg_s = rows[h * p : h * p + h]            # b1 rows, -d(out)/d(z_j)
+    # row groups of jac.T, C-contiguous (P, n); the b1 rows are -d(out)/d(z_j)
+    d_w1, neg_s, d_w2, d_b2 = layers(jac.T, p, h)
     np.multiply(a, a, out=neg_s)
     neg_s -= 1.0
     neg_s *= w2[:, None]
-    np.multiply(neg_s[:, None, :], inputs.T, out=rows[: h * p].reshape(h, p, n))
-    np.negative(a, out=rows[h * p + h : h * p + 2 * h])
-    rows[-1] = -1.0
+    np.multiply(neg_s[:, None, :], inputs.T, out=d_w1)
+    np.negative(a, out=d_w2)
+    d_b2[:] = -1.0
     return res, jac
 
 

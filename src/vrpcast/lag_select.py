@@ -37,13 +37,18 @@ def _hist_entropy(probabilities) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def _check_sample(size, bins):
+    """ValueError unless bins >= 2 and a sample of `size` fills 4 per bin."""
+    if bins < 2:
+        raise ValueError("need bins >= 2")
+    if size < 4 * bins:
+        raise ValueError(f"need at least 4*bins={4 * bins} samples, got {size}")
+
+
 def shannon_entropy(samples, bins: int = DEFAULT_BINS) -> float:
     """Histogram plug-in entropy in nats over equal-width bins."""
     x = np.asarray(samples, dtype=float)
-    if bins < 2:
-        raise ValueError("need bins >= 2")
-    if x.size < 4 * bins:
-        raise ValueError(f"need at least 4*bins={4 * bins} samples, got {x.size}")
+    _check_sample(x.size, bins)
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         log.warning("constant sample: entropy degenerates to 0")
@@ -62,10 +67,7 @@ def relative_entropy_pair(x, y, bins: int = DEFAULT_BINS) -> float:
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
         raise ValueError("x and y must have equal length")
-    if bins < 2:
-        raise ValueError("need bins >= 2")
-    if x.size < 4 * bins:
-        raise ValueError(f"need at least 4*bins={4 * bins} samples, got {x.size}")
+    _check_sample(x.size, bins)
     if x.min() == x.max() or y.min() == y.max():
         raise DegenerateDataError("degenerate marginal (constant sample)")
     joint, _, _ = np.histogram2d(x, y, bins=bins)

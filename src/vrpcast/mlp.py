@@ -1,6 +1,7 @@
 """The p -> h -> 1 feedforward network: representation, init, forward pass,
 and the normal equations J'J, J'r of the analytic residual Jacobian J,
-summed over row blocks, that the second-order trainers consume."""
+summed over row blocks, that the second-order trainers consume. A network
+is its flat parameter vector, in the layout of `kernels.layers`."""
 
 from dataclasses import dataclass, field
 
@@ -19,35 +20,32 @@ BLOCK_ROWS = 4096
 
 @dataclass(frozen=True)
 class MlpModel:
-    """tanh-hidden, linear-output network. Immutable after construction."""
+    """tanh-hidden, linear-output network of layer sizes p = input_dim and
+    h = hidden_dim, held as one read-only float copy of its flat parameter
+    vector `params`, kernels.n_params(p, h) long. w1 (h, p), b1 (h,) and
+    w2 (h,) are views of `params` through kernels.layers, and b2 a float.
+    Immutable after construction."""
 
-    w1: np.ndarray = field(repr=False)   # (h, p)
-    b1: np.ndarray = field(repr=False)   # (h,)
-    w2: np.ndarray = field(repr=False)   # (h,)
-    b2: float
+    params: np.ndarray = field(repr=False)
+    input_dim: int
+    hidden_dim: int
 
     def __post_init__(self):
-        for name in ("w1", "b1", "w2"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-        h, p = self.w1.shape
-        if self.b1.shape != (h,) or self.w2.shape != (h,):
-            raise ValueError("inconsistent layer shapes")
-        if not (np.all(np.isfinite(self.w1)) and np.all(np.isfinite(self.b1))
-                and np.all(np.isfinite(self.w2)) and np.isfinite(self.b2)):
+        params = np.array(self.params, dtype=float)
+        expected = kernels.n_params(self.input_dim, self.hidden_dim)
+        if params.shape != (expected,):
+            raise ValueError(f"expected {expected} parameters, got {params.shape}")
+        if not np.all(np.isfinite(params)):
             raise ValueError("parameters must be finite")
-
-    @property
-    def input_dim(self):
-        return self.w1.shape[1]
-
-    @property
-    def hidden_dim(self):
-        return self.w1.shape[0]
+        params.flags.writeable = False
+        w1, b1, w2, b2 = kernels.layers(params, self.input_dim, self.hidden_dim)
+        for name, value in zip(("params", "w1", "b1", "w2", "b2"),
+                               (params, w1, b1, w2, float(b2[0]))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_params(self):
-        h, p = self.w1.shape
-        return h * p + 2 * h + 1
+        return self.params.size
 
 
 def init(p: int, h: int, seed: int) -> MlpModel:
@@ -55,53 +53,34 @@ def init(p: int, h: int, seed: int) -> MlpModel:
     if p < 1 or h < 1:
         raise ValueError("p and h must be >= 1")
     rng = np.random.default_rng(seed)
-    r1 = np.sqrt(6.0 / (p + h))
-    r2 = np.sqrt(6.0 / (h + 1))
-    return MlpModel(
-        w1=rng.uniform(-r1, r1, size=(h, p)),
-        b1=np.zeros(h),
-        w2=rng.uniform(-r2, r2, size=h),
-        b2=0.0,
-    )
+    theta = np.zeros(kernels.n_params(p, h))
+    w1, _, w2, _ = kernels.layers(theta, p, h)
+    r1, r2 = np.sqrt(6.0 / (p + h)), np.sqrt(6.0 / (h + 1))
+    w1[:] = rng.uniform(-r1, r1, size=(h, p))
+    w2[:] = rng.uniform(-r2, r2, size=h)
+    return MlpModel(theta, p, h)
 
 
 def flatten(model: MlpModel) -> np.ndarray:
-    """Parameter vector in the fixed order w1 row-major, b1, w2, b2."""
-    return np.concatenate(
-        [model.w1.ravel(), model.b1, model.w2, [model.b2]]
-    )
-
-
-def _layers(theta, p: int, h: int):
-    """(w1, b1, w2, b2) as views of the flat vector theta (b2 a scalar)."""
-    return (theta[: h * p].reshape(h, p), theta[h * p : h * p + h],
-            theta[h * p + h : h * p + 2 * h], theta[-1])
+    """A writable copy of the model's flat parameter vector."""
+    return model.params.copy()
 
 
 def unflatten(theta, p: int, h: int) -> MlpModel:
-    theta = np.asarray(theta, dtype=float)
-    expected = h * p + 2 * h + 1
-    if theta.shape != (expected,):
-        raise ValueError(f"expected {expected} parameters, got {theta.shape}")
-    w1, b1, w2, b2 = _layers(theta, p, h)
-    return MlpModel(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=float(b2))
+    """The p -> h -> 1 model of the flat parameter vector theta."""
+    return MlpModel(theta, p, h)
+
+
+def _check_inputs(model: MlpModel, inputs):
+    inputs = np.ascontiguousarray(inputs, dtype=float)
+    if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
+        raise ValueError("inputs must be (n, p)")
+    return inputs
 
 
 def forward_batch(model: MlpModel, inputs) -> np.ndarray:
-    inputs = np.ascontiguousarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
-        raise ValueError("inputs must be (n, p)")
-    return kernels.forward_batch(inputs, model.w1, model.b1, model.w2, model.b2)
-
-
-def _check_xy(model: MlpModel, inputs, targets):
-    inputs = np.ascontiguousarray(inputs, dtype=float)
-    targets = np.ascontiguousarray(targets, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
-        raise ValueError("inputs must be (n, p)")
-    if targets.shape != (inputs.shape[0],):
-        raise ValueError("targets length must match the number of input rows")
-    return inputs, targets
+    return kernels.forward_batch(_check_inputs(model, inputs),
+                                 model.w1, model.b1, model.w2, model.b2)
 
 
 def residual_fns(model: MlpModel, inputs, targets):
@@ -127,7 +106,10 @@ def residual_fns(model: MlpModel, inputs, targets):
     Jacobian; with more they differ from those by rounding only. resid_grad
     back-propagates into one (h, n) scratch buffer of the fit, made at its
     first call, where the kernel would make a new array per call."""
-    inputs, targets = _check_xy(model, inputs, targets)
+    inputs = _check_inputs(model, inputs)
+    targets = np.ascontiguousarray(targets, dtype=float)
+    if targets.shape != (inputs.shape[0],):
+        raise ValueError("targets length must match the number of input rows")
     p, h = model.input_dim, model.hidden_dim
     n, n_w = targets.size, model.n_params
     block = np.empty(min(n, BLOCK_ROWS) * n_w)
@@ -145,7 +127,7 @@ def residual_fns(model: MlpModel, inputs, targets):
 
     def resid(theta):
         nonlocal res, act_key
-        out = kernels.forward_batch(inputs, *_layers(theta, p, h), hidden_out=act)
+        out = kernels.forward_batch(inputs, *kernels.layers(theta, p, h), hidden_out=act)
         res, act_key = targets - out, theta.tobytes()
         return res
 
@@ -153,7 +135,7 @@ def residual_fns(model: MlpModel, inputs, targets):
         """w2 of theta, with `act` and `res` holding theta's activations and residuals."""
         if theta.tobytes() != act_key:
             resid(theta)
-        return _layers(theta, p, h)[2]
+        return kernels.layers(theta, p, h)[2]
 
     def normal_eqs(theta):
         w2 = output_layer(theta)
@@ -190,7 +172,7 @@ def save(model: MlpModel, path, provenance: dict | None = None) -> None:
         "input_dim": model.input_dim,
         "hidden_dim": model.hidden_dim,
         **ACTIVATIONS,
-        "params": [float(v) for v in flatten(model)],
+        "params": model.params.tolist(),
         "provenance": provenance or {},
     })
 
@@ -217,7 +199,7 @@ def load(path) -> tuple[MlpModel, dict]:
         if payload[key] < 1:
             raise DataFormatError(f"{path} key {key!r} must be at least 1, got {payload[key]!r}")
     try:
-        model = unflatten(payload["params"], payload["input_dim"], payload["hidden_dim"])
+        model = MlpModel(payload["params"], payload["input_dim"], payload["hidden_dim"])
     except ValueError as exc:
         raise DataFormatError(f"{path} key 'params': {exc}") from exc
     return model, payload.get("provenance", {})

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import vrpcast
-from vrpcast import (cli, forecast_multi_step, generate_synthetic, mlp, series_ops,
-                     stat_tests, trainers)
+from vrpcast import (cli, forecast_multi_step, generate_synthetic, mlp, pipeline,
+                     series_ops, stat_tests, trainers)
 from vrpcast.data_ingest import save_csv
 from vrpcast.series_ops import NormParams, fit_normalizer
 
@@ -145,6 +145,8 @@ class TestTrainForecastEvaluate:
                        "--input", series_csv, "--out", tmp_path / "ev") == 0
         payload = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
         assert "test_stats" in payload
+        assert (f"ACF fidelity (mean abs diff, lags 1-{pipeline.ACF_MAX_LAG}): "
+                f"{payload['acf_fidelity']:.4f}\n") in capsys.readouterr().out
 
     def test_evaluate_uses_saved_normalizer(self, series_csv, tmp_path):
         out = tmp_path / "run"

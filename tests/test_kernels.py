@@ -100,3 +100,16 @@ def test_gradient_scratch_matches_allocating_kernel(rng, n, p, h):
     res_s, grad_s = kernels.residuals_and_gradient(inputs, *args, scratch=scratch)
     assert res_s is res
     np.testing.assert_array_equal(grad_s, grad)
+
+
+@pytest.mark.parametrize("tail", [(), (5,)])
+def test_layers_are_views_in_flat_order(tail):
+    p, h = 3, 2
+    x = np.arange(kernels.n_params(p, h) * int(np.prod(tail)), dtype=float).reshape(-1, *tail)
+    w1, b1, w2, b2 = kernels.layers(x, p, h)
+    assert [v.shape for v in (w1, b1, w2, b2)] == [(h, p, *tail), (h, *tail), (h, *tail),
+                                                   (1, *tail)]
+    assert all(np.shares_memory(v, x) for v in (w1, b1, w2, b2))
+    flat = np.concatenate([w1.reshape(h * p, *tail), b1, w2, b2])
+    np.testing.assert_array_equal(flat, x)
+

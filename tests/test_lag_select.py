@@ -61,6 +61,20 @@ class TestRelativeEntropyPair:
             relative_entropy_pair(np.ones(100), np.arange(100.0), 16)
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda x, bins: shannon_entropy(x, bins),
+    lambda x, bins: relative_entropy_pair(x, x[::-1], bins),
+], ids=["shannon_entropy", "relative_entropy_pair"])
+@pytest.mark.parametrize("size, bins, message", [
+    (100, 1, "need bins >= 2"),
+    (63, 16, "need at least 4*bins=64 samples, got 63"),
+])
+def test_sample_checks(rng, estimate, size, bins, message):
+    with pytest.raises(ValueError) as info:
+        estimate(rng.uniform(size=size), bins)
+    assert str(info.value) == message
+
+
 class TestEntropyProfile:
     def test_white_noise_selects_lag_one(self):
         series = generate_synthetic({"kind": "white_noise", "n": 5000}, 3)

@@ -32,6 +32,16 @@ class TestInit:
         np.testing.assert_array_equal(a.w1, b.w1)
         np.testing.assert_array_equal(a.w2, b.w2)
 
+    @pytest.mark.parametrize("p, h, seed", [(1, 1, 0), (6, 9, 4), (3, 13, 31000), (20, 2, 7)])
+    def test_draws(self, p, h, seed):
+        """Glorot draws for w1 (h, p), then w2, from one default_rng(seed);
+        zero biases."""
+        rng = np.random.default_rng(seed)
+        w1 = rng.uniform(-np.sqrt(6.0 / (p + h)), np.sqrt(6.0 / (p + h)), (h, p))
+        w2 = rng.uniform(-np.sqrt(6.0 / (h + 1)), np.sqrt(6.0 / (h + 1)), h)
+        np.testing.assert_array_equal(mlp.flatten(init(p, h, seed)),
+                                      np.concatenate([w1.ravel(), np.zeros(h), w2, [0.0]]))
+
     def test_param_count(self):
         assert init(6, 9, 0).n_params == 6 * 9 + 9 + 9 + 1
 
@@ -48,11 +58,11 @@ class TestInit:
 
 class TestForward:
     def test_zero_parameters(self, rng):
-        model = mlp.MlpModel(np.zeros((3, 2)), np.zeros(3), np.zeros(3), 0.0)
+        model = mlp.MlpModel(np.zeros(kernels.n_params(2, 3)), 2, 3)
         assert mlp.forward_batch(model, rng.normal(size=2)[None])[0] == 0.0
 
     def test_tanh_saturation(self):
-        model = mlp.MlpModel(np.zeros((1, 2)), np.array([50.0]), np.array([4.2]), 0.0)
+        model = mlp.MlpModel([0.0, 0.0, 50.0, 4.2, 0.0], 2, 1)     # w1, b1, w2, b2
         x = np.array([0.3, -0.3])
         assert mlp.forward_batch(model, x[None])[0] == pytest.approx(4.2, abs=1e-12)
 
@@ -73,12 +83,10 @@ class TestForward:
 
     def test_hidden_sign_symmetry(self, rng):
         model = init(4, 3, 2)
-        flipped = mlp.MlpModel(
-            model.w1 * np.array([[-1], [1], [1]]),
-            model.b1 * np.array([-1, 1, 1]),
-            model.w2 * np.array([-1, 1, 1]),
-            model.b2,
-        )
+        theta = mlp.flatten(model)
+        for layer in kernels.layers(theta, 4, 3)[:3]:   # hidden unit 0's w1 row, b1, w2
+            layer[0] *= -1
+        flipped = mlp.MlpModel(theta, 4, 3)
         x = rng.uniform(0, 1, 4)
         assert mlp.forward_batch(model, x[None])[0] == pytest.approx(
             mlp.forward_batch(flipped, x[None])[0], abs=1e-14)
@@ -92,6 +100,26 @@ class TestFlatten:
         np.testing.assert_array_equal(model.b1, again.b1)
         np.testing.assert_array_equal(model.w2, again.w2)
         assert model.b2 == again.b2
+
+    def test_model_is_its_flat_vector(self):
+        theta = np.arange(kernels.n_params(3, 2), dtype=float)
+        model = mlp.MlpModel(theta, 3, 2)
+        theta[0] = -1.0                            # the model holds a copy
+        assert model.n_params == 11 and not model.params.flags.writeable
+        np.testing.assert_array_equal(model.params, np.arange(11.0))
+        np.testing.assert_array_equal(model.w1, [[0, 1, 2], [3, 4, 5]])
+        np.testing.assert_array_equal(model.b1, [6, 7])
+        np.testing.assert_array_equal(model.w2, [8, 9])
+        assert model.b2 == 10.0 and type(model.b2) is float
+        assert all(np.shares_memory(layer, model.params)
+                   for layer in (model.w1, model.b1, model.w2))
+        copy = mlp.flatten(model)
+        copy[0] = 5.0
+        assert model.params[0] == 0.0
+
+    def test_nonfinite_parameter(self):
+        with pytest.raises(ValueError, match="finite"):
+            mlp.MlpModel([0.0, 0.0, 0.0, np.nan], 1, 1)
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):

@@ -235,8 +235,7 @@ class TestForecastMultiStep:
     def test_zero_residual_model_forecasts_flat(self):
         _, norm, window, last = self.make_context()
         # constant output at the normalized image of residual 0
-        flat = mlp.MlpModel(np.zeros((1, 3)), np.zeros(1), np.zeros(1),
-                            float(norm.apply(0.0)))
+        flat = mlp.MlpModel([0.0] * 5 + [float(norm.apply(0.0))], 3, 1)
         forecast = forecast_multi_step(flat, window, 6, norm, last)
         np.testing.assert_allclose(forecast, last, rtol=1e-12)
 

@@ -143,7 +143,7 @@ def count_scg_gradients(monkeypatch):
 def kernel_args(inputs, targets, theta, p, h):
     """(res, a, w2) of the flat vector theta, the residual kernels' arguments
     after the inputs, computed apart from mlp.residual_fns."""
-    w1, b1, w2, b2 = mlp._layers(theta, p, h)
+    w1, b1, w2, b2 = kernels.layers(theta, p, h)
     a = kernels._hidden(inputs, w1, b1)
     return targets - (w2 @ a + b2), a, w2
 
