@@ -292,16 +292,6 @@ def save_csv(series: TimeSeries, path) -> None:
               [map(datetime.isoformat, series.timestamps), series.values])
 
 
-def _ar_spectral_radius(phi) -> float:
-    q = len(phi)
-    if q == 1:
-        return abs(phi[0])
-    companion = np.zeros((q, q))
-    companion[0, :] = phi
-    companion[1:, :-1] = np.eye(q - 1)
-    return float(np.max(np.abs(np.linalg.eigvals(companion))))
-
-
 def generate_synthetic(spec: dict, seed: int) -> TimeSeries:
     """Deterministic synthetic series for tests and demos.
 
@@ -326,9 +316,10 @@ def generate_synthetic(spec: dict, seed: int) -> TimeSeries:
         values = np.cumsum(spec.get("mean", 0.0) + rng.normal(0.0, sigma, n))
     elif kind == "ar":
         phi = np.asarray(spec.get("phi", ()), dtype=float)
-        if phi.size == 0:
-            raise ValueError("ar mode requires non-empty phi")
-        if _ar_spectral_radius(phi) >= 1.0:
+        if phi.size == 0 or not np.all(np.isfinite(phi)):
+            raise ValueError(f"ar mode requires non-empty, finite phi, not {phi.tolist()}")
+        # np.roots takes the eigenvalues of the AR recursion's companion matrix
+        if np.max(np.abs(np.roots(np.r_[1.0, -phi]))) >= 1.0:
             raise DegenerateDataError(
                 "unstable AR coefficients (spectral radius >= 1)"
             )

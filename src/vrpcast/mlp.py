@@ -18,13 +18,15 @@ from .errors import DataFormatError
 BLOCK_ROWS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlpModel:
     """tanh-hidden, linear-output network of layer sizes p = input_dim and
     h = hidden_dim, held as one read-only float copy of its flat parameter
     vector `params`, kernels.n_params(p, h) long. w1 (h, p), b1 (h,) and
     w2 (h,) are views of `params` through kernels.layers, and b2 a float.
-    Immutable after construction."""
+    Immutable after construction. Two models are equal, and hash equal, when
+    their sizes and the bytes of their parameters are (so 0.0 and -0.0
+    differ)."""
 
     params: np.ndarray = field(repr=False)
     input_dim: int
@@ -42,6 +44,15 @@ class MlpModel:
         for name, value in zip(("params", "w1", "b1", "w2", "b2"),
                                (params, w1, b1, w2, float(b2[0]))):
             object.__setattr__(self, name, value)
+
+    def _key(self):
+        return self.input_dim, self.hidden_dim, self.params.tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, MlpModel) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n_params(self):

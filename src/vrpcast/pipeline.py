@@ -36,8 +36,8 @@ class PipelineConfig:
     max_lag: int = 12
     bins: int = lag_select.DEFAULT_BINS
     hidden: Union[int, tuple] = (2, 25)
-    algorithm: str = "brnn"
-    max_epochs: int = 1000
+    algorithm: str = trainers.TrainConfig.algorithm
+    max_epochs: int = trainers.TrainConfig.max_epochs
     out_dir: Optional[str] = None
     seed: int = 0
 
@@ -241,13 +241,11 @@ def evaluate_saved(model_path, series: TimeSeries) -> EvalReport:
     """Stage `evaluate`: evaluate() of the model saved at model_path on
     `series`, whose patterns use the lag, train fraction and normaliser
     recorded in the model's provenance."""
-    model, provenance = _load_saved(model_path, ("lag", "norm"))
+    model, provenance, norm = _load_saved(model_path, ("lag", "norm"))
     diff = _stage("difference", series_ops.difference, series)
     patterns = _stage(
         "extract-patterns", series_ops.extract_patterns, diff.residuals,
-        provenance["lag"], provenance.get("train_fraction", PipelineConfig.train_fraction),
-        series_ops.NormParams(**provenance["norm"]),
-    )
+        provenance["lag"], provenance.get("train_fraction", PipelineConfig.train_fraction), norm)
     return _stage("evaluate", evaluate, model, patterns, series.values, provenance)
 
 
@@ -258,8 +256,7 @@ def forecast_saved(model_path, horizon, series: Optional[TimeSeries] = None):
     model's provenance."""
     needs = ("norm",) if series is not None else (
         "norm", "last_window_residuals", "last_observed_value")
-    model, provenance = _load_saved(model_path, needs)
-    norm = series_ops.NormParams(**provenance["norm"])
+    model, provenance, norm = _load_saved(model_path, needs)
     if series is None:
         window = provenance["last_window_residuals"]
         last_value = provenance["last_observed_value"]
@@ -299,28 +296,26 @@ def _model_provenance(config, hidden, report, prep: Prepared):
 # type; each reader requires the ones it uses.
 _PROVENANCE_TYPES = {"lag": int, "train_fraction": float, "norm": dict,
                      "last_window_residuals": list, "last_observed_value": float}
-_NORM_TYPES = {"min": float, "max": float}
+_NORM_TYPES = {f.name: f.type for f in fields(series_ops.NormParams)}
 
 
 def _load_saved(path, needs):
-    """mlp.load of the model file at `path`. DataFormatError, naming the
+    """mlp.load of the model file at `path`, and the NormParams of its
+    provenance's norm (None without one). DataFormatError, naming the
     file and the key, when a provenance key in `needs` is missing, one of
-    _PROVENANCE_TYPES is of another type, the norm holds another key, a norm
-    bound, forecast-window residual or last observed value is not finite,
-    the norm's max does not exceed its min, the train fraction is not in
-    (0, 1), or the lag or forecast window does not match the input size."""
+    _PROVENANCE_TYPES is of another type, the norm holds another key or
+    fails NormParams' check, a forecast-window residual or the last observed
+    value is not finite, the train fraction is not in (0, 1), or the lag or
+    forecast window does not match the input size."""
     model, provenance = mlp.load(path)
     check_json(f"{path} provenance", provenance, _PROVENANCE_TYPES, needs, closed=False)
     norm = provenance.get("norm")
     if norm is not None:
         check_json(f"{path} provenance.norm", norm, _NORM_TYPES, _NORM_TYPES, closed=True)
-        for key, value in norm.items():
-            if not math.isfinite(value):
-                raise DataFormatError(f"{path} provenance.norm key {key!r} must be finite, "
-                                      f"got {value!r}")
-        if not norm["max"] > norm["min"]:
-            raise DataFormatError(f"{path} provenance.norm key 'max' must exceed 'min', "
-                                  f"got {norm['max']!r} <= {norm['min']!r}")
+        try:
+            norm = series_ops.NormParams(**norm)
+        except DegenerateDataError as exc:
+            raise DataFormatError(f"{path} provenance.norm: {exc}") from exc
     fraction = provenance.get("train_fraction")
     if fraction is not None and not 0.0 < fraction < 1.0:
         raise DataFormatError(f"{path} provenance key 'train_fraction' must be in (0, 1), "
@@ -337,7 +332,7 @@ def _load_saved(path, needs):
     if (lag, n_window) != (p, p):
         raise DataFormatError(f"{path}: input_dim is {p}, but the provenance lag is "
                               f"{lag} and last_window_residuals has {n_window} values")
-    return model, provenance
+    return model, provenance, norm
 
 
 def run_pipeline(config: PipelineConfig, series: Optional[TimeSeries] = None):

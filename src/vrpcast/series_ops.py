@@ -21,14 +21,21 @@ class DifferencedSeries:
 
 @dataclass(frozen=True)
 class NormParams:
-    """Min-max mapping to [0, 1] fitted on training data only."""
+    """Min-max mapping to [0, 1] fitted on training data only. The one check
+    of a normaliser: min and max are finite and max > min, else a
+    DegenerateDataError naming the field."""
 
     min: float
     max: float
 
     def __post_init__(self):
+        for name in ("min", "max"):
+            if not np.isfinite(getattr(self, name)):
+                raise DegenerateDataError(f"normalizer {name!r} must be finite, "
+                                          f"got {getattr(self, name)!r}")
         if not self.max > self.min:
-            raise DegenerateDataError("degenerate normalizer: max must exceed min")
+            raise DegenerateDataError("normalizer 'max' must exceed 'min', "
+                                      f"got {self.max!r} <= {self.min!r}")
 
     def apply(self, x):
         return (np.asarray(x, dtype=float) - self.min) / (self.max - self.min)
@@ -82,10 +89,7 @@ def fit_normalizer(values) -> NormParams:
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise DegenerateDataError("need at least 2 values to fit a normalizer")
-    lo, hi = float(values.min()), float(values.max())
-    if hi == lo:
-        raise DegenerateDataError("cannot normalize a constant sample")
-    return NormParams(lo, hi)
+    return NormParams(float(values.min()), float(values.max()))
 
 
 def extract_patterns(residuals, p: int, train_fraction: float,

@@ -10,13 +10,15 @@ linear solve of the damped normal equations, as in MATLAB's trainlm and
 trainbr; only the Bayesian variant's gamma takes J'J's eigenvalues.
 
 Fits run on the flat parameter vector (mlp.residual_fns) and build one model,
-from the result. Fixed constants: MU_FACTOR, MU_FLOOR, MU_MAX (damping,
-Marquardt 1963), OBJECTIVE_TOLERANCE, GRADIENT_TOLERANCE (stopping),
-E_D_TOLERANCE and GAMMA_TOLERANCE (the BRNN stop), GAMMA_PLATEAU and
-PLATEAU_SIZES (the BRNN grid stop, Foresee & Hagan 1997), VALIDATION_FRACTION
-and MAX_FAIL (the validation stop, MATLAB's trainlm with divideblock's
-time-ordered split; Prechelt 1998), SCG_SIGMA and SCG_LAMBDA_INIT (sigma and
-lambda_1, Moller 1993).
+from the result. Each rule has one owner: train alone decides which rows a
+fit descends and builds their residual functions, and CONVERGED alone names
+the stop reasons that mean converged. Fixed constants: MU_FACTOR, MU_FLOOR,
+MU_MAX (damping, Marquardt 1963), OBJECTIVE_TOLERANCE, GRADIENT_TOLERANCE
+(stopping), E_D_TOLERANCE and GAMMA_TOLERANCE (the BRNN stop), GAMMA_PLATEAU
+and PLATEAU_SIZES (the BRNN grid stop, Foresee & Hagan 1997),
+VALIDATION_FRACTION and MAX_FAIL (the validation stop, MATLAB's trainlm with
+divideblock's time-ordered split; Prechelt 1998), SCG_SIGMA and
+SCG_LAMBDA_INIT (sigma and lambda_1, Moller 1993).
 """
 
 import logging
@@ -46,6 +48,8 @@ SCG_SIGMA = 1e-4
 SCG_LAMBDA_INIT = 1e-6
 
 ALGORITHMS = ("lm", "scg", "brnn")
+# the stop reasons (TrainReport.stop_reason) that mean a fit converged
+CONVERGED = ("gradient", "objective", "validation", "e_d_and_gamma")
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,7 @@ class TrainReport:
     of their values one or two accepted steps back; two steps back ends a
     fit that swaps between two states), "mu_overflow" or "max_epochs"; for scg
     "gradient", "objective_stall", "lambda_overflow", "zero_direction" or
-    "max_epochs". converged is True for "gradient", "objective",
-    "validation" and "e_d_and_gamma".
+    "max_epochs". converged is stop_reason in CONVERGED.
 
     epoch_trace holds F at the start and at each accepted point, under the
     alpha and beta that its step minimized, over the rows the fit descends.
@@ -138,6 +141,10 @@ class GridRow:
     gamma: Optional[float] = None
     error: Optional[str] = None
     skipped: Optional[str] = None
+
+
+def _sse(r):
+    return float(r @ r)
 
 
 def _as_xy(patterns):
@@ -191,17 +198,13 @@ def lm_least_squares(
     """
     if config.algorithm not in ("lm", "brnn"):
         raise ValueError(f"lm_least_squares runs lm and brnn, not {config.algorithm}")
-
-    def sse(r):
-        return float(r @ r)
-
     theta = np.asarray(theta0, dtype=float).copy()
     n_w = theta.size
     r = resid(theta)
     n_d = r.size
     if n_d == 0:
         raise TrainingError("no training patterns")
-    e_d = sse(r)
+    e_d = _sse(r)
     e_w = float(theta @ theta)
     bayes = config.algorithm == "brnn"
     reestimate = config.reestimates_alpha
@@ -217,7 +220,7 @@ def lm_least_squares(
     trace = [objective]
     history = [(e_d, gamma, alpha, beta, mu)]
     if validation is not None:
-        best_val = sse(validation(theta))
+        best_val = _sse(validation(theta))
         val_trace = [best_val]
         best = theta, e_d, e_w     # theta is never written in place
         fails = 0
@@ -240,7 +243,7 @@ def lm_least_squares(
             except np.linalg.LinAlgError:
                 e_w_new = np.nan    # a singular system, rejected as a non-finite step is
             if np.isfinite(e_w_new):
-                e_d_new = sse(resid(theta_new))
+                e_d_new = _sse(resid(theta_new))
                 obj_new = beta * e_d_new + alpha * e_w_new
                 if np.isfinite(obj_new) and obj_new <= objective:
                     accepted = True
@@ -255,7 +258,7 @@ def lm_least_squares(
         theta, e_d, e_w = theta_new, e_d_new, e_w_new
         trace.append(obj_new)
         if validation is not None:
-            val_trace.append(sse(validation(theta)))
+            val_trace.append(_sse(validation(theta)))
             if val_trace[-1] < best_val:
                 best, best_val, fails = (theta, e_d, e_w), val_trace[-1], 0
             else:
@@ -293,7 +296,7 @@ def lm_least_squares(
         e_d += best_val
     report = TrainReport(
         epoch_trace=tuple(trace),
-        converged=stop_reason in ("gradient", "objective", "validation", "e_d_and_gamma"),
+        converged=stop_reason in CONVERGED,
         stop_reason=stop_reason,
         epochs_used=epochs,
         e_d=e_d,
@@ -399,33 +402,19 @@ def train(model, patterns, config: TrainConfig):
     residuals of every training row. lm_least_squares and TrainReport give
     the details."""
     inputs, targets = _as_xy(patterns)
-    if config.algorithm == "scg":
-        resid, _, resid_grad = mlp.residual_fns(model, inputs, targets)
-
-        def objective(theta):
-            r = resid(theta)
-            return float(r @ r)
-
-        def gradient(theta):
-            return 2.0 * resid_grad(theta)[1]
-
+    scg = config.algorithm == "scg"
+    n_val = 0 if scg or config.reestimates_alpha else int(VALIDATION_FRACTION * targets.size)
+    n_fit = targets.size - n_val
+    resid, normal_eqs, resid_grad = mlp.residual_fns(model, inputs[:n_fit], targets[:n_fit])
+    if scg:
         theta, trace, stop_reason, iters = scg_minimize(
-            objective, gradient, mlp.flatten(model), max_iter=config.max_epochs)
-        report = TrainReport(
-            epoch_trace=tuple(trace),
-            converged=stop_reason == "gradient",
-            stop_reason=stop_reason,
-            epochs_used=iters,
-            e_d=trace[-1],
-            e_w=float(theta @ theta),
-        )
+            lambda theta: _sse(resid(theta)), lambda theta: 2.0 * resid_grad(theta)[1],
+            mlp.flatten(model), max_iter=config.max_epochs)
+        report = TrainReport(tuple(trace), stop_reason in CONVERGED, stop_reason, iters,
+                             e_d=trace[-1], e_w=float(theta @ theta))
     else:
-        n_val = 0 if config.reestimates_alpha else int(VALIDATION_FRACTION * targets.size)
-        n_fit = targets.size - n_val
-        resid, normal_eqs, _ = mlp.residual_fns(model, inputs[:n_fit], targets[:n_fit])
-        validation = None
-        if n_val:
-            validation = mlp.residual_fns(model, inputs[n_fit:], targets[n_fit:])[0]
+        validation = (mlp.residual_fns(model, inputs[n_fit:], targets[n_fit:])[0]
+                      if n_val else None)
         theta, report = lm_least_squares(resid, normal_eqs, mlp.flatten(model), config,
                                          validation=validation)
     return mlp.unflatten(theta, model.input_dim, model.hidden_dim), report
@@ -437,11 +426,11 @@ def initial_model(p, h, seed):
 
 
 def grid_search_fit(patterns, h_range, config: TrainConfig, seed: int = 0):
-    """Train one model per hidden size of h_range, which must ascend, from
-    initial_model(p, h, seed), and pick the trained size with the lowest final
-    training MSE, the report's e_d over the number of training rows; a tie
-    stays with the smaller h. Sizes whose training aborts are excluded.
-    Only the best fit so far is kept.
+    """Train one model per hidden size of h_range, which must strictly ascend
+    (ValueError otherwise), from initial_model(p, h, seed), and pick the
+    trained size with the lowest final training MSE, the report's e_d over
+    the number of training rows; a tie stays with the smaller h. Sizes whose
+    training aborts are excluded. Only the best fit so far is kept.
 
     A brnn grid that re-estimates alpha stops growing h once gamma has grown
     by less than GAMMA_PLATEAU, relative, from one trained size to the next
@@ -454,6 +443,8 @@ def grid_search_fit(patterns, h_range, config: TrainConfig, seed: int = 0):
     last size's message, when every size aborts."""
     if not h_range:
         raise ValueError("h_range must be non-empty")
+    if not all(a < b for a, b in zip(h_range, h_range[1:])):
+        raise ValueError(f"h_range must strictly ascend, not {list(h_range)}")
     inputs, targets = _as_xy(patterns)
     rows = []
     best = None     # (row, model, report) of the best trained size so far
@@ -463,7 +454,8 @@ def grid_search_fit(patterns, h_range, config: TrainConfig, seed: int = 0):
             rows.append(GridRow(h, skipped=skipped))
             continue
         try:
-            trained, report = train(initial_model(inputs.shape[1], h, seed), patterns, config)
+            trained, report = train(initial_model(inputs.shape[1], h, seed), (inputs, targets),
+                                    config)
         except TrainingError as exc:
             log.warning("hidden size %d aborted: %s", h, exc)
             rows.append(GridRow(h, error=str(exc)))

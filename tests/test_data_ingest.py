@@ -478,3 +478,37 @@ def test_recursions_match_the_elementwise_recursion(spec, seed):
     values = generate_synthetic(spec, seed).values
     assert values.dtype == np.float64
     assert values.tobytes() == elementwise_recursion(spec, seed).tobytes()
+
+
+class TestInputChecks:
+    def test_time_series_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            TimeSeries((datetime(2020, 1, 1),), np.array([1.0, 2.0]))
+
+    def test_time_series_non_finite_value(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            TimeSeries((datetime(2020, 1, 1), datetime(2020, 1, 2)), np.array([1.0, np.nan]))
+
+    def test_load_csv_unknown_mode(self, tmp_path):
+        path = write(tmp_path, "timestamp,vrp\n2020-01-01,1.0\n")
+        with pytest.raises(ValueError, match="mode must be"):
+            load_csv(path, "watts")
+
+    def test_load_csv_empty_file(self, tmp_path):
+        with pytest.raises(DataFormatError, match="empty file"):
+            load_csv(write(tmp_path, ""))
+
+    def test_synthetic_n_below_one(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            generate_synthetic({"kind": "white_noise", "n": 0}, 0)
+
+    @pytest.mark.parametrize("phi", [None, [], [math.nan], [math.inf], [0.5, math.nan]])
+    def test_synthetic_ar_needs_finite_phi(self, phi):
+        spec = {"kind": "ar", "n": 50} if phi is None else {"kind": "ar", "n": 50, "phi": phi}
+        with pytest.raises(ValueError, match="ar mode requires non-empty, finite phi"):
+            generate_synthetic(spec, 0)
+
+    @pytest.mark.parametrize("phi", [[1.0], [-1.0], [0.5, 0.5], [0.0, 0.0, 1.2]])
+    def test_synthetic_ar_unstable(self, phi):
+        with pytest.raises(DegenerateDataError, match="unstable AR coefficients"):
+            generate_synthetic({"kind": "ar", "n": 50, "phi": phi}, 0)

@@ -103,3 +103,13 @@ class TestEntropyProfile:
     def test_too_short(self, rng):
         with pytest.raises(ValueError):
             entropy_profile(rng.normal(size=50), 12)
+
+
+def test_relative_entropy_pair_needs_equal_lengths(rng):
+    with pytest.raises(ValueError, match="equal length"):
+        relative_entropy_pair(rng.normal(size=100), rng.normal(size=99), 4)
+
+
+def test_entropy_profile_needs_max_lag_of_one(rng):
+    with pytest.raises(ValueError, match="max_lag must be >= 1"):
+        entropy_profile(rng.normal(size=500), 0)

@@ -192,3 +192,22 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match="schema_version"):
             mlp.load(path)
+
+
+class TestEquality:
+    def test_equal_models(self):
+        assert init(2, 3, 0) == init(2, 3, 0)
+        assert hash(init(2, 3, 0)) == hash(init(2, 3, 0))
+        assert init(2, 3, 0) in [init(2, 3, 0)]
+
+    def test_other_parameters_or_sizes_differ(self):
+        model = init(2, 3, 0)
+        theta = mlp.flatten(model)
+        theta[-1] = 1.0
+        assert model != mlp.unflatten(theta, 2, 3)
+        assert model != init(2, 3, 1)
+        assert mlp.MlpModel(np.zeros(7), 4, 1) != mlp.MlpModel(np.zeros(7), 1, 2)
+        assert model != (2, 3, model.params.tobytes())
+
+    def test_set_of_two_equal_models(self):
+        assert len({init(2, 3, 0), init(2, 3, 0)}) == 1

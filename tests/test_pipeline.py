@@ -15,7 +15,7 @@ from vrpcast import (
     run_pipeline,
 )
 from vrpcast import data_ingest, mlp, pipeline, stat_tests, trainers
-from vrpcast.errors import DataFormatError, PipelineStageError
+from vrpcast.errors import DataFormatError, PipelineStageError, TrainingError
 from vrpcast.series_ops import NormParams
 
 
@@ -310,3 +310,16 @@ class TestCompareAlgorithms:
                              TrainConfig(algorithm=algo, max_epochs=500))
             stats = error_stats(y[200:], mlp.forward_batch(model, x[200:]))
             assert stats.r_squared > 0.99, algo
+
+
+def test_load_series_needs_an_input_path():
+    with pytest.raises(ValueError, match="input_path"):
+        pipeline.load_series(PipelineConfig())
+
+
+def test_non_finite_forecast_is_a_training_error():
+    # tanh(10) ~ 1, so the output 1e308 * tanh(10) + 1e308 overflows to inf
+    model = mlp.MlpModel([1.0, 10.0, 1e308, 1e308], 1, 1)
+    with np.errstate(over="ignore"), pytest.raises(
+            TrainingError, match="non-finite forecast at horizon step 1"):
+        forecast_multi_step(model, [0.5], 3, NormParams(0.0, 1.0), 10.0)

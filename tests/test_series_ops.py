@@ -9,6 +9,7 @@ from vrpcast import (
     undifference,
 )
 from vrpcast.errors import DegenerateDataError
+from vrpcast.series_ops import NormParams
 
 
 class TestDifference:
@@ -151,3 +152,42 @@ class TestAcf:
     def test_error_gives_length_and_lag(self, rng, n, max_lag):
         with pytest.raises(ValueError, match=f"got {n} values and max_lag {max_lag}$"):
             acf(rng.normal(size=n), max_lag)
+
+
+class TestInputChecks:
+    def test_undifference_non_finite_anchor(self):
+        with pytest.raises(ValueError, match="anchor must be finite"):
+            undifference([1.0], np.nan)
+
+    def test_normalizer_needs_two_values(self):
+        with pytest.raises(DegenerateDataError, match="at least 2 values"):
+            fit_normalizer([1.0])
+
+    def test_extract_patterns_lag_below_one(self, rng):
+        with pytest.raises(ValueError, match="lag p must be >= 1"):
+            extract_patterns(rng.normal(size=50), 0, 0.8)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5])
+    def test_extract_patterns_fraction_outside_open_unit(self, rng, fraction):
+        with pytest.raises(ValueError, match=r"train_fraction must be in \(0, 1\)"):
+            extract_patterns(rng.normal(size=50), 3, fraction)
+
+
+class TestNormParamsCheck:
+    """NormParams is the one check of a normaliser, and names the field."""
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        (-np.inf, 1.0, "normalizer 'min' must be finite, got -inf"),
+        (np.nan, 1.0, "normalizer 'min' must be finite, got nan"),
+        (0.0, np.inf, "normalizer 'max' must be finite, got inf"),
+        (1.0, 1.0, "normalizer 'max' must exceed 'min', got 1.0 <= 1.0"),
+        (2.0, 1.0, "normalizer 'max' must exceed 'min', got 1.0 <= 2.0"),
+    ])
+    def test_rejected(self, lo, hi, message):
+        with pytest.raises(DegenerateDataError) as info:
+            NormParams(lo, hi)
+        assert str(info.value) == message
+
+    def test_fit_normalizer_of_a_constant_sample(self):
+        with pytest.raises(DegenerateDataError, match="'max' must exceed 'min', got 3.0 <= 3.0"):
+            fit_normalizer([3.0, 3.0, 3.0])

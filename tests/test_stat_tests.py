@@ -185,3 +185,15 @@ class TestTwoSidedP:
         for result in (two_sample_ttest(a, b), paired_ttest(a, b)):
             assert type(result.p_value) is float
             assert type(result.reject_at_5pct) is bool
+
+
+def test_two_sample_ttest_needs_two_values_per_sample():
+    with pytest.raises(ValueError, match="length >= 2"):
+        two_sample_ttest([1.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_paired_ttest_constant_nonzero_difference(sign):
+    result = paired_ttest(np.array([3.0, 4.0, 5.0]) + sign * 2.0, [3.0, 4.0, 5.0])
+    assert result.t_statistic == sign * math.inf
+    assert (result.degrees_of_freedom, result.p_value, result.reject_at_5pct) == (2.0, 0.0, True)

@@ -972,3 +972,35 @@ class TestValidationStop:
         assert r_set.epoch_trace == r_pair.epoch_trace
         assert r_set.validation_trace == r_pair.validation_trace
         assert r_set.stop_reason == r_pair.stop_reason == "validation"
+
+
+def test_config_rejects_mu_init_not_positive():
+    for mu_init in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="mu_init must be positive"):
+            TrainConfig(mu_init=mu_init)
+
+
+class TestEngineInputs:
+    def test_no_residuals(self):
+        with pytest.raises(TrainingError, match="no training patterns"):
+            lm_least_squares(lambda theta: np.empty(0), None, np.zeros(2),
+                             TrainConfig(algorithm="lm"))
+
+    def test_non_finite_objective_at_the_start(self):
+        with pytest.raises(TrainingError, match="non-finite objective at the initial point"):
+            lm_least_squares(lambda theta: np.array([np.inf, 1.0]), None, np.zeros(2),
+                             TrainConfig(algorithm="lm"))
+
+
+class TestGridSearchRange:
+    @pytest.mark.parametrize("h_range, message", [
+        ([], "h_range must be non-empty"),
+        ([2, 2, 3], r"h_range must strictly ascend, not \[2, 2, 3\]"),
+        ([4, 3, 2], r"h_range must strictly ascend, not \[4, 3, 2\]"),
+    ])
+    def test_rejected_before_any_fit(self, rng, monkeypatch, h_range, message):
+        fits = count_calls(monkeypatch, trainers, "train")
+        x = rng.uniform(0, 1, (40, 2))
+        with pytest.raises(ValueError, match=message):
+            grid_search_fit((x, x[:, 0]), h_range, TrainConfig(algorithm="lm"))
+        assert fits == []
