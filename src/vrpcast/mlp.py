@@ -1,8 +1,12 @@
 """The p -> h -> 1 feedforward network: representation, init, forward pass,
 and the normal equations J'J, J'r of the analytic residual Jacobian J,
-summed over row blocks, that the second-order trainers consume. A network
-is its flat parameter vector, in the layout of `kernels.layers`."""
+summed over row blocks in block order and, for a fit of more than one block,
+computed on one thread per CPU that BLAS leaves free, that the second-order
+trainers consume. A network is its flat parameter vector, in the layout of
+`kernels.layers`."""
 
+import contextvars
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,10 +15,13 @@ from . import kernels
 from .data_ingest import check_json, read_json, write_json
 from .errors import DataFormatError
 
-# Rows per Jacobian block of residual_fns: a fit's Jacobian buffer holds at
-# most this many rows whatever the length of its training set. At n = 40 000
-# (one BLAS thread) one J'J, J'r evaluation took about as long with 8192-row
+# Rows per block of residual_fns: a fit's Jacobian buffers hold at most this
+# many rows each whatever the length of its training set. At n = 40 000 (one
+# BLAS thread) one J'J, J'r evaluation took about as long with 8192-row
 # blocks and longer with 2048 (P = 73 and 351) or with one 40 000-row block.
+# A fit of more than one block splits its blocks into one contiguous run per
+# CPU that BLAS leaves to it (_n_runs), each run on its own thread; a fit of
+# one block runs inline on the calling thread.
 BLOCK_ROWS = 4096
 
 
@@ -94,77 +101,187 @@ def forward_batch(model: MlpModel, inputs) -> np.ndarray:
                                  model.w1, model.b1, model.w2, model.b2)
 
 
+_pool = None    # the threads of the runs after the first, made at the first fit of two runs
+
+
+# The variables by which OpenBLAS, MKL and OpenMP set the threads of one BLAS
+# call, in the order OpenBLAS reads them. Where none holds a positive number a
+# BLAS call may use every CPU, and runs on threads of their own contend with
+# its threads: on 2 CPUs that made 40 000-row fits up to 25 % slower than one run.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _n_runs(n_blocks):
+    """W, the runs of a fit of n_blocks blocks: one per CPU that one BLAS
+    call leaves to the others, at most one per block and at least one."""
+    cpus = blas = _cpus()
+    for name in _BLAS_THREAD_VARS:
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(n_blocks, cpus // blas))
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+# a forked child has none of its parent's threads, so it makes its own pool
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _in_runs(fn, runs, *args):
+    """The lists fn(run, *args) of the runs, joined in run order. One run
+    runs inline; with more, the first runs on the calling thread and the
+    others on the pool's, each in a copy of the caller's context (numpy's
+    error state is a context variable). Returns once every run has ended,
+    also when one raised."""
+    if len(runs) == 1:
+        return fn(runs[0], *args)
+    global _pool
+    if _pool is None:
+        # imported here: a process that never runs two runs does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(thread_name_prefix="vrpcast-rows")
+    futures = [_pool.submit(contextvars.copy_context().run, fn, run, *args)
+               for run in runs[1:]]
+    try:
+        first = fn(runs[0], *args)
+    finally:
+        for future in futures:
+            future.exception()     # waits: the next call reuses the runs' buffers
+    return first + [item for future in futures for item in future.result()]
+
+
+class _Run:
+    """A contiguous run of a fit's row blocks and the buffers it alone
+    writes: the (h, rows) activations `act` of its rows `x`, one Jacobian
+    buffer for its blocks and, from its first gradient, one gradient scratch
+    buffer. `blocks` holds each block's inputs, rows of the fit, view of
+    `act` and Jacobian view. The fit's first run (`first`) starts the
+    block-order sums, so it may add up its own blocks as it goes."""
+
+    def __init__(self, inputs, h, n_w, block_rows):
+        lo = block_rows[0].start
+        self.first = lo == 0
+        self.x = inputs[lo : block_rows[-1].stop]
+        self.act = np.empty((h, self.x.shape[0]))
+        self.scratches = None
+        jac = np.empty((block_rows[0].stop - lo) * n_w)
+        self.blocks = []
+        for rows in block_rows:
+            m = rows.stop - rows.start
+            self.blocks.append((inputs[rows], rows, self.act[:, rows.start - lo : rows.stop - lo],
+                                jac[: m * n_w].reshape(n_w, m).T))
+
+
+def _forward(run, w):
+    return [kernels.forward_batch(run.x, *w, hidden_out=run.act)]
+
+
+def _block_normal_eqs(run, res, w2):
+    """(J'J, J'r) of each block of the run; the first run's blocks summed in
+    block order, as one item."""
+    products = []
+    for x, rows, a, jac in run.blocks:
+        r, _ = kernels.residuals_and_jacobian(x, res[rows], a, w2, out=jac)
+        if run.first and products:
+            jtj, jtr = products[0]
+            jtj += jac.T @ jac
+            jtr += jac.T @ r
+        else:
+            products.append((jac.T @ jac, jac.T @ r))
+    return products
+
+
+def _block_gradients(run, res, w2):
+    """J'r of each block of the run, back-propagated."""
+    if run.scratches is None:
+        buffer = np.empty(run.blocks[0][2].size)
+        run.scratches = [buffer[: a.size].reshape(a.shape) for _, _, a, _ in run.blocks]
+    return [kernels.residuals_and_gradient(x, res[rows], a, w2, scratch=scratch)[1]
+            for (x, rows, a, _), scratch in zip(run.blocks, run.scratches)]
+
+
 def residual_fns(model: MlpModel, inputs, targets):
     """resid(theta), normal_eqs(theta) -> (J'J, J'r) and resid_grad(theta)
     -> (res, J'r) on one training set for flat vectors theta of `model`'s
     shape, J the residual Jacobian. The data are checked once and theta is
     read through views.
 
-    The one place that computes a point's activations and residuals: resid
-    runs the forward pass into `act`, one (h, n) buffer of the fit, and keeps
-    the residuals `res` it returns and the bytes of its theta. normal_eqs and
-    resid_grad hand the kernels `act` and `res`, and the kernels only
-    differentiate; at a theta with other bytes they first run resid, so a
-    miss refreshes both and an accepted trial step's derivatives reuse its
-    forward pass. (Comparing bytes takes 0.1 us where np.array_equal took
-    4 us at P = 19.)
+    The rows are walked in blocks of BLOCK_ROWS (an empty training set is
+    one empty block), split into W = _n_runs(blocks) contiguous runs
+    (_Run). With W > 1 the first run goes on the calling thread and the
+    others on the module's pool (_in_runs); with one run, as in every fit of
+    at most BLOCK_ROWS rows, all goes inline and no pool is made.
 
-    normal_eqs never holds J whole: it walks the rows in blocks of
-    BLOCK_ROWS, writes each block's Jacobian into one buffer of
-    min(n, BLOCK_ROWS) rows that serves the whole fit and sums the blocks'
-    J'J and J'r, from each block's slice of `res`. With one block
-    (n <= BLOCK_ROWS) the products are J.T @ J and J.T @ r of the whole
-    Jacobian; with more they differ from those by rounding only. resid_grad
-    back-propagates into one (h, n) scratch buffer of the fit, made at its
-    first call, where the kernel would make a new array per call."""
+    The one place that computes a point's activations and residuals: resid
+    runs one forward pass per run into the run's activations, and keeps the
+    residuals `res` it returns and the bytes of its theta. normal_eqs and
+    resid_grad hand the kernels those activations and slices of `res`, and
+    the kernels only differentiate; at a theta with other bytes they first
+    run resid, so a miss refreshes both and an accepted trial step's
+    derivatives reuse its forward pass. (Comparing bytes takes 0.1 us where
+    np.array_equal took 4 us at P = 19.)
+
+    normal_eqs never holds J whole: each run writes a block's Jacobian into
+    its one buffer and returns each block's J'J and J'r (the first run, where
+    the sums start, their running sum); resid_grad's runs return each
+    block's back-propagated J'r. The caller sums them in block order, so no
+    result depends on W. With one block the products are J.T @ J and
+    J.T @ r of the whole Jacobian, and the gradient that of all rows at
+    once; with more they differ from those by rounding only."""
     inputs = _check_inputs(model, inputs)
     targets = np.ascontiguousarray(targets, dtype=float)
     if targets.shape != (inputs.shape[0],):
         raise ValueError("targets length must match the number of input rows")
     p, h = model.input_dim, model.hidden_dim
-    n, n_w = targets.size, model.n_params
-    block = np.empty(min(n, BLOCK_ROWS) * n_w)
-    act = np.empty((h, n))
-    res = act_key = None    # residuals and bytes of the theta `act` holds
-    grad_scratch = None
-    # per block: its inputs, rows, activations and Jacobian view; an empty
-    # training set gets one empty block
-    blocks = []
-    for lo in range(0, max(n, 1), BLOCK_ROWS):
-        rows = slice(lo, min(lo + BLOCK_ROWS, n))
-        m = rows.stop - lo
-        blocks.append((inputs[rows], rows, act[:, rows],
-                       block[: m * n_w].reshape(n_w, m).T))
+    n = targets.size
+    block_rows = [slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, max(n, 1), BLOCK_ROWS)]
+    n_runs = _n_runs(len(block_rows))
+    bounds = [len(block_rows) * i // n_runs for i in range(n_runs + 1)]
+    runs = [_Run(inputs, h, model.n_params, block_rows[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])]
+    res = act_key = None    # residuals and bytes of the theta the runs' activations hold
 
     def resid(theta):
         nonlocal res, act_key
-        out = kernels.forward_batch(inputs, *kernels.layers(theta, p, h), hidden_out=act)
-        res, act_key = targets - out, theta.tobytes()
+        outs = _in_runs(_forward, runs, kernels.layers(theta, p, h))
+        res = targets - (outs[0] if len(outs) == 1 else np.concatenate(outs))
+        act_key = theta.tobytes()
         return res
 
     def output_layer(theta):
-        """w2 of theta, with `act` and `res` holding theta's activations and residuals."""
+        """w2 of theta, with the runs and `res` holding theta's activations and residuals."""
         if theta.tobytes() != act_key:
             resid(theta)
         return kernels.layers(theta, p, h)[2]
 
     def normal_eqs(theta):
         w2 = output_layer(theta)
-        for i, (x, rows, a, jac) in enumerate(blocks):
-            r, _ = kernels.residuals_and_jacobian(x, res[rows], a, w2, out=jac)
-            if i == 0:
-                jtj, jtr = jac.T @ jac, jac.T @ r
-            else:
-                jtj += jac.T @ jac
-                jtr += jac.T @ r
+        blocks = _in_runs(_block_normal_eqs, runs, res, w2)
+        jtj, jtr = blocks[0]
+        for block_jtj, block_jtr in blocks[1:]:
+            jtj += block_jtj
+            jtr += block_jtr
         return jtj, jtr
 
     def resid_grad(theta):
-        nonlocal grad_scratch
-        if grad_scratch is None:
-            grad_scratch = np.empty((h, n))
         w2 = output_layer(theta)
-        return kernels.residuals_and_gradient(inputs, res, act, w2, scratch=grad_scratch)
+        grads = _in_runs(_block_gradients, runs, res, w2)
+        for grad in grads[1:]:
+            grads[0] += grad
+        return res, grads[0]
 
     return resid, normal_eqs, resid_grad
 

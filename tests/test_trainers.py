@@ -1,5 +1,9 @@
 import json
+import os
+import signal
+import time
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -491,6 +495,8 @@ class TestBlocks:
         normal_eqs(theta)
         assert len(given) == -(-n // (block_rows or n))
         assert all(np.shares_memory(g, r) for g in given)
+        # runs on two threads hand their blocks over in either order
+        given.sort(key=lambda g: g.ctypes.data)
         np.testing.assert_array_equal(np.concatenate(given), r)
 
     @pytest.mark.parametrize("cached", [False, True])
@@ -518,6 +524,133 @@ class TestBlocks:
             tracemalloc.stop()
         jacobian_bytes = n * model.n_params * 8
         assert peak - h * n * 8 < jacobian_bytes / 4
+
+
+class TestRuns:
+    """A fit of more than one block splits its blocks into one run per CPU
+    that BLAS leaves free, and no result depends on the number of runs."""
+
+    P, H = 3, 5
+    N = 3 * 64 + 17     # four blocks of 64 rows
+
+    @pytest.fixture
+    def problem(self, monkeypatch, rng):
+        monkeypatch.setattr(mlp, "BLOCK_ROWS", 64)
+        monkeypatch.setattr(mlp, "_pool", None)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")     # the other CPUs are the runs'
+        model = init(self.P, self.H, 3)
+        inputs = rng.uniform(-1, 1, (self.N, self.P))
+        targets = rng.normal(size=self.N)
+        theta = mlp.flatten(model) + 0.1 * rng.normal(size=model.n_params)
+        return model, inputs, targets, theta
+
+    def test_no_result_depends_on_the_cpu_count(self, monkeypatch, problem):
+        model, inputs, targets, theta = problem
+        results = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(mlp, "_cpus", lambda: cpus)
+            resid, normal_eqs, resid_grad = mlp.residual_fns(model, inputs, targets)
+            passes = count_calls(monkeypatch, kernels, "forward_batch")
+            r = resid(theta).copy()
+            assert len(passes) == cpus      # one forward pass per run
+            jtj, jtr = normal_eqs(theta)
+            results.append([r, jtj, jtr, resid_grad(theta)[1]])
+            for algorithm in ("lm", "brnn", "scg"):
+                fit, report = train(model, (inputs, targets),
+                                    TrainConfig(algorithm=algorithm, max_epochs=20))
+                assert report.epochs_used > 5
+                results[-1] += [fit.params, np.array(report.epoch_trace)]
+        for other in results[1:]:
+            for got, want in zip(other, results[0]):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_one_block_makes_no_pool(self, monkeypatch, problem, n):
+        model, inputs, targets, _ = problem
+        monkeypatch.setattr(mlp, "_cpus", lambda: 3)
+        for algorithm in ("lm", "brnn", "scg"):
+            train(model, (inputs[:n], targets[:n]), TrainConfig(algorithm=algorithm, max_epochs=5))
+        assert mlp._pool is None
+
+    def test_runs_follow_the_cpus_this_process_may_use(self, monkeypatch, problem):
+        model, inputs, targets, theta = problem
+        resid = mlp.residual_fns(model, inputs, targets)[0]
+        passes = count_calls(monkeypatch, kernels, "forward_batch")
+        resid(theta)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert len(passes) == min(4, cpus)
+        assert (mlp._pool is None) == (cpus == 1)
+
+    @pytest.mark.parametrize("env, runs", [
+        ({}, 1),                                    # BLAS may use every CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, 6),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 3),
+        ({"OPENBLAS_NUM_THREADS": "4"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "12"}, 1),
+        ({"MKL_NUM_THREADS": "3"}, 2),
+        ({"OMP_NUM_THREADS": "1"}, 6),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 3),
+        ({"OPENBLAS_NUM_THREADS": "two", "MKL_NUM_THREADS": "-1"}, 1),
+    ])
+    def test_runs_leave_blas_its_threads(self, monkeypatch, env, runs):
+        monkeypatch.setattr(mlp, "_cpus", lambda: 6)
+        for name in mlp._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert mlp._n_runs(8) == runs
+        assert mlp._n_runs(2) == min(runs, 2)
+
+    def test_a_raising_run_waits_for_the_others(self):
+        ended = []
+
+        def run(i):
+            if i == 0:
+                raise ValueError("run 0")
+            time.sleep(0.05)
+            ended.append(i)
+            return [i]
+
+        with pytest.raises(ValueError, match="run 0"):
+            mlp._in_runs(run, [0, 1, 2])
+        assert sorted(ended) == [1, 2]
+
+    def test_runs_keep_the_callers_numpy_error_state(self):
+        def divide(i):
+            return [np.float64(1.0) / np.float64(i)]
+
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                mlp._in_runs(divide, [1, 0])    # 1 / 0 is the pool's run
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_forked_child_makes_its_own_pool(self, monkeypatch, problem):
+        model, inputs, targets, theta = problem
+        monkeypatch.setattr(mlp, "_cpus", lambda: 2)
+        resid, normal_eqs, _ = mlp.residual_fns(model, inputs, targets)
+        resid(theta)
+        expected = normal_eqs(theta)[0]
+        assert mlp._pool is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)     # fork with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                fresh = mlp._pool is None
+                resid, normal_eqs, _ = mlp.residual_fns(model, inputs, targets)
+                resid(theta)
+                code = 0 if fresh and np.array_equal(normal_eqs(theta)[0], expected) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's fit hung")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestStopReason:
@@ -990,6 +1123,21 @@ class TestEngineInputs:
         with pytest.raises(TrainingError, match="non-finite objective at the initial point"):
             lm_least_squares(lambda theta: np.array([np.inf, 1.0]), None, np.zeros(2),
                              TrainConfig(algorithm="lm"))
+
+    def test_non_finite_alpha_reestimate(self):
+        # r = c (t - theta) with c = 1e100: the first step from 2t lands on
+        # the minimiser t = 1e-160, where E_w = t^2 is subnormal and
+        # alpha = gamma / (2 E_w) = 1 / (2 E_w) overflows
+        c, t = 1e100, 1e-160
+
+        def resid(theta):
+            return c * (t - theta)
+
+        def normal_eqs(theta):
+            return np.array([[c * c]]), -c * resid(theta)    # J = -c
+
+        with pytest.raises(TrainingError, match="non-finite alpha/beta reestimate"):
+            lm_least_squares(resid, normal_eqs, np.array([2 * t]), TrainConfig(algorithm="brnn"))
 
 
 class TestGridSearchRange:
