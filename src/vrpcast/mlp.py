@@ -101,7 +101,7 @@ def forward_batch(model: MlpModel, inputs) -> np.ndarray:
                                  model.w1, model.b1, model.w2, model.b2)
 
 
-_pool = None    # the threads of the runs after the first, made at the first fit of two runs
+_pool = None    # the threads of the runs after the first, made at the first in_runs of two runs
 
 
 # The variables by which OpenBLAS, MKL and OpenMP set the threads of one BLAS
@@ -118,16 +118,27 @@ def _cpus():
     return os.cpu_count() or 1
 
 
-def _n_runs(n_blocks):
-    """W, the runs of a fit of n_blocks blocks: one per CPU that one BLAS
-    call leaves to the others, at most one per block and at least one."""
+def free_cpus():
+    """K, the package's one CPU rule: the CPUs this process may use over the
+    threads of one BLAS call (every CPU unless _BLAS_THREAD_VARS say), >= 1."""
     cpus = blas = _cpus()
     for name in _BLAS_THREAD_VARS:
         value = os.environ.get(name, "").strip()
         if value.isdigit() and int(value) > 0:
             blas = int(value)
             break
-    return max(1, min(n_blocks, cpus // blas))
+    return max(1, cpus // blas)
+
+
+def _n_runs(n_blocks):
+    """W, the runs of a fit of n_blocks blocks: free_cpus(), at most n_blocks."""
+    return min(n_blocks, free_cpus())
+
+
+def split_runs(items, n_runs):
+    """items in n_runs contiguous runs whose lengths differ by at most one."""
+    bounds = [len(items) * i // n_runs for i in range(n_runs + 1)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _forget_pool():
@@ -140,19 +151,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _in_runs(fn, runs, *args):
+def in_runs(fn, runs, *args):
     """The lists fn(run, *args) of the runs, joined in run order. One run
     runs inline; with more, the first runs on the calling thread and the
-    others on the pool's, each in a copy of the caller's context (numpy's
-    error state is a context variable). Returns once every run has ended,
-    also when one raised."""
+    others on the package's one pool, each in a copy of the caller's context
+    (numpy's error state is a context variable). Returns once every run has
+    ended, also when one raised. Runs must not nest: a pool run that called
+    in_runs with two runs could wait on a pool it fills."""
     if len(runs) == 1:
         return fn(runs[0], *args)
     global _pool
     if _pool is None:
         # imported here: a process that never runs two runs does not pay for it
         from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(thread_name_prefix="vrpcast-rows")
+        _pool = ThreadPoolExecutor(thread_name_prefix="vrpcast-runs")
     futures = [_pool.submit(contextvars.copy_context().run, fn, run, *args)
                for run in runs[1:]]
     try:
@@ -222,7 +234,7 @@ def residual_fns(model: MlpModel, inputs, targets):
     The rows are walked in blocks of BLOCK_ROWS (an empty training set is
     one empty block), split into W = _n_runs(blocks) contiguous runs
     (_Run). With W > 1 the first run goes on the calling thread and the
-    others on the module's pool (_in_runs); with one run, as in every fit of
+    others on the module's pool (in_runs); with one run, as in every fit of
     at most BLOCK_ROWS rows, all goes inline and no pool is made.
 
     The one place that computes a point's activations and residuals: resid
@@ -248,15 +260,13 @@ def residual_fns(model: MlpModel, inputs, targets):
     p, h = model.input_dim, model.hidden_dim
     n = targets.size
     block_rows = [slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, max(n, 1), BLOCK_ROWS)]
-    n_runs = _n_runs(len(block_rows))
-    bounds = [len(block_rows) * i // n_runs for i in range(n_runs + 1)]
-    runs = [_Run(inputs, h, model.n_params, block_rows[lo:hi])
-            for lo, hi in zip(bounds, bounds[1:])]
+    runs = [_Run(inputs, h, model.n_params, rows)
+            for rows in split_runs(block_rows, _n_runs(len(block_rows)))]
     res = act_key = None    # residuals and bytes of the theta the runs' activations hold
 
     def resid(theta):
         nonlocal res, act_key
-        outs = _in_runs(_forward, runs, kernels.layers(theta, p, h))
+        outs = in_runs(_forward, runs, kernels.layers(theta, p, h))
         res = targets - (outs[0] if len(outs) == 1 else np.concatenate(outs))
         act_key = theta.tobytes()
         return res
@@ -269,7 +279,7 @@ def residual_fns(model: MlpModel, inputs, targets):
 
     def normal_eqs(theta):
         w2 = output_layer(theta)
-        blocks = _in_runs(_block_normal_eqs, runs, res, w2)
+        blocks = in_runs(_block_normal_eqs, runs, res, w2)
         jtj, jtr = blocks[0]
         for block_jtj, block_jtr in blocks[1:]:
             jtj += block_jtj
@@ -278,7 +288,7 @@ def residual_fns(model: MlpModel, inputs, targets):
 
     def resid_grad(theta):
         w2 = output_layer(theta)
-        grads = _in_runs(_block_gradients, runs, res, w2)
+        grads = in_runs(_block_gradients, runs, res, w2)
         for grad in grads[1:]:
             grads[0] += grad
         return res, grads[0]

@@ -6,6 +6,7 @@ functions and artifact writers as training."""
 import logging
 import math
 import os
+import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union
 
@@ -99,11 +100,14 @@ class EvalReport:
 
 def _stage(stage, fn, *args, **kwargs):
     """fn(*args, **kwargs), a VrpcastError, ValueError or MemoryError from it
-    raised again as a PipelineStageError naming the stage."""
+    raised again as a PipelineStageError naming the stage; logs its time."""
+    t0 = time.perf_counter()
     try:
         return fn(*args, **kwargs)
     except (VrpcastError, ValueError, MemoryError) as exc:
         raise PipelineStageError(stage, str(exc) or type(exc).__name__) from exc
+    finally:
+        log.info("stage %s: %.3f s", stage, time.perf_counter() - t0)
 
 
 def one_step_predictions_watts(model, patterns, values):
@@ -407,24 +411,50 @@ def compare_algorithms(config: PipelineConfig, series: Optional[TimeSeries] = No
     """run_pipeline's fit of config.algorithm and, at the size it selects, a
     fit of each other algorithm from the same start on the same patterns:
     a per-algorithm error table, whose entry for a failed fit is its error
-    (a VrpcastError or MemoryError message)."""
+    (a VrpcastError or MemoryError message).
+
+    With a training block of one mlp.BLOCK_ROWS block, [config.algorithm's
+    grid fit, the other two] run side by side in min(3, mlp.free_cpus())
+    contiguous runs (mlp.in_runs), holding up to three fits' working sets;
+    with a range of sizes the other two start once the grid has selected h.
+    A longer block runs the fits in turn, each on its own row runs. No result
+    depends on the threads; a grid abort is raised once all have ended."""
     prep = _prepare(series, config)
-    hidden, _, *fit = _fit(prep.patterns, config)
-    start = trainers.initial_model(prep.patterns.lag, hidden, config.seed)
+    patterns = prep.patterns
+    algorithms = [config.algorithm] + [a for a in trainers.ALGORITHMS if a != config.algorithm]
+    fits = {}
+    hidden = config.hidden_sizes[0]
+    if len(config.hidden_sizes) > 1:
+        hidden, _, *fits[algorithms.pop(0)] = _fit(patterns, config)    # the others need h
+    start = trainers.initial_model(patterns.lag, hidden, config.seed)
+
+    def fit(algorithm):
+        if algorithm == config.algorithm:
+            return _fit(patterns, config)[2:]
+        try:
+            return trainers.train(start, patterns, config.train_config(algorithm))
+        except (VrpcastError, MemoryError) as exc:
+            return {"error": str(exc) or type(exc).__name__}
+
+    many_blocks = patterns.split_index > mlp.BLOCK_ROWS
+    runs = mlp.split_runs(algorithms, 1 if many_blocks else min(len(algorithms), mlp.free_cpus()))
+    log.info("compare: %s fits %s: %s", ", ".join(algorithms),
+             f"side by side on {len(runs)} threads" if len(runs) > 1 else "one after another",
+             "each fit of more than one block runs its own row runs" if many_blocks
+             else f"mlp.free_cpus() is {mlp.free_cpus()}")
+    fits.update(zip(algorithms, mlp.in_runs(lambda run: [fit(a) for a in run], runs)))
     table = {}
     for algorithm in trainers.ALGORITHMS:
-        try:
-            model, report = fit if algorithm == config.algorithm else trainers.train(
-                start, prep.patterns, config.train_config(algorithm))
-        except (VrpcastError, MemoryError) as exc:
-            table[algorithm] = {"error": str(exc) or type(exc).__name__}
+        table[algorithm] = fits[algorithm]
+        if isinstance(fits[algorithm], dict):   # a failed fit's error entry
             continue
-        eval_report = _stage("evaluate", evaluate, model, prep.patterns, prep.series.values)
+        model, report = fits[algorithm]
+        eval_report = _stage("evaluate", evaluate, model, patterns, prep.series.values)
         table[algorithm] = {"train_stats": asdict(eval_report.train_stats),
                             "test_stats": asdict(eval_report.test_stats),
                             "converged": report.converged, "stop_reason": report.stop_reason,
                             "epochs_used": report.epochs_used}
-    result = {"lag": prep.patterns.lag, "hidden": hidden, "seed": config.seed, "algorithms": table}
+    result = {"lag": patterns.lag, "hidden": hidden, "seed": config.seed, "algorithms": table}
     if config.out_dir:
         write_json(_artifact_path(config.out_dir, "comparison.json"), result)
     return result

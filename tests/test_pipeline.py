@@ -1,4 +1,7 @@
 import json
+import logging
+import threading
+import time
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -21,6 +24,7 @@ from vrpcast.series_ops import NormParams
 
 BURSTY = {"kind": "persistence_bursts", "n": 1500}
 FAST = dict(lag=3, hidden=4, max_epochs=60, seed=1)
+CPUS = mlp._cpus    # the CPUs this process may use
 
 
 class TestRunPipeline:
@@ -266,6 +270,96 @@ class TestForecastMultiStep:
 
 
 class TestCompareAlgorithms:
+    """compare's fits run side by side: every test of the class runs with
+    three free CPUs, so each fit of a one-block compare has its own thread."""
+
+    @pytest.fixture(autouse=True)
+    def free_cpus(self, monkeypatch):
+        def set_free_cpus(cpus, blas_threads="1"):
+            """cpus CPUs (None: the real ones), BLAS on blas_threads (None: unset)."""
+            monkeypatch.setattr(mlp, "_cpus", CPUS if cpus is None else lambda: cpus)
+            for name in mlp._BLAS_THREAD_VARS:
+                monkeypatch.delenv(name, raising=False)
+            if blas_threads is not None:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        set_free_cpus(3)
+        return set_free_cpus
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """(algorithm, on the calling thread, numpy's divide error state) of
+        each trainers.train call; side by side, in no fixed order."""
+        real = trainers.train
+        calls = []
+
+        def train(model, patterns, config):
+            calls.append((config.algorithm, threading.current_thread() is threading.main_thread(),
+                          np.geterr()["divide"]))
+            return real(model, patterns, config)
+
+        monkeypatch.setattr(trainers, "train", train)
+        return calls
+
+    @pytest.mark.parametrize("cpus, blas_threads", [
+        (1, "1"), (2, "1"), (3, "1"), (3, None), (None, "1")])
+    def test_comparison_json_does_not_depend_on_the_threads(
+            self, tmp_path, free_cpus, fits, caplog, cpus, blas_threads):
+        threads = min(CPUS() if cpus is None else cpus, 3) if blas_threads else 1
+        series = generate_synthetic(BURSTY, 4)
+        expected = tmp_path / "one_thread"
+        free_cpus(1)
+        compare_algorithms(PipelineConfig(out_dir=str(expected), **FAST), series)
+        fits.clear()
+        free_cpus(cpus, blas_threads)
+        with caplog.at_level(logging.INFO, logger="vrpcast.pipeline"):
+            compare_algorithms(PipelineConfig(out_dir=str(tmp_path / "cmp"), **FAST), series)
+        assert ((tmp_path / "cmp" / "comparison.json").read_bytes()
+                == (expected / "comparison.json").read_bytes())
+        assert sorted((a, main) for a, main, _ in fits) == [
+            ("brnn", True), ("lm", threads == 1), ("scg", threads == 1)]
+        assert (f"compare: brnn, lm, scg fits side by side on {threads} threads" if threads > 1
+                else "compare: brnn, lm, scg fits one after another: mlp.free_cpus() is 1"
+                ) in caplog.text
+        assert "stage train: " in caplog.text and "stage evaluate: " in caplog.text
+
+    def test_a_range_fits_the_others_after_the_grid(self, free_cpus, fits):
+        free_cpus(2)
+        result = compare_algorithms(PipelineConfig(**dict(FAST, hidden=(2, 3))),
+                                    generate_synthetic(BURSTY, 4))
+        assert sorted((a, main) for a, main, _ in fits) == [
+            ("brnn", True), ("brnn", True), ("lm", True), ("scg", False)]
+        assert all("test_stats" in entry for entry in result["algorithms"].values())
+
+    def test_fits_of_many_blocks_run_one_after_another(self, monkeypatch, fits, caplog):
+        monkeypatch.setattr(mlp, "BLOCK_ROWS", 64)
+        with caplog.at_level(logging.INFO, logger="vrpcast.pipeline"):
+            compare_algorithms(PipelineConfig(**FAST), generate_synthetic(BURSTY, 4))
+        assert [(a, main) for a, main, _ in fits] == [("brnn", True), ("lm", True), ("scg", True)]
+        assert "fits one after another: each fit of more than one block" in caplog.text
+
+    def test_a_grid_abort_is_raised_once_the_other_fits_end(self, monkeypatch):
+        real = trainers.train
+        ended = []
+
+        def train(model, patterns, config):
+            if config.algorithm == "brnn":
+                raise TrainingError("abort brnn")
+            time.sleep(0.05)
+            fit = real(model, patterns, config)
+            ended.append(config.algorithm)
+            return fit
+
+        monkeypatch.setattr(trainers, "train", train)
+        with pytest.raises(PipelineStageError, match="abort brnn"):
+            compare_algorithms(PipelineConfig(**FAST), generate_synthetic(BURSTY, 4))
+        assert sorted(ended) == ["lm", "scg"]
+
+    def test_pool_fits_keep_the_callers_numpy_error_state(self, fits):
+        with np.errstate(divide="ignore"):
+            compare_algorithms(PipelineConfig(**FAST), generate_synthetic(BURSTY, 4))
+        assert sorted(fits) == [
+            ("brnn", True, "ignore"), ("lm", False, "ignore"), ("scg", False, "ignore")]
+
     def test_table_shape_and_determinism(self, tmp_path):
         series = generate_synthetic(BURSTY, 4)
         cfg = PipelineConfig(out_dir=str(tmp_path / "cmp"), **FAST)

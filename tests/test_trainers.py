@@ -598,7 +598,7 @@ class TestRuns:
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        assert mlp._n_runs(8) == runs
+        assert mlp._n_runs(8) == mlp.free_cpus() == runs
         assert mlp._n_runs(2) == min(runs, 2)
 
     def test_a_raising_run_waits_for_the_others(self):
@@ -612,7 +612,7 @@ class TestRuns:
             return [i]
 
         with pytest.raises(ValueError, match="run 0"):
-            mlp._in_runs(run, [0, 1, 2])
+            mlp.in_runs(run, [0, 1, 2])
         assert sorted(ended) == [1, 2]
 
     def test_runs_keep_the_callers_numpy_error_state(self):
@@ -621,7 +621,7 @@ class TestRuns:
 
         with np.errstate(divide="raise"):
             with pytest.raises(FloatingPointError):
-                mlp._in_runs(divide, [1, 0])    # 1 / 0 is the pool's run
+                mlp.in_runs(divide, [1, 0])    # 1 / 0 is the pool's run
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
     def test_forked_child_makes_its_own_pool(self, monkeypatch, problem):
