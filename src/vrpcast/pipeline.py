@@ -1,10 +1,10 @@
 """End-to-end orchestration: ingest -> stationarity -> lag selection ->
 patterns -> training -> forecasting -> evaluation, with all artifacts
 written as CSV/JSON. The CLI's inspection subcommands call the same stage
-functions and artifact writers as training."""
+functions and artifact writers as training. What a network row is, and
+the state a fit saves, is series_ops'; this module runs the network on rows."""
 
 import logging
-import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -14,8 +14,7 @@ import numpy as np
 
 from . import data_ingest, lag_select, mlp, series_ops, stat_tests, trainers
 from .data_ingest import TimeSeries, check_json, load_csv, save_csv, write_csv, write_json
-from .errors import (DataFormatError, DegenerateDataError, PipelineStageError, TrainingError,
-                     VrpcastError)
+from .errors import DataFormatError, DegenerateDataError, PipelineStageError, VrpcastError
 
 log = logging.getLogger(__name__)
 
@@ -111,36 +110,23 @@ def _stage(stage, fn, *args, **kwargs):
 
 
 def one_step_predictions_watts(model, patterns, values):
-    """One-step forecasts in watts for every pattern, each anchored on the
-    actual previous observation. Returns (actual_watts, predicted_watts)."""
-    pred_norm = mlp.forward_batch(model, patterns.inputs)
-    pred_resid = patterns.norm.invert(pred_norm)
-    p = patterns.lag
-    idx = np.arange(patterns.n_patterns)
-    anchors = values[idx + p]
-    actual = values[idx + p + 1]
-    return actual, anchors + pred_resid
+    """series_ops.one_step_levels of every pattern: one-step forecasts in
+    watts. Returns (actual_watts, predicted_watts)."""
+    return series_ops.one_step_levels(mlp.forward_batch(model, patterns.inputs), patterns, values)
 
 
 def forecast_multi_step(model, last_window, horizon, norm, last_observed_value):
-    """Iterated one-step forecasts; window holds the most recent residuals
-    (watt units, oldest first). Returns watt-level forecasts."""
+    """series_ops.iterate from the window of the most recent residuals (watt
+    units, oldest first) and last_observed_value: watt-level forecasts."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    window = np.asarray(last_window, dtype=float).copy()
+    window = np.asarray(last_window, dtype=float)
     if window.shape != (model.input_dim,):
         raise ValueError(f"window has {window.size} residuals; the model needs {model.input_dim}")
     if not np.all(np.isfinite(window)):
         raise ValueError("window must be finite")
-    preds_resid = np.empty(horizon)
-    for step in range(horizon):
-        pred_norm = float(mlp.forward_batch(model, norm.apply(window)[None])[0])
-        if not np.isfinite(pred_norm):
-            raise TrainingError(f"non-finite forecast at horizon step {step + 1}")
-        resid = float(norm.invert(pred_norm))
-        preds_resid[step] = resid
-        window = np.concatenate([window[1:], [resid]])
-    return series_ops.undifference(preds_resid, last_observed_value)
+    return series_ops.iterate(window, last_observed_value, horizon, norm,
+                              lambda inputs: mlp.forward_batch(model, inputs))
 
 
 def _check_blocks(patterns) -> None:
@@ -168,7 +154,7 @@ def evaluate(model, patterns, values, provenance=None) -> EvalReport:
     acf_forecast = series_ops.acf(predicted[split:], ACF_MAX_LAG)
     fidelity = float(np.mean(np.abs(acf_actual[1:] - acf_forecast[1:])))
     paired = stat_tests.paired_ttest(actual[split:], predicted[split:])
-    target_resid = patterns.norm.invert(patterns.targets)
+    target_resid = series_ops.row_differences(patterns.targets, patterns.norm)
     two_sample = stat_tests.two_sample_ttest(target_resid[:split], target_resid[split:])
     return EvalReport(
         train_stats=train_stats,
@@ -245,11 +231,11 @@ def evaluate_saved(model_path, series: TimeSeries) -> EvalReport:
     """Stage `evaluate`: evaluate() of the model saved at model_path on
     `series`, whose patterns use the lag, train fraction and normaliser
     recorded in the model's provenance."""
-    model, provenance, norm = _load_saved(model_path, ("lag", "norm"))
+    model, provenance, (lag, norm, _, _) = _load_saved(model_path, ("lag",))
     diff = _stage("difference", series_ops.difference, series)
     patterns = _stage(
         "extract-patterns", series_ops.extract_patterns, diff.residuals,
-        provenance["lag"], provenance.get("train_fraction", PipelineConfig.train_fraction), norm)
+        lag, provenance.get("train_fraction", PipelineConfig.train_fraction), norm)
     return _stage("evaluate", evaluate, model, patterns, series.values, provenance)
 
 
@@ -258,17 +244,12 @@ def forecast_saved(model_path, horizon, series: Optional[TimeSeries] = None):
     model_path with its saved normaliser, from the end of `series` when one
     is given, else from the residual window and last value recorded in the
     model's provenance."""
-    needs = ("norm",) if series is not None else (
-        "norm", "last_window_residuals", "last_observed_value")
-    model, provenance, norm = _load_saved(model_path, needs)
-    if series is None:
-        window = provenance["last_window_residuals"]
-        last_value = provenance["last_observed_value"]
-    else:
+    needs = () if series is not None else ("last_window_residuals", "last_observed_value")
+    model, _, (_, norm, window, level) = _load_saved(model_path, needs)
+    if series is not None:
         diff = _stage("difference", series_ops.difference, series)
-        window = diff.residuals[-model.input_dim:]
-        last_value = float(series.values[-1])
-    return _stage("forecast", forecast_multi_step, model, window, horizon, norm, last_value)
+        window, level = series_ops.end_state(diff.residuals, series.values, model.input_dim)
+    return _stage("forecast", forecast_multi_step, model, window, horizon, norm, level)
 
 
 def _fit(patterns, config: PipelineConfig):
@@ -282,7 +263,6 @@ def _model_provenance(config, hidden, report, prep: Prepared):
     return {
         "algorithm": config.algorithm,
         "seed": config.seed,
-        "lag": prep.patterns.lag,
         "hidden": hidden,
         "train_fraction": config.train_fraction,
         "epochs_used": report.epochs_used,
@@ -290,53 +270,23 @@ def _model_provenance(config, hidden, report, prep: Prepared):
         "alpha": report.alpha,
         "beta": report.beta,
         "gamma_effective": report.gamma_effective,
-        "norm": {"min": prep.patterns.norm.min, "max": prep.patterns.norm.max},
-        "last_window_residuals": [float(v) for v in prep.diff.residuals[-prep.patterns.lag:]],
-        "last_observed_value": float(prep.series.values[-1]),
+        **series_ops.saved_state(prep.patterns, prep.diff.residuals, prep.series.values),
     }
 
 
-# The provenance keys the saved-model readers read back, by their JSON_TYPES
-# type; each reader requires the ones it uses.
-_PROVENANCE_TYPES = {"lag": int, "train_fraction": float, "norm": dict,
-                     "last_window_residuals": list, "last_observed_value": float}
-_NORM_TYPES = {f.name: f.type for f in fields(series_ops.NormParams)}
-
-
 def _load_saved(path, needs):
-    """mlp.load of the model file at `path`, and the NormParams of its
-    provenance's norm (None without one). DataFormatError, naming the
-    file and the key, when a provenance key in `needs` is missing, one of
-    _PROVENANCE_TYPES is of another type, the norm holds another key or
-    fails NormParams' check, a forecast-window residual or the last observed
-    value is not finite, the train fraction is not in (0, 1), or the lag or
-    forecast window does not match the input size."""
+    """mlp.load of the model file at `path`: the model, its provenance and
+    series_ops.read_saved_state's (lag, norm, window, level), which requires
+    the keys in `needs`. DataFormatError, naming the file and the key, for
+    what that rejects and a train fraction that is not a number in (0, 1)."""
     model, provenance = mlp.load(path)
-    check_json(f"{path} provenance", provenance, _PROVENANCE_TYPES, needs, closed=False)
-    norm = provenance.get("norm")
-    if norm is not None:
-        check_json(f"{path} provenance.norm", norm, _NORM_TYPES, _NORM_TYPES, closed=True)
-        try:
-            norm = series_ops.NormParams(**norm)
-        except DegenerateDataError as exc:
-            raise DataFormatError(f"{path} provenance.norm: {exc}") from exc
+    state = series_ops.read_saved_state(path, provenance, needs, model.input_dim)
+    check_json(f"{path} provenance", provenance, {"train_fraction": float}, (), closed=False)
     fraction = provenance.get("train_fraction")
     if fraction is not None and not 0.0 < fraction < 1.0:
         raise DataFormatError(f"{path} provenance key 'train_fraction' must be in (0, 1), "
                               f"got {fraction!r}")
-    numbers = {"last_window_residuals": provenance.get("last_window_residuals", []),
-               "last_observed_value": [provenance.get("last_observed_value", 0.0)]}
-    for key, values in numbers.items():
-        if not all(map(math.isfinite, values)):
-            raise DataFormatError(f"{path} provenance key {key!r} must be finite, "
-                                  f"got {provenance[key]!r}")
-    p = model.input_dim
-    lag = provenance.get("lag", p)
-    n_window = len(provenance.get("last_window_residuals", range(p)))
-    if (lag, n_window) != (p, p):
-        raise DataFormatError(f"{path}: input_dim is {p}, but the provenance lag is "
-                              f"{lag} and last_window_residuals has {n_window} values")
-    return model, provenance, norm
+    return model, provenance, state
 
 
 def run_pipeline(config: PipelineConfig, series: Optional[TimeSeries] = None):

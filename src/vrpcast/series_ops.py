@@ -1,12 +1,19 @@
-"""Stationarization, normalization, windowing and autocorrelation."""
+"""Stationarization, normalization, autocorrelation, and the one owner of
+a network row. Row i of the differences d of a series v at lag p stands at
+the level v[i + p] with the window d[i : i + p]. Its inputs are its window
+normalised (`row_inputs`), its output is the normalised next difference
+(`row_differences`), and its next level is its level plus that difference
+(`one_step_levels`, `iterate`). A fit saves its lag, its normaliser and
+the row at its series' end (`saved_state`, read by `read_saved_state`)."""
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data_ingest import TimeSeries
-from .errors import DegenerateDataError
+from .data_ingest import TimeSeries, check_json
+from .errors import DataFormatError, DegenerateDataError, TrainingError
 
 log = logging.getLogger(__name__)
 
@@ -116,7 +123,7 @@ def extract_patterns(residuals, p: int, train_fraction: float,
     if norm is None:
         norm = fit_normalizer(residuals[: split_index + p])
     idx = np.arange(p)[None, :] + np.arange(n_patterns)[:, None]
-    inputs = norm.apply(residuals[idx])
+    inputs = row_inputs(residuals[idx], norm)
     targets = norm.apply(residuals[p:])
     out_of_range = np.count_nonzero(
         (inputs[split_index:] < 0.0) | (inputs[split_index:] > 1.0)
@@ -127,6 +134,87 @@ def extract_patterns(residuals, p: int, train_fraction: float,
             "normalization (kept unclamped)", out_of_range,
         )
     return PatternSet(inputs, targets, p, norm, split_index)
+
+
+def row_inputs(windows, norm: NormParams) -> np.ndarray:
+    """The inputs of rows whose windows (oldest first) are the last axis."""
+    return norm.apply(windows)
+
+
+def row_differences(outputs, norm: NormParams) -> np.ndarray:
+    """The differences that rows' network outputs stand for."""
+    return norm.invert(outputs)
+
+
+def one_step_levels(outputs, patterns: PatternSet, values):
+    """(actual, predicted) next levels of the rows of `patterns` on the
+    series `values` whose network outputs are `outputs`."""
+    p, n = patterns.lag, patterns.n_patterns
+    levels = values[p : p + n]
+    return values[p + 1 : p + 1 + n].copy(), levels + row_differences(outputs, patterns.norm)
+
+
+def iterate(window, level: float, horizon: int, norm: NormParams, predict) -> np.ndarray:
+    """The levels of `horizon` iterated forecasts from the row at `level`
+    with `window`, predict giving the outputs of (1, p) rows' inputs: each
+    difference joins the next window; the levels are undifference's."""
+    p = len(window)
+    history = np.concatenate([window, np.empty(horizon)])
+    for step in range(horizon):
+        output = float(predict(row_inputs(history[None, step : step + p], norm))[0])
+        if not np.isfinite(output):
+            raise TrainingError(f"non-finite forecast at horizon step {step + 1}")
+        history[p + step] = row_differences(output, norm)
+    return undifference(history[p:], level)
+
+
+def end_state(residuals, values, lag: int):
+    """(window, level) of the row at the end of the series `values`, whose
+    differences are `residuals`."""
+    return residuals[-lag:], float(values[-1])
+
+
+# The provenance keys of a fit's saved state, by their JSON_TYPES type.
+_STATE_TYPES = {"lag": int, "norm": dict, "last_window_residuals": list,
+                "last_observed_value": float}
+_NORM_TYPES = {f.name: f.type for f in fields(NormParams)}
+
+
+def saved_state(patterns: PatternSet, residuals, values) -> dict:
+    """The _STATE_TYPES keys of a fit on `patterns` of the series `values`,
+    whose differences are `residuals`."""
+    window, level = end_state(residuals, values, patterns.lag)
+    return {"lag": patterns.lag, "norm": asdict(patterns.norm),
+            "last_window_residuals": window.tolist(), "last_observed_value": level}
+
+
+def read_saved_state(source, provenance: dict, needs, input_dim: int):
+    """(lag, norm, window, level) of the saved state in the `provenance` of a
+    network of input_dim inputs, None for a window or level not saved.
+    DataFormatError, naming source and the key, when `norm` or a key in
+    `needs` is missing, a key is not of its _STATE_TYPES type, the norm fails
+    NormParams' check or has another key, the window or level is not finite,
+    or the lag or window is not input_dim long."""
+    check_json(f"{source} provenance", provenance, _STATE_TYPES, ("norm", *needs), closed=False)
+    check_json(f"{source} provenance.norm", provenance["norm"], _NORM_TYPES, _NORM_TYPES,
+               closed=True)
+    try:
+        norm = NormParams(**provenance["norm"])
+    except DegenerateDataError as exc:
+        raise DataFormatError(f"{source} provenance.norm: {exc}") from exc
+    window = provenance.get("last_window_residuals")
+    level = provenance.get("last_observed_value")
+    for key, values in (("last_window_residuals", window or []),
+                        ("last_observed_value", [0.0 if level is None else level])):
+        if not all(map(math.isfinite, values)):
+            raise DataFormatError(f"{source} provenance key {key!r} must be finite, "
+                                  f"got {provenance[key]!r}")
+    lag = provenance.get("lag", input_dim)
+    n_window = input_dim if window is None else len(window)
+    if (lag, n_window) != (input_dim, input_dim):
+        raise DataFormatError(f"{source}: input_dim is {input_dim}, but the provenance lag is "
+                              f"{lag} and last_window_residuals has {n_window} values")
+    return lag, norm, window, level
 
 
 def acf(values, max_lag: int) -> np.ndarray:

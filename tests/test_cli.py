@@ -124,19 +124,24 @@ class TestTrainForecastEvaluate:
     def test_forecast_matches_library(self, series_csv, tmp_path, capsys):
         out = tmp_path / "run"
         assert self.train(series_csv, out) == 0
-        assert run_cli("forecast", "--model", out / "model.json",
-                       "--steps", 4, "--out", out) == 0
-        lines = (out / "forecast.csv").read_text().strip().splitlines()
-        cli_values = np.array([float(r.split(",")[1]) for r in lines[1:]])
         model, provenance = mlp.load(out / "model.json")
-        expected = forecast_multi_step(
-            model,
-            provenance["last_window_residuals"],
-            4,
-            NormParams(**provenance["norm"]),
-            provenance["last_observed_value"],
-        )
-        np.testing.assert_allclose(cli_values, expected, rtol=1e-12)
+        for steps in (1, 4, 20):
+            expected = forecast_multi_step(
+                model,
+                provenance["last_window_residuals"],
+                steps,
+                NormParams(**provenance["norm"]),
+                provenance["last_observed_value"],
+            )
+            # the saved state is the training series' end state, so both
+            # sources of the window and level give the same forecast, bit for bit
+            for source in ([], ["--input", series_csv]):
+                fc = tmp_path / f"fc{steps}{len(source)}"
+                assert run_cli("forecast", "--model", out / "model.json",
+                               "--steps", steps, "--out", fc, *source) == 0
+                lines = (fc / "forecast.csv").read_text().strip().splitlines()
+                cli_values = np.array([float(r.split(",")[1]) for r in lines[1:]])
+                np.testing.assert_array_equal(cli_values, expected)
 
     def test_evaluate_saved_model(self, series_csv, tmp_path, capsys):
         out = tmp_path / "run"

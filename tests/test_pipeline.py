@@ -261,6 +261,20 @@ class TestForecastMultiStep:
         with pytest.raises(ValueError):
             forecast_multi_step(model, window, 0, norm, last)
 
+    def test_one_step_forecast_of_a_prefix_is_its_evaluated_row(self, tmp_path):
+        # evaluate and forecast share one row: the forecast from a prefix of
+        # the series is the one-step prediction of the row that ends there
+        series = generate_synthetic({"kind": "persistence_bursts", "n": 600}, 4)
+        run_pipeline(PipelineConfig(out_dir=str(tmp_path), **FAST), series)
+        model, _ = mlp.load(tmp_path / "model.json")
+        p = FAST["lag"]
+        patterns = extract_patterns(difference(series).residuals, p, 0.8)
+        _, predicted = pipeline.one_step_predictions_watts(model, patterns, series.values)
+        for i in (0, patterns.split_index - 1, patterns.n_patterns - 1):
+            prefix = type(series)(series.timestamps[: i + p + 1], series.values[: i + p + 1])
+            forecast = pipeline.forecast_saved(tmp_path / "model.json", 1, prefix)
+            assert forecast.tolist() == [predicted[i]]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_window(self, bad):
         model, norm, window, last = self.make_context()
