@@ -213,8 +213,8 @@ def main(argv=None) -> int:
         _COMMANDS[args.subcommand](args)
     except SystemExit as exc:  # usage errors, from the parser or _pipeline_config
         return int(exc.code or 0)
-    except (VrpcastError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (VrpcastError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

@@ -1,8 +1,8 @@
 """End-to-end orchestration: ingest -> stationarity -> lag selection ->
 patterns -> training -> forecasting -> evaluation, with all artifacts
 written as CSV/JSON. The CLI's inspection subcommands call the same stage
-functions and artifact writers as training. What a network row is, and
-the state a fit saves, is series_ops'; this module runs the network on rows."""
+functions and artifact writers as training. A network row and the state
+a fit saves and reads are series_ops'; this module runs the network on rows."""
 
 import logging
 import os
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import data_ingest, lag_select, mlp, series_ops, stat_tests, trainers
 from .data_ingest import TimeSeries, check_json, load_csv, save_csv, write_csv, write_json
-from .errors import DataFormatError, DegenerateDataError, PipelineStageError, VrpcastError
+from .errors import DegenerateDataError, PipelineStageError, VrpcastError
 
 log = logging.getLogger(__name__)
 
@@ -31,7 +31,7 @@ class PipelineConfig:
 
     input_path: Optional[str] = None
     mode: str = "power"
-    train_fraction: float = 0.8
+    train_fraction: float = series_ops.DEFAULT_TRAIN_FRACTION
     lag: Optional[int] = None            # None = entropy-based selection
     max_lag: int = 12
     bins: int = lag_select.DEFAULT_BINS
@@ -45,8 +45,7 @@ class PipelineConfig:
         if self.mode not in data_ingest.MODES:
             raise ValueError(f"mode must be one of {', '.join(data_ingest.MODES)}, "
                              f"not {self.mode!r}")
-        if not 0.0 < self.train_fraction < 1.0:     # NaN fails too
-            raise ValueError(f"train_fraction must be in (0, 1), not {self.train_fraction}")
+        series_ops.check_train_fraction(self.train_fraction)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, not {self.seed}")
         if self.lag is not None and self.lag < 1:
@@ -229,13 +228,13 @@ def _prepare(series: Optional[TimeSeries], config: PipelineConfig) -> Prepared:
 
 def evaluate_saved(model_path, series: TimeSeries) -> EvalReport:
     """Stage `evaluate`: evaluate() of the model saved at model_path on
-    `series`, whose patterns use the lag, train fraction and normaliser
-    recorded in the model's provenance."""
-    model, provenance, (lag, norm, _, _) = _load_saved(model_path, ("lag",))
+    `series`, whose patterns use the model's lag (its input_dim) and the
+    train fraction and normaliser series_ops.read_saved_state reads."""
+    model, provenance = mlp.load(model_path)
+    fraction, norm, *_ = series_ops.read_saved_state(model_path, provenance, (), model.input_dim)
     diff = _stage("difference", series_ops.difference, series)
-    patterns = _stage(
-        "extract-patterns", series_ops.extract_patterns, diff.residuals,
-        lag, provenance.get("train_fraction", PipelineConfig.train_fraction), norm)
+    patterns = _stage("extract-patterns", series_ops.extract_patterns, diff.residuals,
+                      model.input_dim, fraction, norm)
     return _stage("evaluate", evaluate, model, patterns, series.values, provenance)
 
 
@@ -243,9 +242,11 @@ def forecast_saved(model_path, horizon, series: Optional[TimeSeries] = None):
     """Stage `forecast`: forecast_multi_step() of the model saved at
     model_path with its saved normaliser, from the end of `series` when one
     is given, else from the residual window and last value recorded in the
-    model's provenance."""
+    model's provenance, as series_ops.read_saved_state reads them."""
     needs = () if series is not None else ("last_window_residuals", "last_observed_value")
-    model, _, (_, norm, window, level) = _load_saved(model_path, needs)
+    model, provenance = mlp.load(model_path)
+    _, norm, window, level = series_ops.read_saved_state(model_path, provenance, needs,
+                                                         model.input_dim)
     if series is not None:
         diff = _stage("difference", series_ops.difference, series)
         window, level = series_ops.end_state(diff.residuals, series.values, model.input_dim)
@@ -264,7 +265,6 @@ def _model_provenance(config, hidden, report, prep: Prepared):
         "algorithm": config.algorithm,
         "seed": config.seed,
         "hidden": hidden,
-        "train_fraction": config.train_fraction,
         "epochs_used": report.epochs_used,
         "converged": report.converged,
         "alpha": report.alpha,
@@ -272,21 +272,6 @@ def _model_provenance(config, hidden, report, prep: Prepared):
         "gamma_effective": report.gamma_effective,
         **series_ops.saved_state(prep.patterns, prep.diff.residuals, prep.series.values),
     }
-
-
-def _load_saved(path, needs):
-    """mlp.load of the model file at `path`: the model, its provenance and
-    series_ops.read_saved_state's (lag, norm, window, level), which requires
-    the keys in `needs`. DataFormatError, naming the file and the key, for
-    what that rejects and a train fraction that is not a number in (0, 1)."""
-    model, provenance = mlp.load(path)
-    state = series_ops.read_saved_state(path, provenance, needs, model.input_dim)
-    check_json(f"{path} provenance", provenance, {"train_fraction": float}, (), closed=False)
-    fraction = provenance.get("train_fraction")
-    if fraction is not None and not 0.0 < fraction < 1.0:
-        raise DataFormatError(f"{path} provenance key 'train_fraction' must be in (0, 1), "
-                              f"got {fraction!r}")
-    return model, provenance, state
 
 
 def run_pipeline(config: PipelineConfig, series: Optional[TimeSeries] = None):

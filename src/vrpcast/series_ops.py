@@ -3,8 +3,8 @@ a network row. Row i of the differences d of a series v at lag p stands at
 the level v[i + p] with the window d[i : i + p]. Its inputs are its window
 normalised (`row_inputs`), its output is the normalised next difference
 (`row_differences`), and its next level is its level plus that difference
-(`one_step_levels`, `iterate`). A fit saves its lag, its normaliser and
-the row at its series' end (`saved_state`, read by `read_saved_state`)."""
+(`one_step_levels`, `iterate`). A fit saves its lag, train fraction,
+normaliser and end row (`saved_state`), which `read_saved_state` alone reads."""
 
 import logging
 import math
@@ -16,6 +16,8 @@ from .data_ingest import TimeSeries, check_json
 from .errors import DataFormatError, DegenerateDataError, TrainingError
 
 log = logging.getLogger(__name__)
+
+DEFAULT_TRAIN_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
@@ -53,13 +55,14 @@ class NormParams:
 
 @dataclass(frozen=True)
 class PatternSet:
-    """Lagged input windows and one-step targets in normalized units."""
+    """Normalized lagged windows and one-step targets, split by train_fraction."""
 
     inputs: np.ndarray = field(repr=False)
     targets: np.ndarray = field(repr=False)
     lag: int
     norm: NormParams
     split_index: int
+    train_fraction: float
 
     @property
     def n_patterns(self):
@@ -99,6 +102,12 @@ def fit_normalizer(values) -> NormParams:
     return NormParams(float(values.min()), float(values.max()))
 
 
+def check_train_fraction(fraction) -> None:
+    """The one rule of a split: ValueError unless fraction is in (0, 1)."""
+    if not 0.0 < fraction < 1.0:     # NaN fails too
+        raise ValueError(f"train_fraction must be in (0, 1), not {fraction}")
+
+
 def extract_patterns(residuals, p: int, train_fraction: float,
                      norm: NormParams | None = None) -> PatternSet:
     """Sliding-window patterns with a chronological train/test split.
@@ -114,8 +123,7 @@ def extract_patterns(residuals, p: int, train_fraction: float,
         raise ValueError("lag p must be >= 1")
     if n <= p + 1:
         raise DegenerateDataError(f"need more than p+1={p + 1} residuals, got {n}")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
+    check_train_fraction(train_fraction)
     n_patterns = n - p
     split_index = int(np.floor(train_fraction * n_patterns + 0.5))
     split_index = min(max(split_index, 1), n_patterns - 1)
@@ -133,7 +141,7 @@ def extract_patterns(residuals, p: int, train_fraction: float,
             "%d test input values fall outside [0, 1] after training-only "
             "normalization (kept unclamped)", out_of_range,
         )
-    return PatternSet(inputs, targets, p, norm, split_index)
+    return PatternSet(inputs, targets, p, norm, split_index, train_fraction)
 
 
 def row_inputs(windows, norm: NormParams) -> np.ndarray:
@@ -175,8 +183,8 @@ def end_state(residuals, values, lag: int):
 
 
 # The provenance keys of a fit's saved state, by their JSON_TYPES type.
-_STATE_TYPES = {"lag": int, "norm": dict, "last_window_residuals": list,
-                "last_observed_value": float}
+_STATE_TYPES = {"lag": int, "train_fraction": float, "norm": dict,
+                "last_window_residuals": list, "last_observed_value": float}
 _NORM_TYPES = {f.name: f.type for f in fields(NormParams)}
 
 
@@ -184,24 +192,30 @@ def saved_state(patterns: PatternSet, residuals, values) -> dict:
     """The _STATE_TYPES keys of a fit on `patterns` of the series `values`,
     whose differences are `residuals`."""
     window, level = end_state(residuals, values, patterns.lag)
-    return {"lag": patterns.lag, "norm": asdict(patterns.norm),
-            "last_window_residuals": window.tolist(), "last_observed_value": level}
+    return {"lag": patterns.lag, "train_fraction": patterns.train_fraction,
+            "norm": asdict(patterns.norm), "last_window_residuals": window.tolist(),
+            "last_observed_value": level}
 
 
 def read_saved_state(source, provenance: dict, needs, input_dim: int):
-    """(lag, norm, window, level) of the saved state in the `provenance` of a
-    network of input_dim inputs, None for a window or level not saved.
+    """(train fraction, norm, window, level) saved in the `provenance` of a
+    network of input_dim inputs, DEFAULT_TRAIN_FRACTION or None if not saved.
     DataFormatError, naming source and the key, when `norm` or a key in
     `needs` is missing, a key is not of its _STATE_TYPES type, the norm fails
-    NormParams' check or has another key, the window or level is not finite,
-    or the lag or window is not input_dim long."""
+    NormParams' check or has another key, check_train_fraction fails, the
+    window or level is not finite, or the lag or window is not input_dim long."""
     check_json(f"{source} provenance", provenance, _STATE_TYPES, ("norm", *needs), closed=False)
     check_json(f"{source} provenance.norm", provenance["norm"], _NORM_TYPES, _NORM_TYPES,
                closed=True)
+    fraction = provenance.get("train_fraction", DEFAULT_TRAIN_FRACTION)
     try:
         norm = NormParams(**provenance["norm"])
+        check_train_fraction(fraction)
     except DegenerateDataError as exc:
         raise DataFormatError(f"{source} provenance.norm: {exc}") from exc
+    except ValueError as exc:
+        raise DataFormatError(f"{source} provenance key 'train_fraction' must be in (0, 1), "
+                              f"got {fraction!r}") from exc
     window = provenance.get("last_window_residuals")
     level = provenance.get("last_observed_value")
     for key, values in (("last_window_residuals", window or []),
@@ -214,7 +228,7 @@ def read_saved_state(source, provenance: dict, needs, input_dim: int):
     if (lag, n_window) != (input_dim, input_dim):
         raise DataFormatError(f"{source}: input_dim is {input_dim}, but the provenance lag is "
                               f"{lag} and last_window_residuals has {n_window} values")
-    return lag, norm, window, level
+    return fraction, norm, window, level
 
 
 def acf(values, max_lag: int) -> np.ndarray:

@@ -37,6 +37,18 @@ class TestSynth:
                        "--seed", 7, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_out_of_memory_is_a_failure_not_a_traceback(self, tmp_path, capsys, monkeypatch):
+        # numpy raises MemoryError for an n too large to allocate
+        def generate(spec, seed):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "generate_synthetic", generate)
+        capsys.readouterr()
+        assert run_cli("synth", "--n", 10 ** 11, "--out", tmp_path / "big.csv") == 2
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 745. GiB for an array\n"
+        assert "Traceback" not in err and not (tmp_path / "big.csv").exists()
+
     def test_default_seed_is_zero(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli("synth", "--n", 200, "--out", a) == 0

@@ -188,6 +188,14 @@ class TestPipelineConfig:
             PipelineConfig(mode="foo")
         assert str(info.value) == "mode must be one of power, radiance, not 'foo'"
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, True, float("nan")])
+    def test_bad_train_fraction_fails_when_built(self, fraction):
+        # the one rule, series_ops.check_train_fraction; extract_patterns and
+        # a saved model's reader reject the same values
+        with pytest.raises(ValueError) as info:
+            PipelineConfig(train_fraction=fraction)
+        assert str(info.value) == f"train_fraction must be in (0, 1), not {fraction}"
+
 
 class TestSavedModelReaders:
     def test_short_forecast_window_rejected(self, tmp_path):
@@ -210,14 +218,51 @@ class TestSavedModelReaders:
         with pytest.raises(DataFormatError, match="'norm' is missing"):
             pipeline.forecast_saved(path, 3)
 
-    def test_train_fraction_out_of_range_names_file_and_key(self, tmp_path):
+    @pytest.mark.parametrize("fraction, rule", [
+        (1.5, "must be in (0, 1), got 1.5"), (0.0, "must be in (0, 1), got 0.0"),
+        (1.0, "must be in (0, 1), got 1.0"), (True, "must be a number, got True")],
+        ids=["1.5", "0.0", "1.0", "true"])
+    def test_train_fraction_out_of_range_names_file_and_key(self, tmp_path, fraction, rule):
         path = tmp_path / "model.json"
-        mlp.save(init(3, 2, 0), path, {"lag": 3, "train_fraction": 1.5,
-                                       "norm": {"min": 0.0, "max": 1.0}})
-        with pytest.raises(DataFormatError) as info:
-            pipeline.evaluate_saved(path, generate_synthetic(BURSTY, 5))
-        assert str(info.value) == (f"{path} provenance key 'train_fraction' must be in "
-                                   f"(0, 1), got 1.5")
+        mlp.save(init(3, 2, 0), path, {"lag": 3, "train_fraction": fraction,
+                                       "norm": {"min": 0.0, "max": 1.0},
+                                       "last_window_residuals": [1.0, 2.0, 3.0],
+                                       "last_observed_value": 5.0})
+        for read in (lambda: pipeline.evaluate_saved(path, generate_synthetic(BURSTY, 5)),
+                     lambda: pipeline.forecast_saved(path, 3)):
+            with pytest.raises(DataFormatError) as info:
+                read()
+            assert str(info.value) == f"{path} provenance key 'train_fraction' {rule}"
+
+    @staticmethod
+    def scores(report):
+        """The report's numbers, without the provenance it echoes."""
+        return json.dumps(dict(asdict(report), provenance=None))
+
+    @pytest.mark.parametrize("key, default", [("train_fraction", 0.8), ("lag", FAST["lag"])])
+    def test_a_model_without_a_state_key_reads_its_default(self, tmp_path, key, default):
+        # model files may omit these keys: the config's train fraction, and
+        # a lag of the network's input count
+        series = generate_synthetic(BURSTY, 5)
+        run_pipeline(PipelineConfig(out_dir=str(tmp_path), **FAST), series)
+        payload = json.loads((tmp_path / "model.json").read_text())
+        assert payload["provenance"].pop(key) == default
+        (tmp_path / "old_model.json").write_text(json.dumps(payload))
+        assert (self.scores(pipeline.evaluate_saved(tmp_path / "old_model.json", series))
+                == self.scores(pipeline.evaluate_saved(tmp_path / "model.json", series)))
+
+    def test_a_saved_train_fraction_is_the_split_evaluate_uses(self, tmp_path):
+        series = generate_synthetic(BURSTY, 5)
+        model, report, provenance = run_pipeline(
+            PipelineConfig(out_dir=str(tmp_path), train_fraction=0.7, **FAST), series)
+        saved = json.loads((tmp_path / "model.json").read_text())["provenance"]
+        assert provenance["train_fraction"] == saved["train_fraction"] == 0.7
+        evaluated = pipeline.evaluate_saved(tmp_path / "model.json", series)
+        assert self.scores(evaluated) == self.scores(report)
+        at_default = extract_patterns(difference(series).residuals, FAST["lag"], 0.8,
+                                      NormParams(**saved["norm"]))
+        assert (pipeline.evaluate(model, at_default, series.values).train_stats
+                != evaluated.train_stats)
 
 
 class TestForecastMultiStep:

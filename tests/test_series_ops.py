@@ -167,10 +167,11 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="lag p must be >= 1"):
             extract_patterns(rng.normal(size=50), 0, 0.8)
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5])
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5, True, float("nan")])
     def test_extract_patterns_fraction_outside_open_unit(self, rng, fraction):
-        with pytest.raises(ValueError, match=r"train_fraction must be in \(0, 1\)"):
+        with pytest.raises(ValueError, match=r"train_fraction must be in \(0, 1\)") as info:
             extract_patterns(rng.normal(size=50), 3, fraction)
+        assert str(info.value) == f"train_fraction must be in (0, 1), not {fraction}"
 
 
 class TestNormParamsCheck:
