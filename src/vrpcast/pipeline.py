@@ -108,12 +108,6 @@ def _stage(stage, fn, *args, **kwargs):
         log.info("stage %s: %.3f s", stage, time.perf_counter() - t0)
 
 
-def one_step_predictions_watts(model, patterns, values):
-    """series_ops.one_step_levels of every pattern: one-step forecasts in
-    watts. Returns (actual_watts, predicted_watts)."""
-    return series_ops.one_step_levels(mlp.forward_batch(model, patterns.inputs), patterns, values)
-
-
 def forecast_multi_step(model, last_window, horizon, norm, last_observed_value):
     """series_ops.iterate from the window of the most recent residuals (watt
     units, oldest first) and last_observed_value: watt-level forecasts."""
@@ -124,8 +118,8 @@ def forecast_multi_step(model, last_window, horizon, norm, last_observed_value):
         raise ValueError(f"window has {window.size} residuals; the model needs {model.input_dim}")
     if not np.all(np.isfinite(window)):
         raise ValueError("window must be finite")
-    return series_ops.iterate(window, last_observed_value, horizon, norm,
-                              lambda inputs: mlp.forward_batch(model, inputs))
+    return series_ops.iterate(window[None], [last_observed_value], horizon, norm,
+                              lambda inputs: mlp.forward_batch(model, inputs))[0]
 
 
 def _check_blocks(patterns) -> None:
@@ -145,7 +139,8 @@ def _check_blocks(patterns) -> None:
 def evaluate(model, patterns, values, provenance=None) -> EvalReport:
     """Error statistics, ACF comparison and hypothesis tests in watt units."""
     _check_blocks(patterns)
-    actual, predicted = one_step_predictions_watts(model, patterns, values)
+    actual, predicted = series_ops.one_step_levels(
+        patterns, values, lambda inputs: mlp.forward_batch(model, inputs))
     split = patterns.split_index
     train_stats = stat_tests.error_stats(actual[:split], predicted[:split])
     test_stats = stat_tests.error_stats(actual[split:], predicted[split:])

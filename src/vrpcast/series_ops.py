@@ -85,14 +85,14 @@ def difference(series) -> DifferencedSeries:
     return DifferencedSeries(np.diff(values), float(values[0]))
 
 
-def undifference(residuals, last_observed: float) -> np.ndarray:
-    """Cumulative-sum inverse of difference, anchored on last_observed."""
+def undifference(residuals, last_observed) -> np.ndarray:
+    """Inverse of difference along the last axis, anchored on last_observed per row."""
     residuals = np.asarray(residuals, dtype=float)
     if residuals.size and not np.all(np.isfinite(residuals)):
         raise ValueError("residuals must be finite")
-    if not np.isfinite(last_observed):
+    if not np.all(np.isfinite(last_observed)):
         raise ValueError("anchor must be finite")
-    return last_observed + np.cumsum(residuals)
+    return (np.cumsum(residuals, axis=-1).T + last_observed).T
 
 
 def fit_normalizer(values) -> NormParams:
@@ -130,8 +130,7 @@ def extract_patterns(residuals, p: int, train_fraction: float,
     # training rows [0, split_index) touch residuals[0 : split_index + p]
     if norm is None:
         norm = fit_normalizer(residuals[: split_index + p])
-    idx = np.arange(p)[None, :] + np.arange(n_patterns)[:, None]
-    inputs = row_inputs(residuals[idx], norm)
+    inputs = row_inputs(row_windows(residuals, p), norm)
     targets = norm.apply(residuals[p:])
     out_of_range = np.count_nonzero(
         (inputs[split_index:] < 0.0) | (inputs[split_index:] > 1.0)
@@ -144,6 +143,11 @@ def extract_patterns(residuals, p: int, train_fraction: float,
     return PatternSet(inputs, targets, p, norm, split_index, train_fraction)
 
 
+def row_windows(residuals, p: int) -> np.ndarray:
+    """The windows of the rows at lag p of the differences `residuals`: a view."""
+    return np.lib.stride_tricks.sliding_window_view(residuals, p)[:-1]
+
+
 def row_inputs(windows, norm: NormParams) -> np.ndarray:
     """The inputs of rows whose windows (oldest first) are the last axis."""
     return norm.apply(windows)
@@ -154,26 +158,26 @@ def row_differences(outputs, norm: NormParams) -> np.ndarray:
     return norm.invert(outputs)
 
 
-def one_step_levels(outputs, patterns: PatternSet, values):
+def one_step_levels(patterns: PatternSet, values, predict):
     """(actual, predicted) next levels of the rows of `patterns` on the
-    series `values` whose network outputs are `outputs`."""
-    p, n = patterns.lag, patterns.n_patterns
-    levels = values[p : p + n]
-    return values[p + 1 : p + 1 + n].copy(), levels + row_differences(outputs, patterns.norm)
+    series `values` they were extracted from: iterate's first step from each."""
+    p = patterns.lag
+    predicted = iterate(row_windows(np.diff(values), p), values[p:-1], 1, patterns.norm, predict)
+    return values[p + 1 :].copy(), predicted[:, 0]
 
 
-def iterate(window, level: float, horizon: int, norm: NormParams, predict) -> np.ndarray:
-    """The levels of `horizon` iterated forecasts from the row at `level`
-    with `window`, predict giving the outputs of (1, p) rows' inputs: each
-    difference joins the next window; the levels are undifference's."""
-    p = len(window)
-    history = np.concatenate([window, np.empty(horizon)])
+def iterate(windows, levels, horizon: int, norm: NormParams, predict) -> np.ndarray:
+    """The (m, horizon) levels of iterated forecasts from m rows at `levels`
+    with `windows` (m, p), predict giving the outputs of (m, p) rows' inputs:
+    each row's difference joins its next window; the levels are undifference's."""
+    m, p = np.shape(windows)
+    history = np.concatenate([windows, np.empty((m, horizon))], axis=1)
     for step in range(horizon):
-        output = float(predict(row_inputs(history[None, step : step + p], norm))[0])
-        if not np.isfinite(output):
+        outputs = predict(row_inputs(history[:, step : step + p], norm))
+        if not np.all(np.isfinite(outputs)):
             raise TrainingError(f"non-finite forecast at horizon step {step + 1}")
-        history[p + step] = row_differences(output, norm)
-    return undifference(history[p:], level)
+        history[:, p + step] = row_differences(outputs, norm)
+    return undifference(history[:, p:], levels)
 
 
 def end_state(residuals, values, lag: int):

@@ -17,7 +17,7 @@ from vrpcast import (
     init,
     run_pipeline,
 )
-from vrpcast import data_ingest, mlp, pipeline, stat_tests, trainers
+from vrpcast import data_ingest, mlp, pipeline, series_ops, stat_tests, trainers
 from vrpcast.errors import DataFormatError, PipelineStageError, TrainingError
 from vrpcast.series_ops import NormParams
 
@@ -63,8 +63,8 @@ class TestRunPipeline:
         cfg = PipelineConfig(**FAST)
         model, _, provenance = run_pipeline(cfg, series)
         patterns = extract_patterns(difference(series).residuals, cfg.lag, 0.8)
-        actual, predicted = pipeline.one_step_predictions_watts(
-            model, patterns, series.values
+        actual, predicted = series_ops.one_step_levels(
+            patterns, series.values, lambda inputs: mlp.forward_batch(model, inputs)
         )
         pred_resid = patterns.norm.invert(mlp.forward_batch(model, patterns.inputs))
         for i in (0, 5, patterns.n_patterns - 1):
@@ -314,7 +314,8 @@ class TestForecastMultiStep:
         model, _ = mlp.load(tmp_path / "model.json")
         p = FAST["lag"]
         patterns = extract_patterns(difference(series).residuals, p, 0.8)
-        _, predicted = pipeline.one_step_predictions_watts(model, patterns, series.values)
+        _, predicted = series_ops.one_step_levels(
+            patterns, series.values, lambda inputs: mlp.forward_batch(model, inputs))
         for i in (0, patterns.split_index - 1, patterns.n_patterns - 1):
             prefix = type(series)(series.timestamps[: i + p + 1], series.values[: i + p + 1])
             forecast = pipeline.forecast_saved(tmp_path / "model.json", 1, prefix)
