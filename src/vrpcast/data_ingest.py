@@ -18,6 +18,7 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -254,14 +255,14 @@ def _is_number(value):
     return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
 
 
-# The JSON values check_json accepts for a key, by the type the key holds.
-# true and false are not numbers.
+# The values check_json and PipelineConfig accept for a key, by the type the key
+# holds. true and false are not numbers; a string may also be an os.PathLike.
 JSON_TYPES = {
     int: ("an int", _is_int),
     Optional[int]: ("an int or null", lambda v: v is None or _is_int(v)),
     float: ("a number", _is_number),
     str: ("a string", lambda v: isinstance(v, str)),
-    Optional[str]: ("a string or null", lambda v: v is None or isinstance(v, str)),
+    Optional[str]: ("a string or null", lambda v: v is None or isinstance(v, (str, os.PathLike))),
     Union[int, tuple]: ("an int or two ints", lambda v: _is_int(v) or (
         isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v)))),
     list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),

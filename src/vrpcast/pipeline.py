@@ -24,10 +24,10 @@ ACF_MAX_LAG = 20
 @dataclass(frozen=True)
 class PipelineConfig:
     """One experiment. hidden is one hidden size or a pair (lo, hi), from
-    from_dict [lo, hi]; hidden_sizes reads it. Building it checks the
-    training settings, mode in data_ingest.MODES, train_fraction in (0, 1),
-    seed >= 0, lag (when set) and max_lag >= 1, bins >= 2 and hidden_sizes
-    (ValueError), so a bad setting fails before any series is read."""
+    from_dict [lo, hi]; hidden_sizes reads it. Building it checks each field's
+    data_ingest.JSON_TYPES type, the training settings, mode in data_ingest.MODES,
+    train_fraction in (0, 1), seed >= 0, lag (when set) and max_lag >= 1, bins >= 2
+    and hidden_sizes (ValueError), so a bad setting fails before any series is read."""
 
     input_path: Optional[str] = None
     mode: str = "power"
@@ -42,6 +42,10 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            what, accepts = data_ingest.JSON_TYPES[f.type]
+            if not accepts(value := getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be {what}, not {value!r}")
         if self.mode not in data_ingest.MODES:
             raise ValueError(f"mode must be one of {', '.join(data_ingest.MODES)}, "
                              f"not {self.mode!r}")
@@ -60,10 +64,7 @@ class PipelineConfig:
     @property
     def hidden_sizes(self) -> range:
         """The sizes hidden names: h alone, or lo..hi inclusive. ValueError
-        unless hidden is an int or a pair of ints naming sizes >= 1."""
-        what, accepts = data_ingest.JSON_TYPES[Union[int, tuple]]
-        if not accepts(self.hidden):
-            raise ValueError(f"hidden must be {what}, not {self.hidden!r}")
+        unless hidden names sizes >= 1."""
         lo, hi = (self.hidden, self.hidden) if isinstance(self.hidden, int) else self.hidden
         if hi < lo:
             raise ValueError(f"hidden {lo}:{hi} is an empty range")

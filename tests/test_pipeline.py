@@ -191,10 +191,29 @@ class TestPipelineConfig:
     @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, True, float("nan")])
     def test_bad_train_fraction_fails_when_built(self, fraction):
         # the one rule, series_ops.check_train_fraction; extract_patterns and
-        # a saved model's reader reject the same values
+        # a saved model's reader reject the same values. True is not a number,
+        # which the type check of every field says first
         with pytest.raises(ValueError) as info:
             PipelineConfig(train_fraction=fraction)
-        assert str(info.value) == f"train_fraction must be in (0, 1), not {fraction}"
+        rule = "must be a number" if fraction is True else "must be in (0, 1)"
+        assert str(info.value) == f"train_fraction {rule}, not {fraction}"
+
+    @pytest.mark.parametrize("name, value, what", [
+        ("seed", 1.5, "an int"), ("lag", 2.5, "an int or null"), ("max_lag", 2.0, "an int"),
+        ("bins", 3.0, "an int"), ("max_epochs", True, "an int"),
+        ("train_fraction", "0.5", "a number"), ("out_dir", None, None),
+    ], ids=["seed", "lag", "max_lag", "bins", "max_epochs", "train_fraction", "path-out_dir"])
+    def test_field_of_the_wrong_type_fails_when_built(self, name, value, what, tmp_path):
+        # every field is checked against data_ingest.JSON_TYPES, the table
+        # from_dict reads; a path given in Python may be a pathlib.Path
+        if what is None:
+            series = generate_synthetic(BURSTY, 5)
+            run_pipeline(PipelineConfig(out_dir=tmp_path / "run", **FAST), series)
+            assert (tmp_path / "run" / "model.json").is_file()
+            return
+        with pytest.raises(ValueError) as info:
+            PipelineConfig(**{name: value})
+        assert str(info.value) == f"{name} must be {what}, not {value!r}"
 
 
 class TestSavedModelReaders:
