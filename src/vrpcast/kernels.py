@@ -82,9 +82,13 @@ def residuals_and_gradient(inputs, res, a, w2, scratch=None):
     of `inputs` (n, p) without the Jacobian. The (h, n) terms are written into
     `scratch` (C-contiguous (h, n), overwritten) when given, else into one new
     array; the results are bit-identical."""
+    p, h = inputs.shape[1], a.shape[0]
     neg_s = np.multiply(a, a, out=scratch)
     neg_s -= 1.0
     neg_s *= w2[:, None]
-    g_b1, g_w2, g_b2 = neg_s @ res, -(a @ res), -res.sum()
+    grad = np.empty(n_params(p, h))
+    g_w1, g_b1, g_w2, g_b2 = layers(grad, p, h)
+    g_b1[:], g_w2[:], g_b2[:] = neg_s @ res, -(a @ res), -res.sum()
     neg_s *= res
-    return res, np.concatenate([(neg_s @ inputs).ravel(), g_b1, g_w2, [g_b2]])
+    g_w1[:] = neg_s @ inputs
+    return res, grad
