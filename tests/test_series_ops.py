@@ -6,10 +6,11 @@ from vrpcast import (
     difference,
     extract_patterns,
     fit_normalizer,
+    mlp,
     undifference,
 )
 from vrpcast.errors import DegenerateDataError
-from vrpcast.series_ops import NormParams
+from vrpcast.series_ops import NormParams, iterate
 
 
 class TestDifference:
@@ -50,6 +51,26 @@ class TestUndifference:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             undifference([np.nan], 0.0)
+
+    def test_rows_with_one_anchor_each(self, rng):
+        residuals, anchors = rng.normal(size=(6, 9)), rng.uniform(10, 1000, size=6)
+        rows = [undifference(r, a) for r, a in zip(residuals, anchors)]
+        np.testing.assert_array_equal(undifference(residuals, anchors), rows)
+
+
+class TestIterate:
+    @pytest.mark.parametrize("horizon", [1, 5, 20])
+    def test_rows_iterate_as_each_row_alone(self, rng, horizon):
+        # a row's forecasts depend on its own window and level only; predict
+        # runs the network row by row, so the comparison is exact
+        model, norm = mlp.init(4, 6, 3), NormParams(-2.0, 2.5)
+        windows, levels = rng.normal(size=(7, 4)), rng.uniform(10, 1000, size=7)
+
+        def predict(inputs):
+            return np.array([mlp.forward_batch(model, row[None])[0] for row in inputs])
+
+        rows = [iterate(w[None], [v], horizon, norm, predict)[0] for w, v in zip(windows, levels)]
+        np.testing.assert_array_equal(iterate(windows, levels, horizon, norm, predict), rows)
 
 
 class TestNormalizer:
