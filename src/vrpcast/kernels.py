@@ -2,8 +2,8 @@
 
 The p -> h -> 1 network (tanh hidden, linear output) is one flat vector of
 n_params(p, h) parameters: w1 (h, p) row-major, then b1 (h,), w2 (h,) and
-b2. `layers` is the one statement of that order; it splits the first axis
-of a parameter vector, a gradient or the Jacobian's (P, n) rows alike.
+b2. `layers` is the one statement of that order; it splits a parameter vector,
+and the derivative kernels write a gradient and the Jacobian's (P, n) rows by it.
 
 Memory layout: hidden activations are (h, n), one contiguous row per hidden
 unit. The Jacobian is built parameter-major, each parameter's derivatives a

@@ -1,8 +1,8 @@
 """End-to-end orchestration: ingest -> stationarity -> lag selection ->
 patterns -> training -> forecasting -> evaluation, with all artifacts
 written as CSV/JSON. The CLI's inspection subcommands call the same stage
-functions and artifact writers as training. A network row and the state
-a fit saves and reads are series_ops'; this module runs the network on rows."""
+functions and artifact writers as training. A network row, its levels and
+the state a fit saves are series_ops'; this module runs the network on rows."""
 
 import logging
 import os

@@ -1,10 +1,10 @@
 """Stationarization, normalization, autocorrelation, and the one owner of
 a network row. Row i of the differences d of a series v at lag p stands at
-the level v[i + p] with the window d[i : i + p]. Its inputs are its window
-normalised (`row_inputs`), its output is the normalised next difference
-(`row_differences`), and its next level is its level plus that difference
-(`one_step_levels`, `iterate`). A fit saves its lag, train fraction,
-normaliser and end row (`saved_state`), which `read_saved_state` alone reads."""
+the level v[i + p] with the window d[i : i + p] (`row_windows`), normalised
+as its inputs (`row_inputs`); its output is the normalised next difference
+(`row_differences`). `iterate` alone turns outputs into levels, and a one-step
+forecast is its first step (`one_step_levels`). A fit saves its lag, train
+fraction, normaliser and end row (`saved_state`), which `read_saved_state` reads."""
 
 import logging
 import math
@@ -92,7 +92,7 @@ def undifference(residuals, last_observed) -> np.ndarray:
         raise ValueError("residuals must be finite")
     if not np.all(np.isfinite(last_observed)):
         raise ValueError("anchor must be finite")
-    return (np.cumsum(residuals, axis=-1).T + last_observed).T
+    return (last_observed + np.cumsum(residuals, axis=-1).T).T
 
 
 def fit_normalizer(values) -> NormParams:
