@@ -144,7 +144,7 @@ def extract_patterns(residuals, p: int, train_fraction: float,
 
 
 def row_windows(residuals, p: int) -> np.ndarray:
-    """The windows of the rows at lag p of the differences `residuals`: a view."""
+    """Row i's window residuals[i : i + p], for each row at lag p with a target: a view."""
     return np.lib.stride_tricks.sliding_window_view(residuals, p)[:-1]
 
 
