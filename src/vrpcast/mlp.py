@@ -1,9 +1,10 @@
 """The p -> h -> 1 feedforward network: representation, init, forward pass,
 and the normal equations J'J, J'r of the analytic residual Jacobian J,
-summed over row blocks in block order and, for a fit of more than one block,
-computed on one thread per CPU that BLAS leaves free, that the second-order
-trainers consume. A network is its flat parameter vector, in the layout of
-`kernels.layers`."""
+summed over row blocks in block order, that the second-order trainers
+consume, and the package's one rule for sharing the CPUs: split_runs cuts
+work into runs, in_runs runs them on threads, and inside a run split_runs
+makes one, so runs never nest. A network is its flat parameter vector, in
+the layout of `kernels.layers`."""
 
 import contextvars
 import os
@@ -19,9 +20,8 @@ from .errors import DataFormatError
 # many rows each whatever the length of its training set. At n = 40 000 (one
 # BLAS thread) one J'J, J'r evaluation took about as long with 8192-row
 # blocks and longer with 2048 (P = 73 and 351) or with one 40 000-row block.
-# A fit of more than one block splits its blocks into one contiguous run per
-# CPU that BLAS leaves to it (_n_runs), each run on its own thread; a fit of
-# one block runs inline on the calling thread.
+# A fit of more than one block splits its blocks into runs (split_runs), each
+# on its own thread; a fit of one block runs inline on the calling thread.
 BLOCK_ROWS = 4096
 
 
@@ -130,13 +130,14 @@ def free_cpus():
     return max(1, cpus // blas)
 
 
-def _n_runs(n_blocks):
-    """W, the runs of a fit of n_blocks blocks: free_cpus(), at most n_blocks."""
-    return min(n_blocks, free_cpus())
+# True inside the runs of an in_runs call of two or more runs
+_IN_RUN = contextvars.ContextVar("vrpcast_in_run", default=False)
 
 
-def split_runs(items, n_runs):
-    """items in n_runs contiguous runs whose lengths differ by at most one."""
+def split_runs(items):
+    """items in W contiguous runs whose lengths differ by at most one: W is
+    free_cpus(), at most len(items), and 1 inside a run of in_runs."""
+    n_runs = 1 if _IN_RUN.get() else min(len(items), free_cpus())
     bounds = [len(items) * i // n_runs for i in range(n_runs + 1)]
     return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
@@ -151,13 +152,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _in_run(fn, run, *args):
+    _IN_RUN.set(True)
+    return fn(run, *args)
+
+
 def in_runs(fn, runs, *args):
     """The lists fn(run, *args) of the runs, joined in run order. One run
     runs inline; with more, the first runs on the calling thread and the
     others on the package's one pool, each in a copy of the caller's context
-    (numpy's error state is a context variable). Returns once every run has
-    ended, also when one raised. Runs must not nest: a pool run that called
-    in_runs with two runs could wait on a pool it fills."""
+    (numpy's error state is a context variable) in which split_runs makes
+    one run, so no run fills the pool it would wait on. Returns once every
+    run has ended, also when one raised."""
     if len(runs) == 1:
         return fn(runs[0], *args)
     global _pool
@@ -165,10 +171,10 @@ def in_runs(fn, runs, *args):
         # imported here: a process that never runs two runs does not pay for it
         from concurrent.futures import ThreadPoolExecutor
         _pool = ThreadPoolExecutor(thread_name_prefix="vrpcast-runs")
-    futures = [_pool.submit(contextvars.copy_context().run, fn, run, *args)
+    futures = [_pool.submit(contextvars.copy_context().run, _in_run, fn, run, *args)
                for run in runs[1:]]
     try:
-        first = fn(runs[0], *args)
+        first = contextvars.copy_context().run(_in_run, fn, runs[0], *args)
     finally:
         for future in futures:
             future.exception()     # waits: the next call reuses the runs' buffers
@@ -177,24 +183,23 @@ def in_runs(fn, runs, *args):
 
 class _Run:
     """A contiguous run of a fit's row blocks and the buffers it alone
-    writes: the (h, rows) activations `act` of its rows `x`, one Jacobian
-    buffer for its blocks and, from its first gradient, one gradient scratch
-    buffer. `blocks` holds each block's inputs, rows of the fit, view of
-    `act` and Jacobian view. The fit's first run (`first`) starts the
-    block-order sums, so it may add up its own blocks as it goes."""
+    writes: the (h, rows) activations `act` of its rows `x`, and one work
+    buffer, which holds a block's Jacobian or its gradient scratch. `blocks`
+    holds each block's inputs, rows of the fit, view of `act`, and Jacobian
+    and scratch views of the work buffer. The fit's first run (`first`)
+    starts the block-order sums, so it may add up its own blocks as it goes."""
 
     def __init__(self, inputs, h, n_w, block_rows):
         lo = block_rows[0].start
         self.first = lo == 0
         self.x = inputs[lo : block_rows[-1].stop]
         self.act = np.empty((h, self.x.shape[0]))
-        self.scratches = None
-        jac = np.empty((block_rows[0].stop - lo) * n_w)
+        work = np.empty((block_rows[0].stop - lo) * n_w)
         self.blocks = []
         for rows in block_rows:
             m = rows.stop - rows.start
             self.blocks.append((inputs[rows], rows, self.act[:, rows.start - lo : rows.stop - lo],
-                                jac[: m * n_w].reshape(n_w, m).T))
+                                work[: m * n_w].reshape(n_w, m).T, work[: h * m].reshape(h, m)))
 
 
 def _forward(run, w):
@@ -205,7 +210,7 @@ def _block_normal_eqs(run, res, w2):
     """(J'J, J'r) of each block of the run; the first run's blocks summed in
     block order, as one item."""
     products = []
-    for x, rows, a, jac in run.blocks:
+    for x, rows, a, jac, _ in run.blocks:
         r, _ = kernels.residuals_and_jacobian(x, res[rows], a, w2, out=jac)
         if run.first and products:
             jtj, jtr = products[0]
@@ -218,11 +223,8 @@ def _block_normal_eqs(run, res, w2):
 
 def _block_gradients(run, res, w2):
     """J'r of each block of the run, back-propagated."""
-    if run.scratches is None:
-        buffer = np.empty(run.blocks[0][2].size)
-        run.scratches = [buffer[: a.size].reshape(a.shape) for _, _, a, _ in run.blocks]
     return [kernels.residuals_and_gradient(x, res[rows], a, w2, scratch=scratch)[1]
-            for (x, rows, a, _), scratch in zip(run.blocks, run.scratches)]
+            for x, rows, a, _, scratch in run.blocks]
 
 
 def residual_fns(model: MlpModel, inputs, targets):
@@ -232,10 +234,10 @@ def residual_fns(model: MlpModel, inputs, targets):
     read through views.
 
     The rows are walked in blocks of BLOCK_ROWS (an empty training set is
-    one empty block), split into W = _n_runs(blocks) contiguous runs
+    one empty block), split into the W contiguous runs of split_runs
     (_Run). With W > 1 the first run goes on the calling thread and the
     others on the module's pool (in_runs); with one run, as in every fit of
-    at most BLOCK_ROWS rows, all goes inline and no pool is made.
+    at most BLOCK_ROWS rows and every fit inside a run, all goes inline.
 
     The one place that computes a point's activations and residuals: resid
     runs one forward pass per run into the run's activations, and keeps the
@@ -247,7 +249,7 @@ def residual_fns(model: MlpModel, inputs, targets):
     np.array_equal took 4 us at P = 19.)
 
     normal_eqs never holds J whole: each run writes a block's Jacobian into
-    its one buffer and returns each block's J'J and J'r (the first run, where
+    its work buffer and returns each block's J'J and J'r (the first run, where
     the sums start, their running sum); resid_grad's runs return each
     block's back-propagated J'r. The caller sums them in block order, so no
     result depends on W. With one block the products are J.T @ J and
@@ -261,7 +263,7 @@ def residual_fns(model: MlpModel, inputs, targets):
     n = targets.size
     block_rows = [slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, max(n, 1), BLOCK_ROWS)]
     runs = [_Run(inputs, h, model.n_params, rows)
-            for rows in split_runs(block_rows, _n_runs(len(block_rows)))]
+            for rows in split_runs(block_rows)]
     res = act_key = None    # residuals and bytes of the theta the runs' activations hold
 
     def resid(theta):

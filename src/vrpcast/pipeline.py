@@ -344,12 +344,12 @@ def compare_algorithms(config: PipelineConfig, series: Optional[TimeSeries] = No
     a per-algorithm error table, whose entry for a failed fit is its error
     (a VrpcastError or MemoryError message).
 
-    With a training block of one mlp.BLOCK_ROWS block, [config.algorithm's
-    grid fit, the other two] run side by side in min(3, mlp.free_cpus())
-    contiguous runs (mlp.in_runs), holding up to three fits' working sets;
-    with a range of sizes the other two start once the grid has selected h.
-    A longer block runs the fits in turn, each on its own row runs. No result
-    depends on the threads; a grid abort is raised once all have ended."""
+    [config.algorithm's grid fit, the other two] run side by side in the
+    contiguous runs of mlp.split_runs (mlp.in_runs), holding up to three
+    fits' working sets, and each fit makes one row run; with a range of sizes
+    the grid runs first, on its own row runs, and the other two start once it
+    has selected h. No result depends on the threads; a grid abort is raised
+    once all have ended."""
     prep = _prepare(series, config)
     patterns = prep.patterns
     algorithms = [config.algorithm] + [a for a in trainers.ALGORITHMS if a != config.algorithm]
@@ -367,12 +367,10 @@ def compare_algorithms(config: PipelineConfig, series: Optional[TimeSeries] = No
         except (VrpcastError, MemoryError) as exc:
             return {"error": str(exc) or type(exc).__name__}
 
-    many_blocks = patterns.split_index > mlp.BLOCK_ROWS
-    runs = mlp.split_runs(algorithms, 1 if many_blocks else min(len(algorithms), mlp.free_cpus()))
-    log.info("compare: %s fits %s: %s", ", ".join(algorithms),
-             f"side by side on {len(runs)} threads" if len(runs) > 1 else "one after another",
-             "each fit of more than one block runs its own row runs" if many_blocks
-             else f"mlp.free_cpus() is {mlp.free_cpus()}")
+    runs = mlp.split_runs(algorithms)
+    log.info("compare: %s fits %s", ", ".join(algorithms),
+             f"side by side on {len(runs)} threads" if len(runs) > 1
+             else f"one after another: mlp.free_cpus() is {mlp.free_cpus()}")
     fits.update(zip(algorithms, mlp.in_runs(lambda run: [fit(a) for a in run], runs)))
     table = {}
     for algorithm in trainers.ALGORITHMS:

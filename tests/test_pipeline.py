@@ -409,12 +409,31 @@ class TestCompareAlgorithms:
             ("brnn", True), ("brnn", True), ("lm", True), ("scg", False)]
         assert all("test_stats" in entry for entry in result["algorithms"].values())
 
-    def test_fits_of_many_blocks_run_one_after_another(self, monkeypatch, fits, caplog):
+    def test_fits_of_many_blocks_run_side_by_side_in_one_run_each(
+            self, tmp_path, monkeypatch, free_cpus, fits):
         monkeypatch.setattr(mlp, "BLOCK_ROWS", 64)
-        with caplog.at_level(logging.INFO, logger="vrpcast.pipeline"):
-            compare_algorithms(PipelineConfig(**FAST), generate_synthetic(BURSTY, 4))
-        assert [(a, main) for a, main, _ in fits] == [("brnn", True), ("lm", True), ("scg", True)]
-        assert "fits one after another: each fit of more than one block" in caplog.text
+        series = generate_synthetic(BURSTY, 4)
+        free_cpus(1)
+        compare_algorithms(PipelineConfig(out_dir=str(tmp_path / "one"), **FAST), series)
+        fits.clear()
+        free_cpus(3)
+        real = mlp.split_runs
+        splits = []     # (items, runs) of each split_runs call
+
+        def split_runs(items):
+            runs = real(items)
+            splits.append((len(items), len(runs)))
+            return runs
+
+        monkeypatch.setattr(mlp, "split_runs", split_runs)
+        compare_algorithms(PipelineConfig(out_dir=str(tmp_path / "cmp"), **FAST), series)
+        assert sorted((a, main) for a, main, _ in fits) == [
+            ("brnn", True), ("lm", False), ("scg", False)]
+        assert splits[0] == (3, 3)      # the fits
+        blocks = splits[1:]             # the row blocks of each fit's residual functions
+        assert len(blocks) >= 3 and all(items > 1 and runs == 1 for items, runs in blocks)
+        assert ((tmp_path / "cmp" / "comparison.json").read_bytes()
+                == (tmp_path / "one" / "comparison.json").read_bytes())
 
     def test_a_grid_abort_is_raised_once_the_other_fits_end(self, monkeypatch):
         real = trainers.train

@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import threading
 import time
 import tracemalloc
 import warnings
@@ -598,8 +599,20 @@ class TestRuns:
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        assert mlp._n_runs(8) == mlp.free_cpus() == runs
-        assert mlp._n_runs(2) == min(runs, 2)
+        assert len(mlp.split_runs(range(8))) == mlp.free_cpus() == runs
+        assert len(mlp.split_runs(range(2))) == min(runs, 2)
+
+    def test_runs_inside_a_run_make_one_run(self, monkeypatch):
+        monkeypatch.setattr(mlp, "_cpus", lambda: 3)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert [len(mlp.split_runs(range(n))) for n in (1, 2, 8)] == [1, 2, 3]
+
+        def run(i):
+            return [(i, threading.current_thread() is threading.main_thread(),
+                     len(mlp.split_runs(range(8))))]
+
+        assert mlp.in_runs(run, [0, 1, 2]) == [(0, True, 1), (1, False, 1), (2, False, 1)]
+        assert len(mlp.split_runs(range(8))) == 3      # the caller's context is its own
 
     def test_a_raising_run_waits_for_the_others(self):
         ended = []
