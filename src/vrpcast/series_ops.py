@@ -235,6 +235,16 @@ def read_saved_state(source, provenance: dict, needs, input_dim: int):
     return fraction, norm, window, level
 
 
+def dot(a, b) -> float:
+    """a @ b of two 1-D arrays of one length, summed over 4096-element blocks
+    in block order: BLAS splits a longer product over its threads, so its
+    bytes would follow the thread count. On one block it is exactly a @ b."""
+    total = a[:4096] @ b[:4096]
+    for lo in range(4096, a.size, 4096):
+        total += a[lo : lo + 4096] @ b[lo : lo + 4096]
+    return float(total)
+
+
 def acf(values, max_lag: int) -> np.ndarray:
     """Sample autocorrelation (biased, divide-by-n) for lags 0..max_lag."""
     values = np.asarray(values, dtype=float)
@@ -243,11 +253,11 @@ def acf(values, max_lag: int) -> np.ndarray:
         raise ValueError(f"acf needs max_lag >= 0 and more values than max_lag; "
                          f"got {n} values and max_lag {max_lag}")
     centered = values - values.mean()
-    c0 = centered @ centered / n
+    c0 = dot(centered, centered) / n
     if c0 == 0.0:
         raise DegenerateDataError("zero-variance series has no ACF")
     out = np.empty(max_lag + 1)
     out[0] = 1.0
     for k in range(1, max_lag + 1):
-        out[k] = (centered[k:] @ centered[:-k]) / n / c0
+        out[k] = dot(centered[k:], centered[:-k]) / n / c0
     return out

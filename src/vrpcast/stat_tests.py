@@ -7,6 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateDataError, VrpcastError
+from .series_ops import dot
 
 # Level-stationarity asymptotic critical values (Kwiatkowski et al., 1992).
 KPSS_CRITICAL_VALUES = {0.10: 0.347, 0.05: 0.463, 0.025: 0.574, 0.01: 0.739}
@@ -63,11 +64,11 @@ def kpss_level(values) -> KpssResult:
     if np.all(e == 0.0):
         raise DegenerateDataError("constant series: long-run variance is zero")
     lag = int(math.floor(4.0 * (t_len / 100.0) ** 0.25))
-    s2 = float(e @ e) / t_len
+    s2 = dot(e, e) / t_len
     for j in range(1, lag + 1):
-        s2 += 2.0 * (1.0 - j / (lag + 1.0)) * float(e[j:] @ e[:-j]) / t_len
+        s2 += 2.0 * (1.0 - j / (lag + 1.0)) * dot(e[j:], e[:-j]) / t_len
     partial = np.cumsum(e)
-    stat = float(partial @ partial) / (t_len * t_len * s2)
+    stat = dot(partial, partial) / (t_len * t_len * s2)
     return KpssResult(
         statistic=stat,
         truncation_lag=lag,
@@ -83,9 +84,9 @@ def error_stats(actual, predicted) -> ErrorStats:
     if actual.size == 0 or actual.shape != predicted.shape:
         raise ValueError("actual and predicted must have equal nonzero length")
     err = actual - predicted
-    sse = float(err @ err)
+    sse = dot(err, err)
     centered = actual - actual.mean()
-    sst = float(centered @ centered)
+    sst = dot(centered, centered)
     r2 = None if sst == 0.0 else 1.0 - sse / sst
     return ErrorStats(float(err.mean()), sse / err.size, r2)
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import mlp
 from .errors import TrainingError
-from .series_ops import PatternSet
+from .series_ops import PatternSet, dot
 
 log = logging.getLogger(__name__)
 
@@ -144,7 +144,7 @@ class GridRow:
 
 
 def _sse(r):
-    return float(r @ r)
+    return dot(r, r)
 
 
 def _as_xy(patterns):

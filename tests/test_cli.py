@@ -670,3 +670,28 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def test_artifacts_do_not_depend_on_the_blas_threads(tmp_path):
+    # OpenBLAS splits a dot product of more than about 10 000 elements over
+    # its threads; at 15 000 points the training residuals, KPSS's sums and
+    # the training block's error sums are longer than that
+    save_csv(generate_synthetic({"kind": "persistence_bursts", "n": 15_000}, 7),
+             str(tmp_path / "series.csv"))
+    (tmp_path / "cfg.json").write_text(json.dumps({"max_epochs": 20}))
+    code = ("import sys; from vrpcast import cli; sys.exit(cli.main("
+            "['train', '--input', '../series.csv', '--lag', '6', '--hidden', '9',"
+            " '--config', '../cfg.json', '--out', 'run']) or cli.main("
+            "['evaluate', '--model', 'run/model.json', '--input', '../series.csv', '--out', 'eval']))")
+    trees = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"blas{threads}"
+        cwd.mkdir()
+        env = {k: v for k, v in os.environ.items() if k not in ("MKL_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(PYTHONPATH=str(Path(vrpcast.__file__).parents[1]), OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        trees.append((out, {str(p.relative_to(cwd)): p.read_bytes()
+                            for p in sorted(cwd.rglob("*")) if p.is_file()}))
+    assert "run/kpss.json" in trees[0][1] and "eval/eval_report.json" in trees[0][1]
+    assert trees[0] == trees[1]
